@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import traceback
 
 from . import harness
 from .config import ConfigError, load_config, load_matrix_config
@@ -84,6 +85,8 @@ def main(argv=None) -> int:
         return 1
     except Exception as exc:  # runtime failure: missing files, bad checkpoints
         print(f"error: {exc}", file=sys.stderr)
+        if args.verbose:
+            print(traceback.format_exc(), file=sys.stderr, end="")
         return 2
 
 

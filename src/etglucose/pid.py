@@ -107,7 +107,9 @@ def grid_search_pid(
 
     Every candidate faces the same scenarios under the same fixed sensor
     noise streams, so the search is deterministic. Ties keep the earlier
-    candidate; the grids iterate smallest gain first.
+    candidate; the grids iterate smallest gain first. A gain whose optimum
+    is the first or last value of a grid with two or more values is logged
+    as a warning: the search may be capped by its own grid.
     """
     best_gains: PidGains | None = None
     best_score = -np.inf
@@ -124,7 +126,14 @@ def grid_search_pid(
         if score > best_score:
             best_score = score
             best_gains = gains
+    name = getattr(patient, "name", "?")
     log.info("grid search for %s: best %s mean TIR %.2f",
-             getattr(patient, "name", "?"), best_gains, best_score)
+             name, best_gains, best_score)
     assert best_gains is not None
+    for gain, grid in (("kp", kp_grid), ("ki", ki_grid), ("kd", kd_grid)):
+        value = getattr(best_gains, gain)
+        if len(grid) >= 2 and value in (grid[0], grid[-1]):
+            edge = "lower" if value == grid[0] else "upper"
+            log.warning("grid search for %s: %s optimum %g is on the %s edge "
+                        "of its grid", name, gain, value, edge)
     return best_gains, best_score

@@ -475,6 +475,17 @@ class TestCli:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    def test_runtime_error_traceback_only_when_verbose(self, tmp_path, capsys):
+        cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict("ppo"))
+        args = ["eval", "--config", cfg_path, "--out-dir", str(tmp_path / "runs")]
+        assert cli.main(args) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert cli.main(["-v"] + args) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err
+        assert "Traceback (most recent call last)" in err
+        assert "FileNotFoundError" in err
+
     def test_matrix_bad_section_exit_one(self, tmp_path, capsys):
         cfg_path = write_yaml(tmp_path / "m.yaml", tiny_dict("ppo"))
         rc = cli.main(["matrix", "--config", cfg_path,

@@ -1,5 +1,6 @@
 """Network, log-probability, optimizer, and checkpoint tests."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -298,6 +299,25 @@ class TestCheckpoints:
         assert opt_back.t == opt.t and opt_back.lr == opt.lr
         for a, b in zip(opt_back.m + opt_back.v, opt.m + opt.v):
             assert np.array_equal(a, b)
+
+    def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        net = Mlp.create((2, 8, 3), np.random.default_rng(51))
+        arrays = {**pack_mlp("policy", net), **pack_opt("opt", OptimizerState())}
+        paths = []
+        for year in (2001, 2031):
+            clock = time.mktime((year, 6, 1, 12, 0, 0, 0, 0, -1))
+            monkeypatch.setattr(time, "time", lambda: clock)
+            monkeypatch.setattr(time, "localtime",
+                                lambda secs=None: time.gmtime(clock))
+            paths.append(tmp_path / f"ck{year}.npz")
+            save_checkpoint(paths[-1], "ppo", arrays)
+        monkeypatch.undo()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        method, data = load_checkpoint(paths[1])
+        assert method == "ppo"
+        assert sorted(data) == sorted(arrays)
+        for key, want in arrays.items():
+            assert np.array_equal(data[key], want)
 
     def test_wrong_version_refused(self, tmp_path):
         path = tmp_path / "old.npz"

@@ -1,4 +1,6 @@
 """PID controller and grid-search tuner tests."""
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,3 +187,35 @@ class TestGridSearch:
                 episode_cfg=EpisodeConfig(horizon=240),
             )
             assert score >= cand
+
+    def test_edge_optimum_is_logged(self, patient, caplog):
+        scen = [default_eval_scenarios()[0]]
+        with caplog.at_level(logging.WARNING, logger="etglucose.pid"):
+            gains, _ = grid_search_pid(
+                patient, scen, kp_grid=(0.0001, 0.0013), ki_grid=(0.0,),
+                kd_grid=(0.0,), episode_cfg=EpisodeConfig(horizon=240),
+            )
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        # a two-value grid has no interior; one-value grids are not searched
+        assert len(warnings) == 1
+        assert "nominal" in warnings[0] and "kp optimum" in warnings[0]
+        edge = "lower" if gains.kp == 0.0001 else "upper"
+        assert f"{edge} edge" in warnings[0]
+
+    def test_interior_optimum_is_silent(self, patient, caplog):
+        scen = [default_eval_scenarios()[0]]
+        cfg = EpisodeConfig(horizon=240)
+        scored = sorted(
+            (grid_search_pid(patient, scen, kp_grid=(kp,), ki_grid=(0.0,),
+                             kd_grid=(0.0,), episode_cfg=cfg)[1], kp)
+            for kp in (0.0001, 0.0009, 0.0017)
+        )
+        (_, worst), (_, mid), (_, best) = scored
+        with caplog.at_level(logging.WARNING, logger="etglucose.pid"):
+            gains, _ = grid_search_pid(
+                patient, scen, kp_grid=(worst, best, mid), ki_grid=(0.0,),
+                kd_grid=(0.0,), episode_cfg=cfg,
+            )
+        assert gains.kp == best
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]

@@ -1,9 +1,13 @@
 """Plant dynamics, integrator, sensor, pump, and cohort tests."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etglucose.cgmetppo import CgmEtppoTrainer
 from etglucose.patients import (
     NOMINAL_ADULT,
     PERTURB_FRACTION,
@@ -14,6 +18,7 @@ from etglucose.patients import (
     save_cohort,
 )
 from etglucose.plant import (
+    PatientState,
     PlantDivergedError,
     PumpConfig,
     SensorConfig,
@@ -23,6 +28,11 @@ from etglucose.plant import (
     rk4_step,
     rk4_update,
 )
+from etglucose.pid import PidGains, run_pid_episode
+from etglucose.scenario import default_eval_scenarios
+from etglucose.seeding import RngBundle, eval_noise_stream
+
+COHORT = default_cohort()
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +110,116 @@ class TestRk4:
         st = nominal.basal._replace(q_gut=1e-12)
         out = rk4_step(st, nominal.u_basal, 0.0, 1.0, nominal)
         assert all(v >= 0.0 for v in out)
+
+
+def reference_step(state, u, d, dt, params):
+    """The plant step spelled out with the generic integrator."""
+    nxt = rk4_update(lambda s: rhs(s, u, d, params), state, dt)
+    return PatientState._make(v if v > 0.0 else 0.0 for v in nxt)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestRk4StepOracle:
+    """rk4_step is the unrolled reference step, bit for bit."""
+
+    @given(
+        p=st.sampled_from(COHORT),
+        xs=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=13,
+                    max_size=13),
+        u=st.floats(min_value=0.0, max_value=0.15),
+        d=st.sampled_from([0.0, 5000.0]),
+        dt=st.sampled_from([1.0, 0.5]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_states_match_reference(self, p, xs, u, d, dt):
+        state = PatientState._make(xs)
+        assert hexes(rk4_step(state, u, d, dt, p)) == hexes(
+            reference_step(state, u, d, dt, p))
+
+    def test_cohort_trajectories_match_reference(self):
+        for p in COHORT:
+            fast = slow = p.basal._replace(g_p=p.basal.g_p * 1.3)
+            for k in range(200):
+                u, d = (0.15, 5000.0) if k % 50 < 10 else (p.u_basal, 0.0)
+                fast = rk4_step(fast, u, d, 1.0, p)
+                slow = reference_step(slow, u, d, 1.0, p)
+                assert hexes(fast) == hexes(slow), (p.name, k)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e308])
+    @pytest.mark.parametrize("field", PatientState._fields)
+    def test_bad_compartment_diverges_like_reference(self, field, bad):
+        p = COHORT[0]
+        state = p.basal._replace(**{field: bad})
+        got = outcome(rk4_step, state, p.u_basal, 0.0, p)
+        assert got == outcome(reference_step, state, p.u_basal, 0.0, p)
+        if not math.isfinite(bad):
+            assert got == "diverged"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("which", ["u", "d"])
+    def test_bad_input_diverges_like_reference(self, which, bad):
+        p = COHORT[0]
+        u, d = (bad, 0.0) if which == "u" else (p.u_basal, bad)
+        assert outcome(rk4_step, p.basal, u, d, p) == "diverged"
+        assert outcome(reference_step, p.basal, u, d, p) == "diverged"
+
+
+def outcome(step, state, u, d, params):
+    try:
+        return hexes(step(state, u, d, 1.0, params))
+    except PlantDivergedError:
+        return "diverged"
+
+
+def trace_digest(trace):
+    return hashlib.sha256(",".join(hexes(trace)).encode()).hexdigest()
+
+
+class TestGoldenTrace:
+    """Values recorded before the integrator was unrolled; they must not move."""
+
+    def test_rhs_at_fixed_states(self):
+        p = COHORT[0]
+        b = p.basal
+        cases = [
+            ((b, p.u_basal, 0.0),
+             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.0000000000000p-51 0x0.0p+0 "
+             "0x0.0p+0 -0x0.0p+0 -0x0.0p+0 -0x0.0p+0 0x0.0p+0 0x0.0p+0 "
+             "0x0.0p+0 -0x0.0p+0"),
+            ((b._replace(q_sto1=20000.0, q_sto2=5000.0, q_gut=3000.0,
+                         g_p=b.g_p * 1.5, g_sc=b.g_sc * 1.2), 0.05, 5000.0),
+             "0x1.f77b994118030p+11 0x1.80b026c0c32cfp+9 0x1.55868ae99e75ap+7 "
+             "-0x1.6491de563eb6dp+3 0x1.2ad38313b7ddcp+3 0x0.0p+0 -0x0.0p+0 "
+             "-0x0.0p+0 -0x0.0p+0 0x0.0p+0 0x1.1b55a73f62012p+1 0x0.0p+0 "
+             "0x1.0fccdf0191331p+3"),
+            ((b._replace(g_p=b.g_p * 0.6, g_t=b.g_t * 0.7, i_p=b.i_p * 3.0,
+                         x_remote=b.x_remote * 2.0, i_sc1=b.i_sc1 * 4.0),
+              0.15, 0.0),
+             "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.ee210a24cd718p+0 "
+             "-0x1.de1f381f8c960p+0 -0x1.644b8729b54ecp+2 0x1.c72d6a79a9ae8p-4 "
+             "0x1.c6ac6a30c6bc5p-4 -0x0.0p+0 0x1.20fc7bfbe0de0p+2 "
+             "0x1.1594407a38a80p+2 0x1.8788c358f22e8p+2 -0x1.6a667eacc1992p+3"),
+        ]
+        for (state, u, d), want in cases:
+            assert " ".join(hexes(rhs(state, u, d, p))) == want
+
+    def test_pid_episode_trace(self):
+        rec = run_pid_episode(COHORT[0], PidGains(kp=0.0009, ki=1e-5, kd=0.001),
+                              default_eval_scenarios()[0], eval_noise_stream(0))
+        assert rec.T == 960
+        assert trace_digest(rec.y_trace) == (
+            "80788453a668b79e753149674f22ffea49c67201b26b469e44e3fca2d42e1e57")
+
+    def test_training_reset_cgmetppo_variable_episode_trace(self):
+        tr = CgmEtppoTrainer(COHORT[0], RngBundle.from_master(0))
+        assert tr.method == "cgmetppo-variable"
+        stats = tr.run_episode(0)
+        assert (stats.steps, stats.K) == (960, 60)
+        assert trace_digest(tr.env.y_trace) == (
+            "20008f7652d88a9a6592b8d1a15e141e7f33a836cca0bbfa1a684ba2873b7587")
 
 
 class TestEquilibriumAndResponse:
