@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -271,8 +272,15 @@ def tune_pid(cfg: ExperimentConfig, out_base: str | Path,
     for seed in seeds if seeds is not None else cfg.seeds:
         rd = run_dir(out_base, pid_cfg, seed)
         rd.mkdir(parents=True, exist_ok=True)
-        with open(rd / "gains.yaml", "w") as fh:
-            yaml.safe_dump(payload, fh, sort_keys=True)
+        # Written beside the target and renamed over it, so an interrupted
+        # write never leaves a partial gains.yaml behind.
+        tmp = rd / "gains.yaml.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                yaml.safe_dump(payload, fh, sort_keys=True)
+            os.replace(tmp, rd / "gains.yaml")
+        finally:
+            tmp.unlink(missing_ok=True)
     log.info("tuned pid for %s: %s (mean TIR %.2f)", cfg.patient, gains, score)
     return gains, score
 

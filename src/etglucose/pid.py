@@ -103,34 +103,60 @@ def grid_search_pid(
     sensor: SensorConfig = SensorConfig(),
     pump: PumpConfig = PumpConfig(),
 ) -> tuple[PidGains, float]:
-    """Exhaustive search maximizing mean time-in-range over the scenarios.
+    """Exact branch-and-bound search maximizing mean time-in-range.
 
     Every candidate faces the same scenarios under the same fixed sensor
-    noise streams, so the search is deterministic. Ties keep the earlier
-    candidate; the grids iterate smallest gain first. A gain whose optimum
-    is the first or last value of a grid with two or more values is logged
-    as a warning: the search may be capped by its own grid.
+    noise streams, so the search is deterministic. It returns exactly what
+    scoring every candidate on every scenario would: the largest mean TIR,
+    ties keeping the earlier candidate (the grids iterate smallest gain
+    first). Every candidate is first screened on scenario 0, then visited
+    by descending screen TIR. Before each further scenario the candidate's
+    mean is bounded from above by counting every scenario not yet run at
+    100, which no TIR exceeds; a rounded float sum never decreases when a
+    term grows, so the bound is never below the final mean. A candidate
+    whose bound cannot beat the incumbent, or can only tie it from a later
+    grid position, is dropped.
+
+    A gain whose optimum is the first or last value of a grid with two or
+    more values is logged as a warning: the search may be capped by its
+    own grid.
     """
-    best_gains: PidGains | None = None
-    best_score = -np.inf
-    for kp, ki, kd in itertools.product(kp_grid, ki_grid, kd_grid):
-        gains = PidGains(kp=kp, ki=ki, kd=kd)
-        scores = []
-        for i, scenario in enumerate(scenarios):
-            rec = run_pid_episode(
-                patient, gains, scenario, eval_noise_stream(i),
-                episode_cfg, sensor, pump,
-            )
-            scores.append(tir(rec))
-        score = float(np.mean(scores))
-        if score > best_score:
-            best_score = score
-            best_gains = gains
+    grids = (("kp", kp_grid), ("ki", ki_grid), ("kd", kd_grid))
+    for gain, grid in grids:
+        if len(grid) == 0:
+            raise ValueError(f"grid search needs at least one {gain} value; "
+                             f"the {gain} grid is empty")
+    if not scenarios:
+        raise ValueError("grid search needs at least one scenario")
+    candidates = [PidGains(kp=kp, ki=ki, kd=kd)
+                  for kp, ki, kd in itertools.product(kp_grid, ki_grid, kd_grid)]
+    n = len(scenarios)
+
+    def score(gains: PidGains, i: int) -> float:
+        return tir(run_pid_episode(
+            patient, gains, scenarios[i], eval_noise_stream(i),
+            episode_cfg, sensor, pump,
+        ))
+
+    tirs = [[score(gains, 0)] for gains in candidates]
+    best, best_score = len(candidates), -np.inf
+    for j in sorted(range(len(candidates)), key=lambda j: (-tirs[j][0], j)):
+        row = tirs[j]
+        for i in range(1, n):
+            bound = float(np.mean(row + [100.0] * (n - i)))
+            if bound < best_score or (bound == best_score and j > best):
+                break
+            row.append(score(candidates[j], i))
+        else:
+            mean = float(np.mean(row))
+            if mean > best_score or (mean == best_score and j < best):
+                best, best_score = j, mean
+    best_gains = candidates[best]
     name = getattr(patient, "name", "?")
-    log.info("grid search for %s: best %s mean TIR %.2f",
-             name, best_gains, best_score)
-    assert best_gains is not None
-    for gain, grid in (("kp", kp_grid), ("ki", ki_grid), ("kd", kd_grid)):
+    log.info("grid search for %s: best %s mean TIR %.2f (ran %d of %d episodes)",
+             name, best_gains, best_score, sum(map(len, tirs)),
+             len(candidates) * n)
+    for gain, grid in grids:
         value = getattr(best_gains, gain)
         if len(grid) >= 2 and value in (grid[0], grid[-1]):
             edge = "lower" if value == grid[0] else "upper"

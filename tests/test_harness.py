@@ -362,6 +362,22 @@ class TestTrainEval:
         # updating every step leaves nothing above the update-reduction floor
         assert all(float(r["aurr"]) == 0.0 for r in rows)
 
+    def test_failed_gains_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg("pid")
+        tune_pid(cfg, tmp_path)
+        rd = run_dir(tmp_path, cfg, 0)
+        before = (rd / "gains.yaml").read_bytes()
+
+        def half_dump(payload, fh, **kwargs):
+            fh.write("kp: ")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(yaml, "safe_dump", half_dump)
+        with pytest.raises(OSError, match="disk full"):
+            tune_pid(cfg, tmp_path)
+        assert (rd / "gains.yaml").read_bytes() == before
+        assert sorted(p.name for p in rd.iterdir()) == ["gains.yaml"]
+
     def test_pid_train_alias(self, tmp_path):
         # run_train on the pid method is tuning
         cfg = tiny_cfg("pid")

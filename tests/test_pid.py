@@ -1,4 +1,5 @@
 """PID controller and grid-search tuner tests."""
+import itertools
 import logging
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etglucose import pid
 from etglucose.env import EpisodeConfig
 from etglucose.metrics import aurr, ecf, tir
 from etglucose.patients import NOMINAL_ADULT, build_patient
@@ -19,11 +21,35 @@ from etglucose.pid import (
 )
 from etglucose.plant import PumpConfig, SensorConfig
 from etglucose.scenario import MealScenario, default_eval_scenarios
+from etglucose.seeding import eval_noise_stream
 
 
 @pytest.fixture(scope="module")
 def patient():
     return build_patient("nominal", NOMINAL_ADULT)
+
+
+def exhaustive(candidates, score, n):
+    """Reference search: every candidate on every scenario, earliest wins ties."""
+    best, best_score = None, -np.inf
+    for gains in candidates:
+        mean = float(np.mean([score(gains, i) for i in range(n)]))
+        if mean > best_score:
+            best, best_score = gains, mean
+    return best, best_score
+
+
+def grid(kp_grid, ki_grid, kd_grid):
+    return [PidGains(kp=kp, ki=ki, kd=kd)
+            for kp, ki, kd in itertools.product(kp_grid, ki_grid, kd_grid)]
+
+
+def counting(calls):
+    """Wrap run_pid_episode so each call appends its (gains, scenario)."""
+    def episode(patient, gains, scenario, *args):
+        calls.append((gains, scenario))
+        return run_pid_episode(patient, gains, scenario, *args)
+    return episode
 
 
 class TestPidOutput:
@@ -219,3 +245,83 @@ class TestGridSearch:
             )
         assert gains.kp == best
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
+    @pytest.mark.parametrize("gain", ["kp", "ki", "kd"])
+    def test_empty_grid_rejected(self, patient, gain):
+        with pytest.raises(ValueError, match=f"{gain} grid is empty"):
+            grid_search_pid(patient, default_eval_scenarios(),
+                            **{f"{gain}_grid": ()})
+
+    def test_empty_scenario_list_rejected(self, patient):
+        with pytest.raises(ValueError, match="scenario"):
+            grid_search_pid(patient, [])
+
+    @given(
+        sizes=st.tuples(*[st.integers(1, 3)] * 3),
+        n=st.integers(1, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_exhaustive_oracle(self, sizes, n, data):
+        # TIRs on a coarse lattice make equal means, and so ties, common
+        grids = [tuple(float(v) for v in range(k)) for k in sizes]
+        candidates = grid(*grids)
+        flat = data.draw(st.lists(st.integers(0, 8), min_size=len(candidates) * n,
+                                  max_size=len(candidates) * n))
+        table = {gains: [12.5 * k for k in flat[j * n:(j + 1) * n]]
+                 for j, gains in enumerate(candidates)}
+        calls = []
+
+        def fake_episode(patient, gains, scenario, *args):
+            calls.append((gains, scenario))
+            return gains, scenario
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pid, "run_pid_episode", fake_episode)
+            mp.setattr(pid, "tir", lambda rec: table[rec[0]][rec[1]])
+            got = grid_search_pid(None, list(range(n)), *grids)
+        want = exhaustive(candidates, lambda g, i: table[g][i], n)
+        assert got == want
+        assert len(calls) == len(set(calls))
+        assert {(g, 0) for g in candidates} <= set(calls)
+
+    def test_matches_exhaustive_on_the_plant(self, patient, monkeypatch):
+        scen = default_eval_scenarios()[:3]
+        cfg = EpisodeConfig(horizon=240)
+        kp_grid, ki_grid, kd_grid = (0.0001, 0.0009, 0.0017), (0.0,), (0.0, 0.01)
+        want = exhaustive(
+            grid(kp_grid, ki_grid, kd_grid),
+            lambda g, i: tir(run_pid_episode(patient, g, scen[i],
+                                             eval_noise_stream(i), cfg)),
+            len(scen),
+        )
+        calls = []
+        monkeypatch.setattr(pid, "run_pid_episode", counting(calls))
+        got = grid_search_pid(patient, scen, kp_grid, ki_grid, kd_grid,
+                              episode_cfg=cfg)
+        assert got == want
+        assert len(calls) < 6 * 3
+
+    def test_all_tied_returns_first_candidate(self, patient, monkeypatch, caplog):
+        # one step from the basal steady state stays in range for any gains
+        scen = default_eval_scenarios()[:3]
+        cfg = EpisodeConfig(horizon=1)
+        kp_grid, ki_grid, kd_grid = (0.0001, 0.0009, 0.0017), (0.0,), (0.0, 0.01)
+        assert all(
+            tir(run_pid_episode(patient, g, sc, eval_noise_stream(i), cfg)) == 100.0
+            for g in grid(kp_grid, ki_grid, kd_grid) for i, sc in enumerate(scen)
+        )
+        calls = []
+        monkeypatch.setattr(pid, "run_pid_episode", counting(calls))
+        with caplog.at_level(logging.INFO, logger="etglucose.pid"):
+            gains, score = grid_search_pid(patient, scen, kp_grid, ki_grid,
+                                           kd_grid, episode_cfg=cfg)
+        screens = [c for c in calls if c[1] is scen[0]]
+        assert len(screens) == 6
+        assert score == 100.0
+        assert gains == PidGains(kp=0.0001, ki=0.0, kd=0.0)
+        # only the winner runs past the screen; the rest can at best tie it
+        assert len(calls) == 6 + 2
+        infos = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.INFO]
+        assert len(infos) == 1 and "ran 8 of 18 episodes" in infos[0]
