@@ -2,50 +2,38 @@
 
 A decision fixes the pump rate (and, in the variable scheme, a trigger
 threshold); the command then holds until the CGM has moved at least the
-threshold away from its value at decision time. Each held interval
-becomes one SMDP experience with an aggregated discounted reward and a
-duration tau, and advantage estimation discounts bootstraps by gamma^tau.
-With the threshold identically zero every hold lasts one step and the
-trainer reduces exactly to standard PPO.
+threshold away from its value at decision time. The decision loop, the
+gamma^tau advantage recursion and the update are the shared core in
+ppo.py; this module adds the trigger schemes, the holding bonus R2, and
+the trainer. With the threshold identically zero every hold lasts one
+step and the trainer reduces exactly to standard PPO.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .env import (
-    ApEnv,
-    EpisodeConfig,
-    Observation,
-    RewardConfig,
-    hold_until_trigger,
-    obs_vec,
-    reward_r1,
-    reward_r2,
-)
-from .metrics import EpisodeRecord, aurr, ecf, tir
-from .neural import GaussianPolicy, OptimizerState, ValueNet
-from .plant import PumpConfig, SensorConfig
-from .ppo import (
+from .env import Observation, reward_r1, reward_r2
+from .neural import GaussianPolicy
+from .ppo import (  # noqa: F401  (the SMDP core's names are re-exported)
     EpisodeStats,
-    HyperParams,
-    UpdateSnapshot,
-    UpdateStats,
-    normalize_advantages,
-    update_networks,
-    values_with_bootstrap,
+    SmdpBuffer,
+    SmdpExperience,
+    Trainer,
+    greedy_decide,
+    smdp_gae,
+    smdp_update,
+    squash_rate,
 )
-from .scenario import DEFAULT_MEAL_SPECS, generate_episode_scenario
-from .seeding import RngBundle
 
 FIXED_ETA_CHOICES = (15.0, 20.0, 25.0)
 
 
 @dataclass(frozen=True)
 class TriggerConfig:
-    scheme: str = "variable"  # "fixed" or "variable"
+    scheme: str = "variable"  # "fixed" or "variable"; set from the method
     fixed_eta: float = 25.0  # mg/dL, used by the fixed scheme
     eta_lo: float = 15.0  # variable-scheme bounds, mg/dL
     eta_hi: float = 25.0
@@ -53,56 +41,20 @@ class TriggerConfig:
     def __post_init__(self):
         if self.scheme not in ("fixed", "variable"):
             raise ValueError(f"unknown trigger scheme {self.scheme!r}")
+        for name in ("fixed_eta", "eta_lo", "eta_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.fixed_eta < 0:
             raise ValueError("fixed_eta must be non-negative")
         if not self.eta_lo < self.eta_hi:
             raise ValueError("need eta_lo < eta_hi")
 
-
-@dataclass(frozen=True)
-class SmdpExperience:
-    s: np.ndarray  # normalized observation at the decision
-    a: np.ndarray  # raw action sample (u[, eta]) in normalized space
-    logp: float  # behavior log-probability of a
-    R: float  # gamma-aggregated reward over the held steps
-    tau: int  # held steps, >= 1
-    done: float  # 1 if the episode ended during the hold
-
-
-class SmdpBuffer:
-    """Fixed-capacity store of decision-epoch experiences."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.clear()
-
-    def clear(self) -> None:
-        self.exps: list[SmdpExperience] = []
-        self.last_next_obs: np.ndarray | None = None
-
-    def add(self, exp: SmdpExperience, next_obs: np.ndarray) -> None:
-        if self.full:
-            raise ValueError("buffer already full")
-        self.exps.append(exp)
-        self.last_next_obs = np.asarray(next_obs, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.exps)
-
-    @property
-    def full(self) -> bool:
-        return len(self.exps) >= self.capacity
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "obs": np.stack([e.s for e in self.exps]),
-            "act": np.stack([e.a for e in self.exps]),
-            "logp_old": np.asarray([e.logp for e in self.exps]),
-            "R": np.asarray([e.R for e in self.exps]),
-            "tau": np.asarray([e.tau for e in self.exps], dtype=np.int64),
-            "done": np.asarray([e.done for e in self.exps]),
-            "last_next_obs": self.last_next_obs,
-        }
+    def threshold(self, a_raw: np.ndarray) -> float:
+        """Threshold of a raw action: fixed, or a[1] squashed into [lo, hi]."""
+        if self.scheme == "fixed":
+            return self.fixed_eta
+        frac = float(np.clip(a_raw[1], 0.0, 1.0))
+        return self.eta_lo + (self.eta_hi - self.eta_lo) * frac
 
 
 def smdp_delta(
@@ -112,61 +64,7 @@ def smdp_delta(
     return R + gamma ** int(tau) * (1.0 - d) * v_next - v_cur
 
 
-def smdp_gae(
-    R: np.ndarray,
-    tau: np.ndarray,
-    values: np.ndarray,
-    dones: np.ndarray,
-    gamma: float,
-    lam: float,
-) -> np.ndarray:
-    """Extended GAE: per-experience discount gamma^tau, done masking.
-
-    values must carry one extra entry, the bootstrap value for the state
-    following the last experience. With every tau = 1 this computes the
-    same floating-point results as the per-step recursion.
-    """
-    n = len(R)
-    if len(values) != n + 1 or len(dones) != n or len(tau) != n:
-        raise ValueError("R/tau/values/dones lengths are inconsistent")
-    adv = np.empty(n)
-    acc = 0.0
-    for k in range(n - 1, -1, -1):
-        nonterm = 1.0 - dones[k]
-        gpow = gamma ** int(tau[k])
-        delta = R[k] + gpow * nonterm * values[k + 1] - values[k]
-        acc = delta + gpow * lam * nonterm * acc
-        adv[k] = acc
-    return adv
-
-
-def smdp_update(
-    buffer: SmdpBuffer,
-    policy: GaussianPolicy,
-    vnet: ValueNet,
-    opt_policy: OptimizerState,
-    opt_value: OptimizerState,
-    hyper: HyperParams,
-    shuffle_rng: np.random.Generator,
-) -> tuple[UpdateStats, np.ndarray]:
-    """PPO update indexed by decision epochs; returns (stats, advantages)."""
-    d = buffer.arrays()
-    values = values_with_bootstrap(vnet, d["obs"], d["last_next_obs"])
-    adv = smdp_gae(d["R"], d["tau"], values, d["done"], hyper.gamma, hyper.lam)
-    data = {
-        "obs": d["obs"],
-        "act": d["act"],
-        "logp_old": d["logp_old"],
-        "adv": normalize_advantages(adv) if hyper.adv_norm else adv,
-        "vtarget": values[:-1] + adv,
-    }
-    stats = update_networks(
-        policy, vnet, opt_policy, opt_value, data, hyper, shuffle_rng
-    )
-    return stats, adv
-
-
-class CgmEtppoTrainer:
+class CgmEtppoTrainer(Trainer):
     """Algorithm: rule-triggered insulin updates trained as an SMDP.
 
     The fixed scheme samples only the pump rate and uses a constant
@@ -176,46 +74,19 @@ class CgmEtppoTrainer:
     (used for the periodic-vs-triggered comparison).
     """
 
-    def __init__(
-        self,
-        patient,
-        rngs: RngBundle,
-        trigger: TriggerConfig = TriggerConfig(),
-        hyper: HyperParams = HyperParams(),
-        episode_cfg: EpisodeConfig = EpisodeConfig(),
-        reward_cfg: RewardConfig = RewardConfig(),
-        sensor: SensorConfig = SensorConfig(),
-        pump: PumpConfig = PumpConfig(),
-        meal_specs=DEFAULT_MEAL_SPECS,
-        r1_only: bool = False,
-        record_updates: bool = False,
-    ):
-        self.patient = patient
-        self.rngs = rngs
+    def __init__(self, patient, rngs, trigger: TriggerConfig = TriggerConfig(),
+                 *, r1_only: bool = False, **kwargs):
         self.trigger = trigger
-        self.hyper = hyper
-        self.reward_cfg = reward_cfg
-        self.pump = pump
-        self.meal_specs = meal_specs
         self.r1_only = r1_only
-        self.env = ApEnv(patient, episode_cfg, sensor, pump)
-        n_act = 1 if trigger.scheme == "fixed" else 2
-        self.policy = GaussianPolicy.create(2, n_act, rngs.net_init)
-        self.vnet = ValueNet.create(2, rngs.net_init)
-        self.opt_policy = OptimizerState(lr=hyper.lr)
-        self.opt_value = OptimizerState(lr=hyper.lr)
-        self.buffer = SmdpBuffer(hyper.buffer_size)
-        self.record_updates = record_updates
-        self.updates: list[UpdateStats] = []
-        self.snapshots: list[UpdateSnapshot] = []
-        self.n_days = max(
-            1, math.ceil(episode_cfg.horizon * episode_cfg.step_minutes / 1440.0)
-        )
+        super().__init__(patient, rngs, **kwargs)
 
     method = property(
         lambda self: "cgmetppo-fixed" if self.trigger.scheme == "fixed"
         else "cgmetppo-variable"
     )
+
+    def new_policy(self, rng: np.random.Generator) -> GaussianPolicy:
+        return GaussianPolicy.create(2, 1 if self.trigger.scheme == "fixed" else 2, rng)
 
     def step_reward(self, y: float, ell: int) -> float:
         if self.r1_only:
@@ -223,72 +94,10 @@ class CgmEtppoTrainer:
         return reward_r1(y, self.reward_cfg) + reward_r2(y, ell, self.reward_cfg)
 
     def action_to_rate_eta(self, a_raw: np.ndarray) -> tuple[float, float]:
-        """Raw action sample -> (pump rate, trigger threshold)."""
-        u = float(np.clip(a_raw[0], 0.0, 1.0)) * self.pump.u_max
-        if self.trigger.scheme == "fixed":
-            return u, self.trigger.fixed_eta
-        t = self.trigger
-        eta = t.eta_lo + (t.eta_hi - t.eta_lo) * float(np.clip(a_raw[1], 0.0, 1.0))
-        return u, eta
+        return squash_rate(a_raw[0], self.pump), self.trigger.threshold(a_raw)
 
-    def _maybe_update(self) -> None:
-        if not self.buffer.full:
-            return
-        stats, adv = smdp_update(
-            self.buffer, self.policy, self.vnet,
-            self.opt_policy, self.opt_value, self.hyper, self.rngs.shuffle,
-        )
-        self.updates.append(stats)
-        if self.record_updates:
-            self.snapshots.append(UpdateSnapshot(
-                advantages=adv,
-                stats=stats,
-                params=[p.copy() for p in self.policy.params() + self.vnet.params()],
-            ))
-        self.buffer.clear()
+    def greedy_decide(self, obs: Observation):
+        return greedy_decide(self.policy, obs, self.pump, self.trigger.threshold)
 
     def run_episode(self, episode_idx: int = 0) -> EpisodeStats:
-        env = self.env
-        scenario = generate_episode_scenario(
-            self.meal_specs, self.rngs.scenario, self.n_days
-        )
-        obs = env.reset(scenario, self.rngs.plant_noise, self.rngs.init_state,
-                        training=True)
-        ep_ret = 0.0
-        update_times: list[int] = []
-        etas: list[float] = []
-        done = False
-        while not done:
-            x = obs_vec(obs, self.pump)
-            a_raw, logp = self.policy.sample(x, self.rngs.policy)
-            u, eta = self.action_to_rate_eta(a_raw)
-            update_times.append(env.steps)
-            etas.append(eta)
-            res = hold_until_trigger(env, u, eta, self.hyper.gamma, self.step_reward)
-            next_x = obs_vec(res.obs, self.pump)
-            self.buffer.add(
-                SmdpExperience(x, a_raw, logp, res.reward, res.tau,
-                               1.0 if res.done else 0.0),
-                next_x,
-            )
-            ep_ret += res.reward
-            obs = res.obs
-            done = res.done
-            self._maybe_update()
-        t = env.steps
-        rec = EpisodeRecord(
-            T=t, H=env.cfg.horizon, y_trace=tuple(env.y_trace),
-            K=len(update_times), update_times=tuple(update_times),
-            thresholds=tuple(etas),
-        )
-        return EpisodeStats(
-            episode_idx, t, rec.K, ep_ret, ecf(rec), tir(rec), aurr(rec)
-        )
-
-    def train(self, episodes: int) -> list[EpisodeStats]:
-        return [self.run_episode(i) for i in range(episodes)]
-
-    def greedy_rate_eta(self, obs: Observation) -> tuple[float, float]:
-        """Deterministic evaluation action: the Gaussian mean, squashed."""
-        mean = self.policy.net.forward(obs_vec(obs, self.pump)[None, :])[0]
-        return self.action_to_rate_eta(mean)
+        return self._smdp_episode(episode_idx)

@@ -132,6 +132,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("config root must be a mapping")
     if "method" not in raw:
         raise ConfigError("config must set 'method'")
+    trigger = raw.get("trigger")
+    if isinstance(trigger, dict) and "scheme" in trigger:
+        raise ConfigError("trigger: 'scheme' is not a config key; the scheme "
+                          "follows from method (cgmetppo-fixed or cgmetppo-variable)")
     prepared = dict(raw)
     for key, cls in _NESTED.items():
         if key in prepared and prepared[key] is not None:

@@ -5,6 +5,9 @@ commanded pump rate (zero-order hold) over three 1-minute RK4 substeps with
 the scenario's carbohydrate delivery rate sampled at each substep start.
 Episodes terminate at the horizon or when the CGM leaves (10, 600) mg/dL.
 
+rollout runs one greedy evaluation episode for any controller: PID, the
+per-step and factored policies, and the CGM-triggered policy.
+
 Per-step rewards follow the convention that the reward credited to step h
 is computed from the observation the controller acted on (the pre-step
 CGM), so the terminal observation itself is never rewarded.
@@ -17,6 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .metrics import EpisodeRecord
 from .plant import (
     PatientParams,
     PatientState,
@@ -78,8 +82,12 @@ class RewardConfig:
     range_hi: float = 180.0
 
     def __post_init__(self):
+        for name in ("c", "C", "eta_e", "range_lo", "range_hi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.C <= 0:
             raise ValueError("C must be positive")
+        # A finite eta_e also makes reward_het(y, 0) equal reward_r1(y).
         if self.eta_e < 0:
             raise ValueError("eta_e must be non-negative")
         if self.range_lo >= self.range_hi:
@@ -276,3 +284,45 @@ def hold_until_trigger(
         disc *= gamma
         if done or abs(env.y - y_start) >= eta:
             return HoldResult(total, tau, obs, done)
+
+
+def _no_reward(y: float, ell: int) -> float:
+    return 0.0
+
+
+def rollout(
+    env: ApEnv,
+    scenario: MealScenario,
+    noise_rng: np.random.Generator,
+    decide: Callable[[Observation], tuple[float | None, float | None]],
+) -> EpisodeRecord:
+    """Run one evaluation episode under a deterministic controller.
+
+    decide(obs) returns (u, eta). u is the pump rate to send, or None to
+    keep the last one without an update (zero insulin before the first).
+    With eta None the decision covers one step; otherwise the rate holds
+    until the CGM has moved by eta, which is recorded as its threshold.
+    """
+    obs = env.reset(scenario, noise_rng)
+    u = 0.0
+    t = 0  # steps taken
+    update_times: list[int] = []
+    etas: list[float] = []
+    done = False
+    while not done:
+        cmd, eta = decide(obs)
+        if cmd is not None:
+            u = cmd
+            update_times.append(t)
+        if eta is None:
+            obs, done = env.step(u, event=cmd is not None)
+            t += 1
+        else:
+            etas.append(eta)
+            _, tau, obs, done = hold_until_trigger(env, u, eta, 1.0, _no_reward)
+            t += tau
+    return EpisodeRecord(
+        T=t, H=env.cfg.horizon, y_trace=tuple(env.y_trace),
+        K=len(update_times), update_times=tuple(update_times),
+        thresholds=tuple(etas) if etas else None,
+    )

@@ -29,16 +29,9 @@ import yaml
 
 from .cgmetppo import CgmEtppoTrainer
 from .config import ConfigError, ExperimentConfig, MatrixConfig
-from .env import ApEnv, hold_until_trigger, obs_vec
+from .env import ApEnv, rollout
 from .hetppo import HetppoTrainer
-from .metrics import (
-    EpisodeRecord,
-    aggregate,
-    aurr,
-    ecf,
-    interval_avg_hist,
-    tir,
-)
+from .metrics import aggregate, aurr, ecf, interval_avg_hist, tir
 from .neural import (
     GaussianPolicy,
     HetPolicy,
@@ -49,10 +42,9 @@ from .neural import (
     save_checkpoint,
     unpack_mlp,
 )
-from .patients import default_cohort, load_cohort
-from .pid import PidGains, PidState, grid_search_pid, pid_output
-from .plant import PumpConfig
-from .ppo import PpoTrainer
+from .patients import default_cohort, get_patient, load_cohort
+from .pid import PidGains, grid_search_pid, pid_decider
+from .ppo import PpoTrainer, greedy_decide
 from .scenario import default_eval_scenarios, meal_rate_at
 from .seeding import RngBundle, eval_noise_stream
 
@@ -63,6 +55,20 @@ METRICS_HEADER = "patient,method,seed,scenario,ecf,tir,aurr"
 # Histogram bins for the (interval-average CGM, threshold) counts.
 CGM_HIST_EDGES = np.arange(40.0, 401.0, 20.0)
 ETA_HIST_EDGES = np.arange(15.0, 26.0, 1.0)
+
+
+def write_atomic(path: Path, write) -> None:
+    """Write path through write(fh) on a temporary file beside it, then
+    rename it into place, so an interrupted write never leaves a partial
+    file behind.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def patient_slug(name: str) -> str:
@@ -82,12 +88,10 @@ def get_cohort(cfg: ExperimentConfig):
 
 
 def resolve_patient(cfg: ExperimentConfig):
-    cohort = get_cohort(cfg)
-    for p in cohort:
-        if p.name == cfg.patient:
-            return p
-    known = ", ".join(p.name for p in cohort)
-    raise ConfigError(f"unknown patient {cfg.patient!r}; cohort has: {known}")
+    try:
+        return get_patient(cfg.patient, get_cohort(cfg))
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from None
 
 
 def build_trainer(cfg: ExperimentConfig, patient, seed: int):
@@ -142,108 +146,50 @@ def load_policy(path: Path) -> tuple[str, object, ValueNet, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Greedy evaluation rollouts. Each returns (EpisodeRecord, trace rows);
-# a trace row is (step, t_min, y, u, event, eta_text) with y the CGM the
-# step's command was decided on.
+# Greedy evaluation rollouts, one entry point per controller over the one
+# loop env.rollout. Each returns (EpisodeRecord, trace rows); a trace row
+# is (step, t_min, y, u, event, eta_text) with y the CGM the step's command
+# was decided on and eta_text the threshold in force ("" untriggered).
 
 
-def _trace_rows(env: ApEnv, etas_by_step: list[str]) -> list[tuple]:
-    rows = []
-    dt = env.cfg.step_minutes
-    for h in range(env.steps):
-        rows.append((
-            h, h * dt, env.y_trace[h], env.u_trace[h], env.event_trace[h],
-            etas_by_step[h],
-        ))
-    return rows
-
-
-def _squash_rate(mean_raw: float, pump: PumpConfig) -> float:
-    return float(np.clip(mean_raw, 0.0, 1.0)) * pump.u_max
+def _roll(patient, scenario, noise_rng, cfg: ExperimentConfig, decide):
+    env = ApEnv(patient, cfg.episode, cfg.sensor, cfg.pump)
+    rec = rollout(env, scenario, noise_rng, decide)
+    etas = [""] * rec.T
+    if rec.thresholds is not None:
+        # Interval k's threshold covers steps [h_k, h_{k+1}).
+        bounds = rec.update_times + (rec.T,)
+        for k, eta in enumerate(rec.thresholds):
+            etas[bounds[k]:bounds[k + 1]] = [f"{eta:.6f}"] * (bounds[k + 1] - bounds[k])
+    dt = cfg.episode.step_minutes
+    return rec, [
+        (h, h * dt, env.y_trace[h], env.u_trace[h], env.event_trace[h], etas[h])
+        for h in range(rec.T)
+    ]
 
 
 def roll_pid(patient, gains: PidGains, scenario, noise_rng, cfg: ExperimentConfig):
-    env = ApEnv(patient, cfg.episode, cfg.sensor, cfg.pump)
-    obs = env.reset(scenario, noise_rng)
-    state = PidState()
-    while not env.done:
-        u, state = pid_output(gains, state, obs.y, cfg.episode.step_minutes, cfg.pump)
-        obs, _ = env.step(u, event=True)
-    t = env.steps
-    rec = EpisodeRecord(
-        T=t, H=cfg.episode.horizon, y_trace=tuple(env.y_trace),
-        K=t, update_times=tuple(range(t)), thresholds=None,
-    )
-    return rec, _trace_rows(env, [""] * t)
+    return _roll(patient, scenario, noise_rng, cfg,
+                 pid_decider(gains, cfg.episode.step_minutes, cfg.pump))
 
 
 def roll_ppo(patient, policy: GaussianPolicy, scenario, noise_rng,
              cfg: ExperimentConfig):
-    env = ApEnv(patient, cfg.episode, cfg.sensor, cfg.pump)
-    obs = env.reset(scenario, noise_rng)
-    while not env.done:
-        mean = policy.net.forward(obs_vec(obs, cfg.pump)[None, :])[0]
-        obs, _ = env.step(_squash_rate(float(mean[0]), cfg.pump), event=True)
-    t = env.steps
-    rec = EpisodeRecord(
-        T=t, H=cfg.episode.horizon, y_trace=tuple(env.y_trace),
-        K=t, update_times=tuple(range(t)), thresholds=None,
-    )
-    return rec, _trace_rows(env, [""] * t)
+    return _roll(patient, scenario, noise_rng, cfg,
+                 lambda obs: greedy_decide(policy, obs, cfg.pump))
 
 
 def roll_hetppo(patient, policy: HetPolicy, scenario, noise_rng,
                 cfg: ExperimentConfig):
-    env = ApEnv(patient, cfg.episode, cfg.sensor, cfg.pump)
-    obs = env.reset(scenario, noise_rng)
-    held = 0.0  # raw command; zero insulin until the first event
-    update_times = []
-    while not env.done:
-        mean, logit = policy.heads(obs_vec(obs, cfg.pump)[None, :])
-        if logit[0] >= 0.0:
-            held = float(mean[0])
-            update_times.append(env.steps)
-        obs, _ = env.step(_squash_rate(held, cfg.pump), event=logit[0] >= 0.0)
-    t = env.steps
-    rec = EpisodeRecord(
-        T=t, H=cfg.episode.horizon, y_trace=tuple(env.y_trace),
-        K=len(update_times), update_times=tuple(update_times), thresholds=None,
-    )
-    return rec, _trace_rows(env, [""] * t)
+    return _roll(patient, scenario, noise_rng, cfg,
+                 lambda obs: greedy_decide(policy, obs, cfg.pump))
 
 
 def roll_cgmetppo(patient, policy: GaussianPolicy, scenario, noise_rng,
                   cfg: ExperimentConfig, scheme: str):
-    env = ApEnv(patient, cfg.episode, cfg.sensor, cfg.pump)
-    obs = env.reset(scenario, noise_rng)
-    trig = cfg.trigger
-    update_times: list[int] = []
-    etas: list[float] = []
-    while not env.done:
-        mean = policy.net.forward(obs_vec(obs, cfg.pump)[None, :])[0]
-        u = _squash_rate(float(mean[0]), cfg.pump)
-        if scheme == "fixed":
-            eta = trig.fixed_eta
-        else:
-            frac = float(np.clip(mean[1], 0.0, 1.0))
-            eta = trig.eta_lo + (trig.eta_hi - trig.eta_lo) * frac
-        update_times.append(env.steps)
-        etas.append(eta)
-        res = hold_until_trigger(env, u, eta, cfg.hyper.gamma, lambda y, i: 0.0)
-        obs = res.obs
-    t = env.steps
-    # Per-step threshold labels for the trace: interval k's eta covers
-    # steps [h_k, h_{k+1}).
-    bounds = update_times + [t]
-    eta_by_step = []
-    for k in range(len(update_times)):
-        eta_by_step.extend([f"{etas[k]:.6f}"] * (bounds[k + 1] - bounds[k]))
-    rec = EpisodeRecord(
-        T=t, H=cfg.episode.horizon, y_trace=tuple(env.y_trace),
-        K=len(update_times), update_times=tuple(update_times),
-        thresholds=tuple(etas),
-    )
-    return rec, _trace_rows(env, eta_by_step)
+    threshold = dataclasses.replace(cfg.trigger, scheme=scheme).threshold
+    return _roll(patient, scenario, noise_rng, cfg,
+                 lambda obs: greedy_decide(policy, obs, cfg.pump, threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +218,8 @@ def tune_pid(cfg: ExperimentConfig, out_base: str | Path,
     for seed in seeds if seeds is not None else cfg.seeds:
         rd = run_dir(out_base, pid_cfg, seed)
         rd.mkdir(parents=True, exist_ok=True)
-        # Written beside the target and renamed over it, so an interrupted
-        # write never leaves a partial gains.yaml behind.
-        tmp = rd / "gains.yaml.tmp"
-        try:
-            with open(tmp, "w") as fh:
-                yaml.safe_dump(payload, fh, sort_keys=True)
-            os.replace(tmp, rd / "gains.yaml")
-        finally:
-            tmp.unlink(missing_ok=True)
+        write_atomic(rd / "gains.yaml",
+                     lambda fh: yaml.safe_dump(payload, fh, sort_keys=True))
     log.info("tuned pid for %s: %s (mean TIR %.2f)", cfg.patient, gains, score)
     return gains, score
 
@@ -352,13 +291,10 @@ def eval_records(cfg: ExperimentConfig, patient, rd: Path):
                 f"checkpoint method {method!r} does not match config "
                 f"method {cfg.method!r}"
             )
-        if cfg.method == "ppo":
+        if cfg.method == "hetppo" and not pin:
+            roll = lambda sc, rng: roll_hetppo(patient, policy, sc, rng, cfg)
+        elif cfg.method in ("ppo", "hetppo"):
             roll = lambda sc, rng: roll_ppo(patient, policy, sc, rng, cfg)
-        elif cfg.method == "hetppo":
-            if pin:
-                roll = lambda sc, rng: roll_ppo(patient, policy, sc, rng, cfg)
-            else:
-                roll = lambda sc, rng: roll_hetppo(patient, policy, sc, rng, cfg)
         else:
             scheme = "fixed" if cfg.method == "cgmetppo-fixed" else "variable"
             roll = lambda sc, rng: roll_cgmetppo(
@@ -392,13 +328,12 @@ def run_eval(cfg: ExperimentConfig, out_base: str | Path,
             **{m: float(np.mean([r[m] for r in rows])) for m in ("ecf", "tir", "aurr")},
         }
         path = rd / "metrics.csv"
-        with open(path, "w") as fh:
-            fh.write(METRICS_HEADER + "\n")
-            for r in rows + [mean_row]:
-                fh.write(
-                    f"{cfg.patient},{cfg.method},{seed},{r['scenario']},"
-                    f"{r['ecf']:.6f},{r['tir']:.6f},{r['aurr']:.6f}\n"
-                )
+        lines = [METRICS_HEADER] + [
+            f"{cfg.patient},{cfg.method},{seed},{r['scenario']},"
+            f"{r['ecf']:.6f},{r['tir']:.6f},{r['aurr']:.6f}"
+            for r in rows + [mean_row]
+        ]
+        write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
         if cfg.method == "cgmetppo-variable":
             counts = np.zeros((len(CGM_HIST_EDGES) - 1, len(ETA_HIST_EDGES) - 1))
             for rec, _ in rolled:
@@ -497,8 +432,6 @@ def run_matrix(matrix: MatrixConfig, out_base: str | Path) -> Path:
                 f"{agg.std[m]:.6f},{agg.n_seeds}"
             )
     path = Path(out_base) / "summary.csv"
-    with open(path, "w") as fh:
-        fh.write("patient,method,metric,mean,std,n_seeds\n")
-        for row in summary_rows:
-            fh.write(row + "\n")
+    lines = ["patient,method,metric,mean,std,n_seeds"] + summary_rows
+    write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
     return path

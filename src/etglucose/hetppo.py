@@ -13,7 +13,7 @@ only, both driven by the same advantage estimates.
 
 With pin_events=True the event head is removed outright: every step is
 an event, no Bernoulli is drawn, and no event charge applies. That mode
-reproduces the plain per-step trainer exactly, update for update.
+is plain per-step PPO, run by the shared decision loop at threshold 0.
 """
 from __future__ import annotations
 
@@ -21,32 +21,15 @@ import math
 
 import numpy as np
 
-from .env import ApEnv, EpisodeConfig, Observation, RewardConfig, obs_vec, reward_het
-from .metrics import EpisodeRecord, aurr, ecf, tir
+from .env import obs_vec, reward_het
 from .neural import (
     GaussianPolicy,
     HetPolicy,
-    OptimizerState,
-    ValueNet,
     bernoulli_logprob_entropy,
     gaussian_logprob_entropy,
     sigmoid,
 )
-from .plant import PumpConfig, SensorConfig
-from .ppo import (
-    EpisodeStats,
-    HyperParams,
-    RolloutBuffer,
-    UpdateSnapshot,
-    UpdateStats,
-    compute_gae,
-    gaussian_policy_grads,
-    normalize_advantages,
-    update_networks,
-    values_with_bootstrap,
-)
-from .scenario import DEFAULT_MEAL_SPECS, generate_episode_scenario
-from .seeding import RngBundle
+from .ppo import EpisodeStats, HyperParams, SmdpExperience, Trainer, squash_rate
 
 
 def factored_sample(
@@ -69,54 +52,6 @@ def factored_sample(
         mean[:, None], policy.log_std, np.asarray([[u_raw]])
     )
     return 1, u_raw, float(lp_e[0]), float(lp_u[0])
-
-
-class HetBuffer:
-    """Per-step buffer whose action and log-prob carry both factors.
-
-    act rows are [u_raw, e]; logp rows are [logp_u, logp_e]. Non-event
-    rows carry the held command and a zero logp in the insulin slots;
-    neither enters the objective.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.clear()
-
-    def clear(self) -> None:
-        self.obs: list[np.ndarray] = []
-        self.act: list[np.ndarray] = []
-        self.rew: list[float] = []
-        self.done: list[float] = []
-        self.logp: list[np.ndarray] = []
-        self.last_next_obs: np.ndarray | None = None
-
-    def add(self, obs, e, u_raw, reward, done, logp_e, logp_u, next_obs) -> None:
-        if self.full:
-            raise ValueError("buffer already full")
-        self.obs.append(np.asarray(obs, dtype=float))
-        self.act.append(np.asarray([u_raw, float(e)]))
-        self.rew.append(float(reward))
-        self.done.append(1.0 if done else 0.0)
-        self.logp.append(np.asarray([logp_u, logp_e]))
-        self.last_next_obs = np.asarray(next_obs, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.rew)
-
-    @property
-    def full(self) -> bool:
-        return len(self.rew) >= self.capacity
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "obs": np.stack(self.obs),
-            "act": np.stack(self.act),
-            "rew": np.asarray(self.rew),
-            "done": np.asarray(self.done),
-            "logp_old": np.stack(self.logp),
-            "last_next_obs": self.last_next_obs,
-        }
 
 
 def het_policy_grads(
@@ -191,34 +126,7 @@ def het_policy_grads(
     return objective, grads, diag
 
 
-def hetppo_update(
-    buffer: HetBuffer,
-    policy: HetPolicy,
-    vnet: ValueNet,
-    opt_policy: OptimizerState,
-    opt_value: OptimizerState,
-    hyper: HyperParams,
-    shuffle_rng: np.random.Generator,
-) -> tuple[UpdateStats, np.ndarray]:
-    """Per-step PPO update with the factored objective."""
-    d = buffer.arrays()
-    values = values_with_bootstrap(vnet, d["obs"], d["last_next_obs"])
-    adv = compute_gae(d["rew"], values, d["done"], hyper.gamma, hyper.lam)
-    data = {
-        "obs": d["obs"],
-        "act": d["act"],
-        "logp_old": d["logp_old"],
-        "adv": normalize_advantages(adv) if hyper.adv_norm else adv,
-        "vtarget": values[:-1] + adv,
-    }
-    stats = update_networks(
-        policy, vnet, opt_policy, opt_value, data, hyper, shuffle_rng,
-        policy_grads_fn=het_policy_grads,
-    )
-    return stats, adv
-
-
-class HetppoTrainer:
+class HetppoTrainer(Trainer):
     """Per-step trainer with a learned when-to-transmit head.
 
     Between events the pump keeps the last commanded value (the raw
@@ -226,134 +134,43 @@ class HetppoTrainer:
     the first event of an episode the held command is zero insulin.
     """
 
-    def __init__(
-        self,
-        patient,
-        rngs: RngBundle,
-        hyper: HyperParams = HyperParams(),
-        episode_cfg: EpisodeConfig = EpisodeConfig(),
-        reward_cfg: RewardConfig = RewardConfig(),
-        sensor: SensorConfig = SensorConfig(),
-        pump: PumpConfig = PumpConfig(),
-        meal_specs=DEFAULT_MEAL_SPECS,
-        pin_events: bool = False,
-        record_updates: bool = False,
-    ):
-        self.patient = patient
-        self.rngs = rngs
-        self.hyper = hyper
-        self.reward_cfg = reward_cfg
-        self.pump = pump
-        self.meal_specs = meal_specs
-        self.pin_events = pin_events
-        self.env = ApEnv(patient, episode_cfg, sensor, pump)
-        # Actor then critic, from the shared net-init stream.
-        if pin_events:
-            self.policy = GaussianPolicy.create(2, 1, rngs.net_init)
-            self.buffer: HetBuffer | RolloutBuffer = RolloutBuffer(hyper.buffer_size)
-        else:
-            self.policy = HetPolicy.create(2, rngs.net_init)
-            self.buffer = HetBuffer(hyper.buffer_size)
-        self.vnet = ValueNet.create(2, rngs.net_init)
-        self.opt_policy = OptimizerState(lr=hyper.lr)
-        self.opt_value = OptimizerState(lr=hyper.lr)
-        self.record_updates = record_updates
-        self.updates: list[UpdateStats] = []
-        self.snapshots: list[UpdateSnapshot] = []
-        self.n_days = max(
-            1, math.ceil(episode_cfg.horizon * episode_cfg.step_minutes / 1440.0)
-        )
-
     method = "hetppo"
 
-    def held_to_rate(self, u_raw: float) -> float:
-        return float(np.clip(u_raw, 0.0, 1.0)) * self.pump.u_max
+    def __init__(self, patient, rngs, *, pin_events: bool = False, **kwargs):
+        self.pin_events = pin_events
+        super().__init__(patient, rngs, **kwargs)
 
-    def _maybe_update(self) -> None:
-        if not self.buffer.full:
-            return
+    def new_policy(self, rng: np.random.Generator):
         if self.pin_events:
-            from .ppo import ppo_update
-
-            stats, adv = ppo_update(
-                self.buffer, self.policy, self.vnet,
-                self.opt_policy, self.opt_value, self.hyper, self.rngs.shuffle,
-            )
-        else:
-            stats, adv = hetppo_update(
-                self.buffer, self.policy, self.vnet,
-                self.opt_policy, self.opt_value, self.hyper, self.rngs.shuffle,
-            )
-        self.updates.append(stats)
-        if self.record_updates:
-            self.snapshots.append(UpdateSnapshot(
-                advantages=adv,
-                stats=stats,
-                params=[p.copy() for p in self.policy.params() + self.vnet.params()],
-            ))
-        self.buffer.clear()
+            return GaussianPolicy.create(2, 1, rng)
+        return HetPolicy.create(2, rng)
 
     def run_episode(self, episode_idx: int = 0) -> EpisodeStats:
+        if self.pin_events:
+            return self._smdp_episode(episode_idx)
         env = self.env
-        scenario = generate_episode_scenario(
-            self.meal_specs, self.rngs.scenario, self.n_days
-        )
-        obs = env.reset(scenario, self.rngs.plant_noise, self.rngs.init_state,
-                        training=True)
+        obs = self._reset()
         ep_ret = 0.0
         held = 0.0  # raw commanded value; zero insulin until the first event
         event_steps: list[int] = []
         while not env.done:
             x = obs_vec(obs, self.pump)
-            if self.pin_events:
-                a_raw, logp = self.policy.sample(x, self.rngs.policy)
-                r = reward_het(obs.y, 0, self.reward_cfg)
-                env.log_reward(r)
+            e, u_raw, lp_e, lp_u = factored_sample(self.policy, x, self.rngs.policy)
+            if e:
+                held = u_raw
                 event_steps.append(env.steps)
-                obs_next, done = env.step(
-                    self.held_to_rate(float(a_raw[0])), event=True
-                )
-                self.buffer.add(x, a_raw, r, done, logp, obs_vec(obs_next, self.pump))
-            else:
-                e, u_raw, lp_e, lp_u = factored_sample(
-                    self.policy, x, self.rngs.policy
-                )
-                if e:
-                    held = u_raw
-                    event_steps.append(env.steps)
-                r = reward_het(obs.y, e, self.reward_cfg)
-                env.log_reward(r)
-                obs_next, done = env.step(self.held_to_rate(held), event=bool(e))
-                # Non-event rows store the held command; the objective
-                # masks their insulin slot out either way.
-                self.buffer.add(x, e, held, r, done, lp_e, lp_u,
-                                obs_vec(obs_next, self.pump))
+            r = reward_het(obs.y, e, self.reward_cfg)
+            env.log_reward(r)
+            obs_next, done = env.step(squash_rate(held, self.pump), event=bool(e))
+            # Non-event rows store the held command; the objective masks
+            # their insulin slot out either way.
+            self.buffer.add(
+                SmdpExperience(x, np.asarray([held, float(e)]),
+                               np.asarray([lp_u, lp_e]), r, 1,
+                               1.0 if done else 0.0),
+                obs_vec(obs_next, self.pump),
+            )
             ep_ret += r
             obs = obs_next
-            self._maybe_update()
-        t = env.steps
-        rec = EpisodeRecord(
-            T=t, H=env.cfg.horizon, y_trace=tuple(env.y_trace),
-            K=len(event_steps), update_times=tuple(event_steps), thresholds=None,
-        )
-        return EpisodeStats(
-            episode_idx, t, rec.K, ep_ret, ecf(rec), tir(rec), aurr(rec)
-        )
-
-    def train(self, episodes: int) -> list[EpisodeStats]:
-        return [self.run_episode(i) for i in range(episodes)]
-
-    def greedy_event(self, obs: Observation, held: float) -> tuple[int, float]:
-        """Deterministic action: event iff p >= 1/2, insulin at the mean.
-
-        held is the raw commanded value carried between events; returns
-        (e, new held). Callers execute held_to_rate(new held).
-        """
-        x = obs_vec(obs, self.pump)[None, :]
-        if self.pin_events:
-            mean = self.policy.net.forward(x)[0]
-            return 1, float(mean[0])
-        mean, logit = self.policy.heads(x)
-        if logit[0] >= 0.0:
-            return 1, float(mean[0])
-        return 0, held
+            self._maybe_update(het_policy_grads)
+        return self._episode_stats(episode_idx, ep_ret, event_steps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import ApEnv, EpisodeConfig
+from .env import ApEnv, EpisodeConfig, rollout
 from .metrics import EpisodeRecord, tir
 from .plant import PumpConfig, SensorConfig
 from .scenario import MealScenario
@@ -70,6 +70,18 @@ def pid_output(
     return u, PidState(integral=integral, prev_error=error)
 
 
+def pid_decider(gains: PidGains, dt: float, pump: PumpConfig):
+    """decide(obs) for env.rollout: one PID evaluation per step."""
+    state = PidState()
+
+    def decide(obs):
+        nonlocal state
+        u, state = pid_output(gains, state, obs.y, dt, pump)
+        return u, None
+
+    return decide
+
+
 def run_pid_episode(
     patient,
     gains: PidGains,
@@ -80,17 +92,8 @@ def run_pid_episode(
     pump: PumpConfig = PumpConfig(),
 ) -> EpisodeRecord:
     """Roll one evaluation episode under PID control."""
-    env = ApEnv(patient, episode_cfg, sensor, pump)
-    obs = env.reset(scenario, noise_rng)
-    state = PidState()
-    while not env.done:
-        u, state = pid_output(gains, state, obs.y, episode_cfg.step_minutes, pump)
-        obs, _ = env.step(u, event=True)
-    t = env.steps
-    return EpisodeRecord(
-        T=t, H=episode_cfg.horizon, y_trace=tuple(env.y_trace),
-        K=t, update_times=tuple(range(t)), thresholds=None,
-    )
+    return rollout(ApEnv(patient, episode_cfg, sensor, pump), scenario, noise_rng,
+                   pid_decider(gains, episode_cfg.step_minutes, pump))
 
 
 def grid_search_pid(

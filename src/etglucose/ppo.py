@@ -1,16 +1,24 @@
-"""Standard PPO machinery shared by all trainers.
+"""PPO over a semi-Markov decision process: the core every trainer shares.
 
-Generalized advantage estimation, the clipped surrogate objective with an
-entropy bonus, value regression against targets G = V_old(s) + A, and the
-shuffled-minibatch epoch engine. The trigger-based trainer reuses the
-engine verbatim (only advantage construction differs), which is what makes
-the trigger-disabled configuration reproduce this trainer bit for bit.
+A decision fixes the pump rate (and, for the triggered trainer, a CGM
+threshold); the rate then holds until the CGM has moved by the threshold.
+Each held interval is one experience with a gamma-aggregated reward and a
+duration tau, and advantage estimation discounts bootstraps by gamma^tau.
+A per-step MDP is the tau = 1 case (Sutton, Precup & Singh 1999), so plain
+PPO is this trainer at threshold 0 with the in-range reward, and the
+per-step recursion compute_gae is smdp_gae with every tau = 1.
+
+Here live the decision buffer, the advantage recursion, the clipped
+surrogate with an entropy bonus, value regression against targets
+G = V_old(s) + A, the shuffled-minibatch epoch engine, the trainer
+skeleton with its decision loop, and the greedy evaluation decision.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +27,7 @@ from .env import (
     EpisodeConfig,
     Observation,
     RewardConfig,
+    hold_until_trigger,
     obs_vec,
     reward_r1,
 )
@@ -26,6 +35,7 @@ from .metrics import EpisodeRecord, aurr, ecf, tir
 from .neural import (
     DivergedUpdateError,
     GaussianPolicy,
+    HetPolicy,
     OptimizerState,
     ValueNet,
     adam_step,
@@ -55,8 +65,45 @@ class HyperParams:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
-        if self.clip_eps <= 0.0:
-            raise ValueError("clip_eps must be positive")
+        if not 0.0 < self.clip_eps < math.inf:
+            raise ValueError("clip_eps must be positive and finite")
+        if not math.isfinite(self.c_ent):
+            raise ValueError("c_ent must be finite")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
+        for name in ("buffer_size", "epochs", "minibatch"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
+
+
+def smdp_gae(
+    R: np.ndarray,
+    tau: np.ndarray,
+    values: np.ndarray,
+    dones: np.ndarray,
+    gamma: float,
+    lam: float,
+) -> np.ndarray:
+    """Extended GAE: per-experience discount gamma^tau, done masking.
+
+    values must carry one extra entry, the bootstrap value for the state
+    following the last experience.
+    """
+    R = np.asarray(R, dtype=float)
+    values = np.asarray(values, dtype=float)
+    dones = np.asarray(dones, dtype=float)
+    n = len(R)
+    if len(values) != n + 1 or len(dones) != n or len(tau) != n:
+        raise ValueError("R/tau/values/dones lengths are inconsistent")
+    adv = np.empty(n)
+    acc = 0.0
+    for k in range(n - 1, -1, -1):
+        nonterm = 1.0 - dones[k]
+        gpow = gamma ** int(tau[k])
+        delta = R[k] + gpow * nonterm * values[k + 1] - values[k]
+        acc = delta + gpow * lam * nonterm * acc
+        adv[k] = acc
+    return adv
 
 
 def compute_gae(
@@ -66,25 +113,9 @@ def compute_gae(
     gamma: float,
     lam: float,
 ) -> np.ndarray:
-    """Backward-recursion GAE with done masking between episodes.
-
-    values must carry one extra entry: the bootstrap value of the state
-    following the last stored transition.
-    """
-    rewards = np.asarray(rewards, dtype=float)
-    values = np.asarray(values, dtype=float)
-    dones = np.asarray(dones, dtype=float)
-    n = len(rewards)
-    if len(values) != n + 1 or len(dones) != n:
-        raise ValueError("rewards/values/dones lengths are inconsistent")
-    adv = np.empty(n)
-    acc = 0.0
-    for h in range(n - 1, -1, -1):
-        nonterm = 1.0 - dones[h]
-        delta = rewards[h] + gamma * nonterm * values[h + 1] - values[h]
-        acc = delta + gamma * lam * nonterm * acc
-        adv[h] = acc
-    return adv
+    """Per-step GAE: smdp_gae with every tau = 1 (gamma ** 1 is gamma)."""
+    tau = np.ones(len(rewards), dtype=np.int64)
+    return smdp_gae(rewards, tau, values, dones, gamma, lam)
 
 
 def clipped_surrogate(
@@ -230,62 +261,71 @@ def update_networks(
     return stats
 
 
-class RolloutBuffer:
-    """Fixed-capacity store of per-step transitions (the MDP buffer)."""
+class SmdpExperience(NamedTuple):
+    s: np.ndarray  # normalized observation at the decision
+    a: np.ndarray  # raw action in normalized space: (u[, eta]), or [u, e]
+    logp: float | np.ndarray  # behavior log-prob; [logp_u, logp_e] if factored
+    R: float  # gamma-aggregated reward over the held steps
+    tau: int  # held steps, >= 1
+    done: float  # 1 if the episode ended during the hold
+
+
+class SmdpBuffer:
+    """Fixed-capacity store of decision-epoch experiences.
+
+    Per-step trainers store tau = 1 rows. The factored policy stores
+    act rows [u_raw, e] and logp rows [logp_u, logp_e]; a non-event row
+    carries the held command and a zero insulin log-prob, neither of
+    which enters its objective.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.clear()
 
     def clear(self) -> None:
-        self.obs: list[np.ndarray] = []
-        self.act: list[np.ndarray] = []
-        self.rew: list[float] = []
-        self.done: list[float] = []
-        self.logp: list[float] = []
+        self.exps: list[SmdpExperience] = []
         self.last_next_obs: np.ndarray | None = None
 
-    def add(self, obs, act, reward, done, logp, next_obs) -> None:
+    def add(self, exp: SmdpExperience, next_obs: np.ndarray) -> None:
         if self.full:
             raise ValueError("buffer already full")
-        self.obs.append(np.asarray(obs, dtype=float))
-        self.act.append(np.asarray(act, dtype=float))
-        self.rew.append(float(reward))
-        self.done.append(1.0 if done else 0.0)
-        self.logp.append(float(logp))
+        self.exps.append(exp)
         self.last_next_obs = np.asarray(next_obs, dtype=float)
 
     def __len__(self) -> int:
-        return len(self.rew)
+        return len(self.exps)
 
     @property
     def full(self) -> bool:
-        return len(self.rew) >= self.capacity
+        return len(self.exps) >= self.capacity
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {
-            "obs": np.stack(self.obs),
-            "act": np.stack(self.act),
-            "rew": np.asarray(self.rew),
-            "done": np.asarray(self.done),
-            "logp_old": np.asarray(self.logp),
+            "obs": np.stack([e.s for e in self.exps]),
+            "act": np.stack([e.a for e in self.exps]),
+            "logp_old": np.asarray([e.logp for e in self.exps], dtype=float),
+            "R": np.asarray([e.R for e in self.exps], dtype=float),
+            "tau": np.asarray([e.tau for e in self.exps], dtype=np.int64),
+            "done": np.asarray([e.done for e in self.exps], dtype=float),
             "last_next_obs": self.last_next_obs,
         }
 
 
-def ppo_update(
-    buffer: RolloutBuffer,
-    policy: GaussianPolicy,
+def smdp_update(
+    buffer: SmdpBuffer,
+    policy,
     vnet: ValueNet,
     opt_policy: OptimizerState,
     opt_value: OptimizerState,
     hyper: HyperParams,
     shuffle_rng: np.random.Generator,
+    policy_grads_fn=gaussian_policy_grads,
 ) -> tuple[UpdateStats, np.ndarray]:
-    """Full PPO update from a filled step buffer; returns (stats, advantages)."""
+    """PPO update indexed by decision epochs; returns (stats, advantages)."""
     d = buffer.arrays()
     values = values_with_bootstrap(vnet, d["obs"], d["last_next_obs"])
-    adv = compute_gae(d["rew"], values, d["done"], hyper.gamma, hyper.lam)
+    adv = smdp_gae(d["R"], d["tau"], values, d["done"], hyper.gamma, hyper.lam)
     data = {
         "obs": d["obs"],
         "act": d["act"],
@@ -294,7 +334,8 @@ def ppo_update(
         "vtarget": values[:-1] + adv,
     }
     stats = update_networks(
-        policy, vnet, opt_policy, opt_value, data, hyper, shuffle_rng
+        policy, vnet, opt_policy, opt_value, data, hyper, shuffle_rng,
+        policy_grads_fn=policy_grads_fn,
     )
     return stats, adv
 
@@ -319,14 +360,42 @@ class UpdateSnapshot:
     params: list[np.ndarray] = field(default_factory=list)
 
 
-class PpoTrainer:
-    """Plain-MDP PPO: a fresh Gaussian action every 3-minute step.
+def squash_rate(a_raw: float, pump: PumpConfig) -> float:
+    """Raw insulin action in normalized space -> pump rate [U/min]."""
+    return float(np.clip(a_raw, 0.0, 1.0)) * pump.u_max
 
-    Reward is the in-range indicator of the CGM value the action was
-    chosen on. Used directly as the periodic-update baseline.
+
+def greedy_decide(policy, obs: Observation, pump: PumpConfig, threshold=None):
+    """One greedy evaluation decision: (rate or None, threshold or None).
+
+    The rate is the squashed Gaussian mean. A factored policy sends it only
+    when its event probability is at least 1/2, and otherwise returns None,
+    which holds the last command. threshold maps the mean to a trigger
+    threshold; without one, each decision lasts one step. env.rollout
+    runs an episode on these decisions.
+    """
+    x = obs_vec(obs, pump)[None, :]
+    if isinstance(policy, HetPolicy):
+        mean, logit = policy.heads(x)
+        return (squash_rate(mean[0], pump) if logit[0] >= 0.0 else None), None
+    mean = policy.net.forward(x)[0]
+    return squash_rate(mean[0], pump), None if threshold is None else threshold(mean)
+
+
+class Trainer:
+    """The skeleton every trainer shares, and its SMDP decision loop.
+
+    Each decision samples a raw action, maps it to (pump rate, threshold),
+    holds the rate until the CGM has moved by the threshold, and stores the
+    held interval as one experience; a full buffer triggers an update. The
+    defaults here, threshold 0 and the in-range reward R1, make every hold
+    one step long: that is plain per-step PPO. Subclasses override
+    new_policy, action_to_rate_eta and step_reward. Each defines its own
+    run_episode and none calls another's, so a probe wrapping each class's
+    run_episode sees every episode exactly once.
     """
 
-    method = "ppo"
+    method = ""
 
     def __init__(
         self,
@@ -347,13 +416,13 @@ class PpoTrainer:
         self.pump = pump
         self.meal_specs = meal_specs
         self.env = ApEnv(patient, episode_cfg, sensor, pump)
-        # Net creation order (actor, then critic) is part of the seeding
-        # contract; both trainers that share stream semantics follow it.
-        self.policy = GaussianPolicy.create(2, 1, rngs.net_init)
+        # Net creation order (actor, then critic, both from the net-init
+        # stream) is part of the seeding contract.
+        self.policy = self.new_policy(rngs.net_init)
         self.vnet = ValueNet.create(2, rngs.net_init)
         self.opt_policy = OptimizerState(lr=hyper.lr)
         self.opt_value = OptimizerState(lr=hyper.lr)
-        self.buffer = RolloutBuffer(hyper.buffer_size)
+        self.buffer = SmdpBuffer(hyper.buffer_size)
         self.record_updates = record_updates
         self.updates: list[UpdateStats] = []
         self.snapshots: list[UpdateSnapshot] = []
@@ -361,12 +430,29 @@ class PpoTrainer:
             1, math.ceil(episode_cfg.horizon * episode_cfg.step_minutes / 1440.0)
         )
 
-    def _maybe_update(self) -> None:
+    def new_policy(self, rng: np.random.Generator):
+        return GaussianPolicy.create(2, 1, rng)
+
+    def action_to_rate_eta(self, a_raw: np.ndarray) -> tuple[float, float]:
+        """Raw action sample -> (pump rate, trigger threshold)."""
+        return squash_rate(a_raw[0], self.pump), 0.0
+
+    def step_reward(self, y: float, ell: int) -> float:
+        return reward_r1(y, self.reward_cfg)
+
+    def greedy_decide(self, obs: Observation):
+        """This trainer's greedy evaluation decision (see greedy_decide)."""
+        return greedy_decide(self.policy, obs, self.pump)
+
+    def train(self, episodes: int) -> list[EpisodeStats]:
+        return [self.run_episode(i) for i in range(episodes)]
+
+    def _maybe_update(self, policy_grads_fn=gaussian_policy_grads) -> None:
         if not self.buffer.full:
             return
-        stats, adv = ppo_update(
-            self.buffer, self.policy, self.vnet,
-            self.opt_policy, self.opt_value, self.hyper, self.rngs.shuffle,
+        stats, adv = smdp_update(
+            self.buffer, self.policy, self.vnet, self.opt_policy,
+            self.opt_value, self.hyper, self.rngs.shuffle, policy_grads_fn,
         )
         self.updates.append(stats)
         if self.record_updates:
@@ -377,39 +463,59 @@ class PpoTrainer:
             ))
         self.buffer.clear()
 
-    def act_raw_to_rate(self, a_raw: np.ndarray) -> float:
-        """Normalized unsquashed action -> pump rate [U/min]."""
-        return float(np.clip(a_raw[0], 0.0, 1.0)) * self.pump.u_max
-
-    def run_episode(self, episode_idx: int = 0) -> EpisodeStats:
-        env = self.env
+    def _reset(self) -> Observation:
         scenario = generate_episode_scenario(
             self.meal_specs, self.rngs.scenario, self.n_days
         )
-        obs = env.reset(scenario, self.rngs.plant_noise, self.rngs.init_state,
-                        training=True)
+        return self.env.reset(scenario, self.rngs.plant_noise,
+                              self.rngs.init_state, training=True)
+
+    def _episode_stats(self, episode_idx: int, ret: float, update_times,
+                       thresholds=None) -> EpisodeStats:
+        env = self.env
+        rec = EpisodeRecord(
+            T=env.steps, H=env.cfg.horizon, y_trace=tuple(env.y_trace),
+            K=len(update_times), update_times=tuple(update_times),
+            thresholds=thresholds,
+        )
+        return EpisodeStats(
+            episode_idx, rec.T, rec.K, ret, ecf(rec), tir(rec), aurr(rec)
+        )
+
+    def _smdp_episode(self, episode_idx: int) -> EpisodeStats:
+        env = self.env
+        obs = self._reset()
         ep_ret = 0.0
-        while not env.done:
+        update_times: list[int] = []
+        etas: list[float] = []
+        done = False
+        while not done:
             x = obs_vec(obs, self.pump)
             a_raw, logp = self.policy.sample(x, self.rngs.policy)
-            r = reward_r1(obs.y, self.reward_cfg)
-            env.log_reward(r)
-            obs_next, done = env.step(self.act_raw_to_rate(a_raw), event=True)
-            self.buffer.add(x, a_raw, r, done, logp, obs_vec(obs_next, self.pump))
-            ep_ret += r
-            obs = obs_next
+            u, eta = self.action_to_rate_eta(a_raw)
+            update_times.append(env.steps)
+            etas.append(eta)
+            res = hold_until_trigger(env, u, eta, self.hyper.gamma, self.step_reward)
+            self.buffer.add(
+                SmdpExperience(x, a_raw, logp, res.reward, res.tau,
+                               1.0 if res.done else 0.0),
+                obs_vec(res.obs, self.pump),
+            )
+            ep_ret += res.reward
+            obs = res.obs
+            done = res.done
             self._maybe_update()
-        t = env.steps
-        rec = EpisodeRecord(
-            T=t, H=env.cfg.horizon, y_trace=tuple(env.y_trace), K=t,
-            update_times=tuple(range(t)), thresholds=None,
-        )
-        return EpisodeStats(episode_idx, t, t, ep_ret, ecf(rec), tir(rec), aurr(rec))
+        return self._episode_stats(episode_idx, ep_ret, update_times, tuple(etas))
 
-    def train(self, episodes: int) -> list[EpisodeStats]:
-        return [self.run_episode(i) for i in range(episodes)]
 
-    def greedy_rate(self, obs: Observation) -> float:
-        """Deterministic evaluation action: the Gaussian mean, squashed."""
-        mean = self.policy.net.forward(obs_vec(obs, self.pump)[None, :])[0]
-        return self.act_raw_to_rate(mean)
+class PpoTrainer(Trainer):
+    """Plain-MDP PPO: a fresh Gaussian action every 3-minute step.
+
+    Reward is the in-range indicator of the CGM value the action was
+    chosen on. Used directly as the periodic-update baseline.
+    """
+
+    method = "ppo"
+
+    def run_episode(self, episode_idx: int = 0) -> EpisodeStats:
+        return self._smdp_episode(episode_idx)

@@ -1,0 +1,109 @@
+"""An independent per-step PPO trainer: the oracle for the tau = 1 reductions.
+
+The library runs per-step PPO through its SMDP decision loop at threshold 0
+with the in-range reward. This module keeps a separate, minimal per-step
+trainer with its own episode loop, rollout buffer and GAE recursion, so the
+reductions are checked against code the library does not share. Only the
+networks, the sampler and the minibatch engine (update_networks) come from
+the library. PpoTrainer, the triggered trainer at threshold 0 with r1_only,
+and the pinned-event trainer must all match it bit for bit.
+"""
+import math
+
+import numpy as np
+
+from etglucose.env import ApEnv, EpisodeConfig, RewardConfig, obs_vec, reward_r1
+from etglucose.metrics import EpisodeRecord, aurr, ecf, tir
+from etglucose.neural import GaussianPolicy, OptimizerState, ValueNet
+from etglucose.plant import PumpConfig, SensorConfig
+from etglucose.ppo import (
+    EpisodeStats,
+    HyperParams,
+    UpdateSnapshot,
+    normalize_advantages,
+    update_networks,
+    values_with_bootstrap,
+)
+from etglucose.scenario import DEFAULT_MEAL_SPECS, generate_episode_scenario
+
+
+def per_step_gae(rewards, values, dones, gamma, lam):
+    """Backward-recursion GAE with done masking between episodes."""
+    adv = np.empty(len(rewards))
+    acc = 0.0
+    for h in range(len(rewards) - 1, -1, -1):
+        nonterm = 1.0 - dones[h]
+        delta = rewards[h] + gamma * nonterm * values[h + 1] - values[h]
+        acc = delta + gamma * lam * nonterm * acc
+        adv[h] = acc
+    return adv
+
+
+class PerStepPpo:
+    """A fresh Gaussian action every step, rewarded by the in-range indicator."""
+
+    def __init__(self, patient, rngs, hyper=HyperParams(),
+                 episode_cfg=EpisodeConfig(), reward_cfg=RewardConfig(),
+                 sensor=SensorConfig(), pump=PumpConfig()):
+        self.rngs = rngs
+        self.hyper = hyper
+        self.reward_cfg = reward_cfg
+        self.pump = pump
+        self.env = ApEnv(patient, episode_cfg, sensor, pump)
+        self.policy = GaussianPolicy.create(2, 1, rngs.net_init)
+        self.vnet = ValueNet.create(2, rngs.net_init)
+        self.opt_policy = OptimizerState(lr=hyper.lr)
+        self.opt_value = OptimizerState(lr=hyper.lr)
+        self.rows = []  # (obs, act, reward, done, logp) per step
+        self.last_next_obs = None
+        self.updates = []
+        self.snapshots = []
+        self.n_days = max(
+            1, math.ceil(episode_cfg.horizon * episode_cfg.step_minutes / 1440.0)
+        )
+
+    def _update(self):
+        obs, act, rew, done, logp = (np.asarray(c) for c in zip(*self.rows))
+        values = values_with_bootstrap(self.vnet, obs, self.last_next_obs)
+        adv = per_step_gae(rew, values, done, self.hyper.gamma, self.hyper.lam)
+        data = {
+            "obs": obs, "act": act, "logp_old": logp,
+            "adv": normalize_advantages(adv) if self.hyper.adv_norm else adv,
+            "vtarget": values[:-1] + adv,
+        }
+        stats = update_networks(self.policy, self.vnet, self.opt_policy,
+                                self.opt_value, data, self.hyper, self.rngs.shuffle)
+        self.updates.append(stats)
+        self.snapshots.append(UpdateSnapshot(
+            advantages=adv, stats=stats,
+            params=[p.copy() for p in self.policy.params() + self.vnet.params()],
+        ))
+        self.rows = []
+
+    def run_episode(self, episode_idx=0):
+        env = self.env
+        scenario = generate_episode_scenario(
+            DEFAULT_MEAL_SPECS, self.rngs.scenario, self.n_days
+        )
+        obs = env.reset(scenario, self.rngs.plant_noise, self.rngs.init_state,
+                        training=True)
+        ep_ret = 0.0
+        while not env.done:
+            x = obs_vec(obs, self.pump)
+            a_raw, logp = self.policy.sample(x, self.rngs.policy)
+            r = reward_r1(obs.y, self.reward_cfg)
+            env.log_reward(r)
+            rate = float(np.clip(a_raw[0], 0.0, 1.0)) * self.pump.u_max
+            obs, done = env.step(rate, event=True)
+            self.rows.append((x, a_raw, r, 1.0 if done else 0.0, logp))
+            self.last_next_obs = obs_vec(obs, self.pump)
+            ep_ret += r
+            if len(self.rows) >= self.hyper.buffer_size:
+                self._update()
+        t = env.steps
+        rec = EpisodeRecord(T=t, H=env.cfg.horizon, y_trace=tuple(env.y_trace),
+                            K=t, update_times=tuple(range(t)))
+        return EpisodeStats(episode_idx, t, t, ep_ret, ecf(rec), tir(rec), aurr(rec))
+
+    def train(self, episodes):
+        return [self.run_episode(i) for i in range(episodes)]

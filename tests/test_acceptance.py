@@ -31,6 +31,7 @@ from etglucose.ppo import (
     compute_gae,
     gaussian_policy_grads,
 )
+from per_step_oracle import PerStepPpo
 from etglucose.scenario import (
     DEFAULT_MEAL_SPECS,
     MealSpec,
@@ -80,7 +81,8 @@ def test_01_gae_matches_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# 2. zero threshold plus shared seed streams reduces to the per-step baseline
+# 2. zero threshold plus shared seed streams reduces to the per-step baseline;
+# the baseline is an independent per-step PPO loop (tests/per_step_oracle.py)
 
 
 def test_02_zero_threshold_reduces_to_periodic_ppo():
@@ -89,8 +91,7 @@ def test_02_zero_threshold_reduces_to_periodic_ppo():
     trig = TriggerConfig(scheme="fixed", fixed_eta=0.0)
     a = CgmEtppoTrainer(patient, RngBundle.from_master(11), trigger=trig,
                         hyper=hyper, r1_only=True, record_updates=True)
-    b = PpoTrainer(patient, RngBundle.from_master(11), hyper=hyper,
-                   record_updates=True)
+    b = PerStepPpo(patient, RngBundle.from_master(11), hyper=hyper)
     for ep in range(2):
         sa = a.run_episode(ep)
         sb = b.run_episode(ep)

@@ -17,8 +17,9 @@ from etglucose.env import EpisodeConfig, Observation
 from etglucose.neural import GaussianPolicy, OptimizerState, ValueNet
 from etglucose.patients import NOMINAL_ADULT, build_patient
 from etglucose.plant import SensorConfig
-from etglucose.ppo import HyperParams, PpoTrainer, compute_gae
+from etglucose.ppo import HyperParams, compute_gae
 from etglucose.seeding import RngBundle
+from per_step_oracle import PerStepPpo, per_step_gae
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +76,10 @@ class TestSmdpGae:
             gamma = float(rng.uniform(0.9, 0.999))
             lam = float(rng.uniform(0.0, 1.0))
             a = smdp_gae(r, np.ones(n, dtype=np.int64), v, d, gamma, lam)
-            b = compute_gae(r, v, d, gamma, lam)
-            assert np.array_equal(a, b)  # same arithmetic, bit for bit
+            # the library's per-step entry point and an independent
+            # per-step recursion: same arithmetic, bit for bit
+            assert np.array_equal(a, compute_gae(r, v, d, gamma, lam))
+            assert np.array_equal(a, per_step_gae(r, v, d, gamma, lam))
 
     def test_single_experience_is_its_delta(self):
         adv = smdp_gae(np.array([2.0]), np.array([4]), np.array([1.0, 3.0]),
@@ -245,8 +248,7 @@ class TestTrainer:
     def test_zero_threshold_reproduces_plain_ppo(self, patient):
         seed = 31
         hyper = HyperParams(buffer_size=256)
-        ref = PpoTrainer(patient, RngBundle.from_master(seed), hyper=hyper,
-                         record_updates=True)
+        ref = PerStepPpo(patient, RngBundle.from_master(seed), hyper=hyper)
         smdp = CgmEtppoTrainer(
             patient, RngBundle.from_master(seed),
             trigger=TriggerConfig(scheme="fixed", fixed_eta=0.0),
@@ -276,6 +278,6 @@ class TestTrainer:
         tr = CgmEtppoTrainer(patient, RngBundle.from_master(0),
                              trigger=TriggerConfig(scheme="fixed", fixed_eta=25.0))
         tr.policy = constant_policy(1, [0.4])
-        u, eta = tr.greedy_rate_eta(Observation(140.0, 0.02))
+        u, eta = tr.greedy_decide(Observation(140.0, 0.02))
         assert u == pytest.approx(0.4 * 0.15)
         assert eta == 25.0

@@ -167,6 +167,18 @@ class TestRewards:
             for e in (0, 1):
                 assert reward_het(y, e, zero) == reward_r1(y)
 
+    def test_no_event_reward_is_r1_for_every_valid_charge(self):
+        # the pinned-event trainer is trained with R1 on this equality
+        for eta_e in (0.0, 0.1, 1e300):
+            cfg = RewardConfig(eta_e=eta_e)
+            for y in (50.0, 100.0, 200.0):
+                r = reward_het(y, 0, cfg)
+                assert r == reward_r1(y, cfg)
+                assert str(r) == str(reward_r1(y, cfg))
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                RewardConfig(eta_e=bad)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RewardConfig(C=0.0)

@@ -1,0 +1,152 @@
+"""Golden output digests: every trainer variant, trained and evaluated.
+
+The digests were recorded before the trainers were merged onto one SMDP
+core; any change to a training or evaluation path that alters a single
+byte of a CSV or a single bit of a checkpoint array fails here. Each
+variant trains 2 episodes of 240 steps with a buffer of 8, so every one
+runs at least two optimizer updates, then evaluates greedily on the five
+fixed scenarios.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from etglucose.config import config_from_dict
+from etglucose.harness import run_dir, run_eval, run_train
+
+VARIANTS = {
+    "ppo": {"method": "ppo"},
+    "hetppo": {"method": "hetppo"},
+    "hetppo-pinned": {"method": "hetppo", "pin_events": True},
+    "cgmetppo-fixed": {"method": "cgmetppo-fixed"},
+    "cgmetppo-fixed-r1": {"method": "cgmetppo-fixed", "r1_only": True},
+    "cgmetppo-variable": {"method": "cgmetppo-variable"},
+}
+
+FILES = (
+    "train_log.csv", "updates.csv", "metrics.csv",
+    *(f"eval_trace_scen{i}.csv" for i in range(5)),
+    "checkpoint.npz", "checkpoint_ep1.npz", "checkpoint_ep2.npz",
+)
+
+GOLDEN: dict[str, dict[str, str]] = {
+    "ppo": {
+        "train_log.csv": "1ba0ec5b54e36c8d6e7d3a046a40b8fb3e58185041c271d44efda29e427d8cf1",
+        "updates.csv": "cc774310548c8e4726e7619a977116af36c357bf13a8b82f6e50792c4ea21f0f",
+        "metrics.csv": "f115bcff369feb511965893169bc8dce5a3bb44cc793b3b7344052f84650f756",
+        "eval_trace_scen0.csv": "ed09c832885adac3d6f2be36b1b3c68ca13e8ec5822aac53a3ed7245cd6fc3b1",
+        "eval_trace_scen1.csv": "ac21afafea09ca1942b9ee7b8ede12b44db017fda0afcadf757a00fbcc1eab94",
+        "eval_trace_scen2.csv": "7fbddeb6b2808bc9f86d193edb5daf72e1f6c552d339bd518fecb78396df46ca",
+        "eval_trace_scen3.csv": "ca798822421ba6595aee89db380171d0fbfd9a9a9b729c8b579767f63a9db2e1",
+        "eval_trace_scen4.csv": "fe5ede66d11c129a7d15d60863fb12e5dd4a140369ff2390007fe64263746bba",
+        "checkpoint.npz": "0319afa41d2d7388841e801f6265134b20cfff02cfb43883d0c14dbd12c3b97d",
+        "checkpoint_ep1.npz": "06e1ea654ac0c9d5b3768ae1ee8ac187fc7cc30d5934eff6d43eb93b7f76fbe8",
+        "checkpoint_ep2.npz": "0319afa41d2d7388841e801f6265134b20cfff02cfb43883d0c14dbd12c3b97d",
+    },
+    "hetppo": {
+        "train_log.csv": "bfe97db3b8aecf2c57b535dddd018b4ac5e2a5925a6e2036f10b95520dee6274",
+        "updates.csv": "3d813b5fffa5ef44e3123f82152749ecb4b74a5ecfe3f152db1ad36fc4380dc4",
+        "metrics.csv": "ca9dcde30be2dbd70bdb81e8bb2187c5b0955f0c40929eb1a78e5f57bbcbd86c",
+        "eval_trace_scen0.csv": "89e1dc442e566aca51762ecfa0d534e0bb142365f28306c6ed35cd815c6335fa",
+        "eval_trace_scen1.csv": "56afad2846568751b62b06ead9e13ddfbc5b4b1356ac10570edb5058f4a87896",
+        "eval_trace_scen2.csv": "9d869007e80a005d671dc6fa494e3e9be33abe5c886d69eec5cf9a5b980de289",
+        "eval_trace_scen3.csv": "57c7ef66ccac0004b1e2b3098a6c153d3d3dd907ea5a29d828e38d6e7fee1634",
+        "eval_trace_scen4.csv": "8ff9f290fc19ce0f6f1ca2432d4be245c03e88a7daf873ab48530a64de128dc2",
+        "checkpoint.npz": "fcc2f635a938492e1520322f4678180867362d3734200eedd35c2f6dc5467bf9",
+        "checkpoint_ep1.npz": "6315568f565aeb5a0bd9a2727b1551d7ba4715053f550c9dfa73f23d019e693e",
+        "checkpoint_ep2.npz": "fcc2f635a938492e1520322f4678180867362d3734200eedd35c2f6dc5467bf9",
+    },
+    "hetppo-pinned": {
+        "train_log.csv": "1ba0ec5b54e36c8d6e7d3a046a40b8fb3e58185041c271d44efda29e427d8cf1",
+        "updates.csv": "cc774310548c8e4726e7619a977116af36c357bf13a8b82f6e50792c4ea21f0f",
+        "metrics.csv": "9e1218b299545cc5227f8581ee77be94a5590e7b3ca134619bdd9655b7d28a75",
+        "eval_trace_scen0.csv": "ed09c832885adac3d6f2be36b1b3c68ca13e8ec5822aac53a3ed7245cd6fc3b1",
+        "eval_trace_scen1.csv": "ac21afafea09ca1942b9ee7b8ede12b44db017fda0afcadf757a00fbcc1eab94",
+        "eval_trace_scen2.csv": "7fbddeb6b2808bc9f86d193edb5daf72e1f6c552d339bd518fecb78396df46ca",
+        "eval_trace_scen3.csv": "ca798822421ba6595aee89db380171d0fbfd9a9a9b729c8b579767f63a9db2e1",
+        "eval_trace_scen4.csv": "fe5ede66d11c129a7d15d60863fb12e5dd4a140369ff2390007fe64263746bba",
+        "checkpoint.npz": "959bbca02ea842de519704aed7496e7ecea096722684225a63aa18bba790eea4",
+        "checkpoint_ep1.npz": "cd296bdd0f2618a4c713f6616a8a5d413241e4b0b6be6521a87c69e813899e80",
+        "checkpoint_ep2.npz": "959bbca02ea842de519704aed7496e7ecea096722684225a63aa18bba790eea4",
+    },
+    "cgmetppo-fixed": {
+        "train_log.csv": "393b121048c7a4df2f813d57f61476a5e966a4beaa7b742deef8e44c914f33e7",
+        "updates.csv": "bfb3510625e762d0f6ddd23f2183df92261331988094f6c4d9753b501f5d7d67",
+        "metrics.csv": "07ede92ad1089a3d2d163046f7a32000aaba8477e3f3d5b82c802ec304d7731a",
+        "eval_trace_scen0.csv": "2ce041d60684e464b0966cebe67b6601dda8d75353596332299f491e051c3452",
+        "eval_trace_scen1.csv": "e3f7ce8dc5dd42a5c3fd9270fc6922123a187bc707dc3f60c6662c2def0179b1",
+        "eval_trace_scen2.csv": "90361a37bb89615eb13aab2322c7810e2bc0eaeac41bf60b68de7b3acedc127e",
+        "eval_trace_scen3.csv": "d1e3cf1cf71ed5d4ae088d96f70bee34a6db03a604a32494d659f8a897d9331c",
+        "eval_trace_scen4.csv": "5d30d0d804ff061bc1fe2252a34ea3d9f0aa0773a283f1eeff88b18bef973f18",
+        "checkpoint.npz": "120a14d3480f3364b065f27f4b569da9650df1f2d0f8bb306aa2ecbd33d0425e",
+        "checkpoint_ep1.npz": "8e6d4867f6380f0371a42f41ea92d6a678f020b51f69c0794b798bc1ae9e8d83",
+        "checkpoint_ep2.npz": "120a14d3480f3364b065f27f4b569da9650df1f2d0f8bb306aa2ecbd33d0425e",
+    },
+    "cgmetppo-fixed-r1": {
+        "train_log.csv": "efbd7d9918693f82f9bdc7615926112109c6582c01d8db00444ba047bba0074a",
+        "updates.csv": "f7c88f1f56ea0a11f2e4dabbf5c33a95a86f360f4a93aad5a19cb59938b8d482",
+        "metrics.csv": "07ede92ad1089a3d2d163046f7a32000aaba8477e3f3d5b82c802ec304d7731a",
+        "eval_trace_scen0.csv": "2ce041d60684e464b0966cebe67b6601dda8d75353596332299f491e051c3452",
+        "eval_trace_scen1.csv": "e3f7ce8dc5dd42a5c3fd9270fc6922123a187bc707dc3f60c6662c2def0179b1",
+        "eval_trace_scen2.csv": "90361a37bb89615eb13aab2322c7810e2bc0eaeac41bf60b68de7b3acedc127e",
+        "eval_trace_scen3.csv": "d1e3cf1cf71ed5d4ae088d96f70bee34a6db03a604a32494d659f8a897d9331c",
+        "eval_trace_scen4.csv": "5d30d0d804ff061bc1fe2252a34ea3d9f0aa0773a283f1eeff88b18bef973f18",
+        "checkpoint.npz": "c8588fc2e1d7917ce5c35ec0358390901fd9bc79f206890a98575630ea648ad9",
+        "checkpoint_ep1.npz": "8e6d4867f6380f0371a42f41ea92d6a678f020b51f69c0794b798bc1ae9e8d83",
+        "checkpoint_ep2.npz": "c8588fc2e1d7917ce5c35ec0358390901fd9bc79f206890a98575630ea648ad9",
+    },
+    "cgmetppo-variable": {
+        "train_log.csv": "402edd7d01c2835a00519b51606a638ae46d9b3d59d03fa2571d47ff777d8d3f",
+        "updates.csv": "b3dfc6e957147ea3dd2ac5361ee9e50af9f75ed4d82235c0d0118ada111fc523",
+        "metrics.csv": "c1966d4230c856371cc09da2554e213c928c2c7fd77844f57ab0ff87abf2cbf0",
+        "eval_trace_scen0.csv": "a59013470d714e4a9a266b0b06a8beea8f4275a5ed329856bc3b51357e7f6a4c",
+        "eval_trace_scen1.csv": "9d58b57524d4836f2639c842f1685e013a4d28cf844fb362db40c1e02dccd9fc",
+        "eval_trace_scen2.csv": "fa363f85f2d1d503e6296c3065d4f23d90db0edede92ab99ab150970d2b2f445",
+        "eval_trace_scen3.csv": "1b33601d557a1fff1bc3aa53b4ddf809b20d1051c9ca0cec24e427d7b4ba5293",
+        "eval_trace_scen4.csv": "00d6cd7fea060f05b283cbfd24737ceb5983d9140d8306037838d050fcdcfd9e",
+        "checkpoint.npz": "c1d43f088854502d005dea43682c2e40c815e364756ca80ecb73fb9d1793c004",
+        "checkpoint_ep1.npz": "3774b6f36a4e44e83ad9e007d15352f6b0f0e5eea679e5da58f013ac01072712",
+        "checkpoint_ep2.npz": "c1d43f088854502d005dea43682c2e40c815e364756ca80ecb73fb9d1793c004",
+        "hist.csv": "1bc10fe6ceb2557a5e33cf41bf79dd8a6485a1e718dcdd30471d94fe04b86e4a",
+    },
+}
+
+
+def npz_digest(path) -> str:
+    """sha256 over a .npz's array names, dtypes, shapes and bytes."""
+    h = hashlib.sha256()
+    with np.load(path, allow_pickle=False) as npz:
+        for key in sorted(npz.files):
+            arr = np.ascontiguousarray(npz[key])
+            h.update(f"{key}|{arr.dtype.str}|{arr.shape}|".encode())
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def train_and_eval(out, variant: str):
+    """Train and evaluate one variant; returns (config, run directory)."""
+    cfg = config_from_dict({
+        **VARIANTS[variant], "patient": "adult#001", "episodes": 2, "seeds": [0],
+        "checkpoint_every": 1, "episode": {"horizon": 240},
+        "hyper": {"buffer_size": 8, "minibatch": 4, "epochs": 2},
+    })
+    run_train(cfg, out)
+    run_eval(cfg, out)
+    return cfg, run_dir(out, cfg, 0)
+
+
+def file_digests(cfg, rd) -> dict[str, str]:
+    names = FILES + (("hist.csv",) if cfg.method == "cgmetppo-variable" else ())
+    return {
+        name: npz_digest(rd / name) if name.endswith(".npz")
+        else hashlib.sha256((rd / name).read_bytes()).hexdigest()
+        for name in names
+    }
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_outputs_match_golden_digests(tmp_path, variant):
+    cfg, rd = train_and_eval(tmp_path, variant)
+    assert len((rd / "updates.csv").read_text().splitlines()) - 1 >= 2
+    assert file_digests(cfg, rd) == GOLDEN[variant]

@@ -3,11 +3,14 @@
 Training budgets here are tiny (a couple of episodes, short horizon);
 these tests exercise plumbing and reproducibility, not control quality.
 """
+import builtins
+import math
+
 import numpy as np
 import pytest
 import yaml
 
-from etglucose import cli
+from etglucose import cli, harness
 from etglucose.config import (
     ConfigError,
     ExperimentConfig,
@@ -16,6 +19,7 @@ from etglucose.config import (
     load_config,
     load_matrix_config,
 )
+from etglucose.env import ApEnv, obs_vec
 from etglucose.harness import (
     METRICS_HEADER,
     TRACE_HEADER,
@@ -26,6 +30,7 @@ from etglucose.harness import (
     load_policy,
     patient_slug,
     resolve_patient,
+    roll_hetppo,
     run_dir,
     run_eval,
     run_matrix,
@@ -35,6 +40,8 @@ from etglucose.harness import (
 )
 from etglucose.neural import GaussianPolicy, HetPolicy
 from etglucose.patients import default_cohort
+from etglucose.scenario import default_eval_scenarios
+from etglucose.seeding import eval_noise_stream
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +132,26 @@ class TestConfig:
         bad["hyper"]["gamma"] = 1.5
         with pytest.raises(ConfigError, match="hyper"):
             config_from_dict(bad)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("hyper", "buffer_size", 0), ("hyper", "buffer_size", -5),
+        ("hyper", "minibatch", 0), ("hyper", "epochs", 0),
+        ("hyper", "lr", -1.0), ("hyper", "lr", math.nan),
+        ("reward", "eta_e", math.nan), ("reward", "C", math.nan),
+        ("reward", "c", math.inf),
+        ("trigger", "fixed_eta", math.nan), ("trigger", "fixed_eta", math.inf),
+    ])
+    def test_out_of_range_value_rejected(self, section, key, value):
+        raw = tiny_dict("cgmetppo-fixed")
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"^{section}: {key} must"):
+            config_from_dict(raw)
+
+    def test_trigger_scheme_key_rejected(self):
+        # the scheme follows from the method; the key used to be overwritten
+        raw = tiny_dict("cgmetppo-fixed", trigger={"scheme": "variable"})
+        with pytest.raises(ConfigError, match="scheme follows from method"):
+            config_from_dict(raw)
 
     def test_nested_non_mapping(self):
         with pytest.raises(ConfigError, match="hyper.*mapping"):
@@ -378,11 +405,86 @@ class TestTrainEval:
         assert (rd / "gains.yaml").read_bytes() == before
         assert sorted(p.name for p in rd.iterdir()) == ["gains.yaml"]
 
+    @pytest.mark.parametrize("target", ["metrics.csv", "summary.csv"])
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch,
+                                                  target):
+        base = tiny_dict("pid", episodes=1)
+        del base["method"]
+        matrix = MatrixConfig(methods=("pid",), patients=("adult#001",), base=base)
+        run_matrix(matrix, tmp_path)
+        path = (tmp_path / "summary.csv" if target == "summary.csv"
+                else run_dir(tmp_path, tiny_cfg("pid"), 0) / "metrics.csv")
+        before = path.read_bytes()
+
+        class DiskFull:
+            """Keeps half of the first write, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+        def open_(file, mode="r", *args, **kwargs):
+            fh = builtins.open(file, mode, *args, **kwargs)
+            return DiskFull(fh) if str(file).endswith(target + ".tmp") else fh
+
+        monkeypatch.setattr(harness, "open", open_, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            run_matrix(matrix, tmp_path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_pid_train_alias(self, tmp_path):
         # run_train on the pid method is tuning
         cfg = tiny_cfg("pid")
         dirs = run_train(cfg, tmp_path)
         assert (dirs[0] / "gains.yaml").exists()
+
+
+class TestGreedyRollout:
+    @staticmethod
+    def cgm_gated_policy() -> HetPolicy:
+        """Insulin mean 0.4; the event logit has the sign of y - 150."""
+        pol = HetPolicy.create(2, np.random.default_rng(0))
+        for a in pol.net.weights + pol.net.biases:
+            a[:] = 0.0
+        pol.net.weights[0][0, 0] = 6.0  # input y / 600 -> 0.01 * y
+        pol.net.biases[0][0] = -1.5
+        pol.net.weights[1][0, 0] = 1.0
+        pol.net.weights[2][0, 1] = 1.0
+        pol.net.biases[-1][0] = 0.4
+        return pol
+
+    def test_factored_policy_holds_between_events(self, patient):
+        cfg = tiny_cfg("hetppo")
+        pol = self.cgm_gated_policy()
+        for i, sc in enumerate(default_eval_scenarios()):
+            rec, rows = roll_hetppo(patient, pol, sc, eval_noise_stream(i), cfg)
+            # the factored greedy loop written out step by step
+            env = ApEnv(patient, cfg.episode, cfg.sensor, cfg.pump)
+            obs = env.reset(sc, eval_noise_stream(i))
+            held, times = 0.0, []
+            while not env.done:
+                mean, logit = pol.heads(obs_vec(obs, cfg.pump)[None, :])
+                if logit[0] >= 0.0:
+                    held = float(np.clip(mean[0], 0.0, 1.0)) * cfg.pump.u_max
+                    times.append(env.steps)
+                obs, _ = env.step(held, event=logit[0] >= 0.0)
+            assert 0 < rec.K < rec.T  # both branches run
+            assert rec.update_times == tuple(times)
+            assert rec.y_trace == tuple(env.y_trace) and rec.thresholds is None
+            assert [r[2:] for r in rows] == [
+                (y, u, e, "") for y, u, e in
+                zip(env.y_trace, env.u_trace, env.event_trace)
+            ]
 
 
 class TestExportAndMatrix:

@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from etglucose.env import EpisodeConfig, Observation, RewardConfig
-from etglucose.hetppo import (
-    HetBuffer,
-    HetppoTrainer,
-    factored_sample,
-    het_policy_grads,
-    hetppo_update,
-)
+from etglucose.hetppo import HetppoTrainer, factored_sample, het_policy_grads
 from etglucose.neural import (
     HetPolicy,
     OptimizerState,
@@ -21,8 +15,23 @@ from etglucose.neural import (
     sigmoid,
 )
 from etglucose.patients import NOMINAL_ADULT, build_patient
-from etglucose.ppo import HyperParams, PpoTrainer, clipped_surrogate
+from etglucose.ppo import (
+    HyperParams,
+    SmdpBuffer,
+    SmdpExperience,
+    clipped_surrogate,
+    smdp_update,
+)
 from etglucose.seeding import RngBundle
+from per_step_oracle import PerStepPpo
+
+
+def factored_row(obs, e, u_raw, reward, done, logp_e, logp_u) -> SmdpExperience:
+    """A factored transition as the trainer stores it: act [u_raw, e],
+    logp [logp_u, logp_e], one-step hold."""
+    return SmdpExperience(np.asarray(obs, dtype=float), np.asarray([u_raw, float(e)]),
+                          np.asarray([logp_u, logp_e]), reward, 1,
+                          1.0 if done else 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -160,34 +169,38 @@ class TestHetObjective:
         rng = np.random.default_rng(21)
         pol = HetPolicy.create(2, rng)
         vnet = ValueNet.create(2, rng)
-        buf = HetBuffer(64)
+        buf = SmdpBuffer(64)
         for i in range(64):
             e = int(rng.random() < 0.4)
-            buf.add(rng.normal(size=2), e, rng.normal(), float(i % 2), i == 63,
-                    -0.5, -0.9 if e else 0.0, rng.normal(size=2))
-        stats, adv = hetppo_update(buf, pol, vnet, OptimizerState(),
-                                   OptimizerState(), HyperParams(),
-                                   np.random.default_rng(2))
+            buf.add(factored_row(rng.normal(size=2), e, rng.normal(), float(i % 2),
+                                 i == 63, -0.5, -0.9 if e else 0.0),
+                    rng.normal(size=2))
+        stats, adv = smdp_update(buf, pol, vnet, OptimizerState(),
+                                 OptimizerState(), HyperParams(),
+                                 np.random.default_rng(2), het_policy_grads)
         assert adv.shape == (64,)
         assert stats.minibatches == 10
         assert not stats.diverged
 
 
 class TestHetBuffer:
+    """Factored rows in the decision buffer: two-column act and log-prob."""
+
     def test_row_layout(self):
-        buf = HetBuffer(2)
-        buf.add([0.1, 0.2], 1, 0.7, 0.9, False, -0.3, -0.8, [0.3, 0.4])
-        buf.add([0.5, 0.6], 0, 0.7, 1.0, True, -0.1, 0.0, [0.7, 0.8])
+        buf = SmdpBuffer(2)
+        buf.add(factored_row([0.1, 0.2], 1, 0.7, 0.9, False, -0.3, -0.8), [0.3, 0.4])
+        buf.add(factored_row([0.5, 0.6], 0, 0.7, 1.0, True, -0.1, 0.0), [0.7, 0.8])
         d = buf.arrays()
         assert np.array_equal(d["act"], [[0.7, 1.0], [0.7, 0.0]])
         assert np.array_equal(d["logp_old"], [[-0.8, -0.3], [0.0, -0.1]])
         assert np.array_equal(d["done"], [0.0, 1.0])
+        assert np.array_equal(d["tau"], [1, 1])
 
     def test_overfill_rejected(self):
-        buf = HetBuffer(1)
-        buf.add([0.0], 0, 0.0, 0.0, False, 0.0, 0.0, [0.0])
+        buf = SmdpBuffer(1)
+        buf.add(factored_row([0.0], 0, 0.0, 0.0, False, 0.0, 0.0), [0.0])
         with pytest.raises(ValueError):
-            buf.add([0.0], 0, 0.0, 0.0, False, 0.0, 0.0, [0.0])
+            buf.add(factored_row([0.0], 0, 0.0, 0.0, False, 0.0, 0.0), [0.0])
 
 
 class TestTrainer:
@@ -243,8 +256,7 @@ class TestTrainer:
     def test_pinned_events_reproduce_plain_ppo(self, patient):
         seed = 7
         hyper = HyperParams(buffer_size=256)
-        ref = PpoTrainer(patient, RngBundle.from_master(seed), hyper=hyper,
-                         record_updates=True)
+        ref = PerStepPpo(patient, RngBundle.from_master(seed), hyper=hyper)
         pin = HetppoTrainer(patient, RngBundle.from_master(seed), hyper=hyper,
                             pin_events=True, record_updates=True)
         stats_ref = ref.train(2)
@@ -277,20 +289,20 @@ class TestTrainer:
 
 
 class TestGreedy:
+    """greedy_decide returns (rate to send or None to hold, threshold)."""
+
     def test_learning_mode_threshold(self, patient):
         tr = HetppoTrainer(patient, RngBundle.from_master(0))
         tr.policy = doctored_policy(0.4, 1.0)
-        e, held = tr.greedy_event(Observation(120.0, 0.0), held=0.9)
-        assert (e, held) == (1, 0.4)
+        assert tr.greedy_decide(Observation(120.0, 0.0)) == (0.4 * 0.15, None)
         tr.policy = doctored_policy(0.4, -1.0)
-        e, held = tr.greedy_event(Observation(120.0, 0.0), held=0.9)
-        assert (e, held) == (0, 0.9)
+        assert tr.greedy_decide(Observation(120.0, 0.0)) == (None, None)
 
     def test_pinned_mode_always_transmits(self, patient):
         tr = HetppoTrainer(patient, RngBundle.from_master(0), pin_events=True)
-        e, held = tr.greedy_event(Observation(120.0, 0.0), held=0.2)
-        assert e == 1
+        rate, eta = tr.greedy_decide(Observation(120.0, 0.0))
+        assert eta is None
         mean = tr.policy.net.forward(
             np.array([[120.0 / 600.0, 0.0]])
         )[0, 0]
-        assert held == pytest.approx(mean)
+        assert rate == pytest.approx(min(max(mean, 0.0), 1.0) * 0.15)

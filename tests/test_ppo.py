@@ -9,17 +9,25 @@ from etglucose.patients import NOMINAL_ADULT, build_patient
 from etglucose.ppo import (
     HyperParams,
     PpoTrainer,
-    RolloutBuffer,
+    SmdpBuffer,
+    SmdpExperience,
     clipped_surrogate,
     compute_gae,
     gaussian_policy_grads,
     normalize_advantages,
-    ppo_update,
+    smdp_update,
     update_networks,
     value_loss,
     values_with_bootstrap,
 )
 from etglucose.seeding import RngBundle
+from per_step_oracle import PerStepPpo
+
+
+def step_row(obs, act, reward, done, logp) -> SmdpExperience:
+    """A per-step transition as the decision buffer stores it (tau = 1)."""
+    return SmdpExperience(np.asarray(obs, dtype=float), np.asarray(act, dtype=float),
+                          logp, reward, 1, 1.0 if done else 0.0)
 
 
 def brute_force_gae(rewards, values, dones, gamma, lam):
@@ -212,28 +220,33 @@ class TestPolicyGrads:
 
 
 class TestBuffer:
+    """Per-step transitions in the decision buffer: one-step holds."""
+
     def test_fill_and_arrays(self):
-        buf = RolloutBuffer(3)
+        buf = SmdpBuffer(3)
         for i in range(3):
             assert not buf.full
-            buf.add([i, 0.0], [0.1 * i], float(i), i == 2, -0.5, [i + 1.0, 0.0])
+            buf.add(step_row([i, 0.0], [0.1 * i], float(i), i == 2, -0.5),
+                    [i + 1.0, 0.0])
         assert buf.full and len(buf) == 3
         d = buf.arrays()
         assert d["obs"].shape == (3, 2)
         assert d["act"].shape == (3, 1)
-        assert np.array_equal(d["rew"], [0.0, 1.0, 2.0])
+        assert np.array_equal(d["R"], [0.0, 1.0, 2.0])
+        assert np.array_equal(d["tau"], [1, 1, 1])
         assert np.array_equal(d["done"], [0.0, 0.0, 1.0])
+        assert np.array_equal(d["logp_old"], [-0.5, -0.5, -0.5])
         assert np.array_equal(d["last_next_obs"], [3.0, 0.0])
 
     def test_overfill_rejected(self):
-        buf = RolloutBuffer(1)
-        buf.add([0.0], [0.0], 0.0, False, 0.0, [0.0])
+        buf = SmdpBuffer(1)
+        buf.add(step_row([0.0], [0.0], 0.0, False, 0.0), [0.0])
         with pytest.raises(ValueError):
-            buf.add([0.0], [0.0], 0.0, False, 0.0, [0.0])
+            buf.add(step_row([0.0], [0.0], 0.0, False, 0.0), [0.0])
 
     def test_clear_empties(self):
-        buf = RolloutBuffer(1)
-        buf.add([0.0], [0.0], 0.0, False, 0.0, [0.0])
+        buf = SmdpBuffer(1)
+        buf.add(step_row([0.0], [0.0], 0.0, False, 0.0), [0.0])
         buf.clear()
         assert len(buf) == 0 and not buf.full
 
@@ -303,6 +316,11 @@ class TestUpdateEngine:
             HyperParams(lam=-0.1)
         with pytest.raises(ValueError):
             HyperParams(clip_eps=0.0)
+        for bad in ({"buffer_size": 0}, {"minibatch": 0}, {"epochs": 0},
+                    {"lr": 0.0}, {"lr": math.nan}, {"clip_eps": math.nan},
+                    {"c_ent": math.inf}):
+            with pytest.raises(ValueError):
+                HyperParams(**bad)
 
 
 @pytest.fixture(scope="module")
@@ -338,20 +356,38 @@ class TestTrainer:
         assert stats.ret <= stats.steps
 
     def test_action_squash(self, patient):
+        # per-step PPO is the decision loop at threshold 0
         tr = PpoTrainer(patient, RngBundle.from_master(5))
-        assert tr.act_raw_to_rate(np.array([-3.0])) == 0.0
-        assert tr.act_raw_to_rate(np.array([0.5])) == pytest.approx(0.075)
-        assert tr.act_raw_to_rate(np.array([7.0])) == pytest.approx(0.15)
+        assert tr.action_to_rate_eta(np.array([-3.0])) == (0.0, 0.0)
+        u, eta = tr.action_to_rate_eta(np.array([0.5]))
+        assert u == pytest.approx(0.075) and eta == 0.0
+        u, eta = tr.action_to_rate_eta(np.array([7.0]))
+        assert u == pytest.approx(0.15) and eta == 0.0
+
+    def test_matches_per_step_oracle(self, patient):
+        hyper = HyperParams(buffer_size=128, minibatch=64, epochs=2)
+        ref = PerStepPpo(patient, RngBundle.from_master(13), hyper=hyper)
+        tr = PpoTrainer(patient, RngBundle.from_master(13), hyper=hyper,
+                        record_updates=True)
+        assert ref.train(2) == tr.train(2)
+        assert tr.env.y_trace == ref.env.y_trace
+        assert tr.env.u_trace == ref.env.u_trace
+        assert len(tr.snapshots) == len(ref.snapshots) >= 3
+        for a, b in zip(tr.snapshots, ref.snapshots):
+            assert np.array_equal(a.advantages, b.advantages)
+            assert a.stats == b.stats
+            for pa, pb in zip(a.params, b.params):
+                assert np.array_equal(pa, pb)
 
     def test_ppo_update_returns_advantages(self, patient):
         rng = np.random.default_rng(0)
         pol = GaussianPolicy.create(2, 1, rng)
         vnet = ValueNet.create(2, rng)
-        buf = RolloutBuffer(32)
+        buf = SmdpBuffer(32)
         for i in range(32):
-            buf.add(rng.normal(size=2), rng.normal(size=1), float(i % 2),
-                    i == 31, -0.7, rng.normal(size=2))
-        stats, adv = ppo_update(buf, pol, vnet, OptimizerState(),
-                                OptimizerState(), HyperParams(), np.random.default_rng(1))
+            buf.add(step_row(rng.normal(size=2), rng.normal(size=1), float(i % 2),
+                             i == 31, -0.7), rng.normal(size=2))
+        stats, adv = smdp_update(buf, pol, vnet, OptimizerState(),
+                                 OptimizerState(), HyperParams(), np.random.default_rng(1))
         assert adv.shape == (32,)
         assert stats.minibatches == 10  # 10 epochs x 1 minibatch
