@@ -28,9 +28,6 @@ from .ppo import (  # noqa: F401  (the SMDP core's names are re-exported)
     squash_rate,
 )
 
-FIXED_ETA_CHOICES = (15.0, 20.0, 25.0)
-
-
 @dataclass(frozen=True)
 class TriggerConfig:
     scheme: str = "variable"  # "fixed" or "variable"; set from the method

@@ -111,14 +111,6 @@ def reward_het(y: float, e: int, cfg: RewardConfig = RewardConfig()) -> float:
     return reward_r1(y, cfg) - cfg.eta_e * e
 
 
-class Transition(NamedTuple):
-    s: Observation
-    a: np.ndarray
-    r: float
-    s_next: Observation
-    done: int
-
-
 # Observation normalization for the networks.
 Y_NORM = 600.0
 
@@ -132,9 +124,7 @@ class ApEnv:
     """One artificial-pancreas episode at a time.
 
     The environment keeps a per-episode trace (CGM, applied rate, event
-    flags, rewards) that the metrics pipeline consumes. Rewards are pushed
-    by the caller via log_reward, because only the trainer knows which
-    reward function is in force; the hold loop does this itself.
+    flags) that the metrics pipeline consumes.
     """
 
     def __init__(
@@ -189,7 +179,6 @@ class ApEnv:
         self.y_trace: list[float] = [y]
         self.u_trace: list[float] = []
         self.event_trace: list[int] = []
-        self.reward_trace: list[float] = []
         return Observation(y, self._u_prev)
 
     @property
@@ -238,10 +227,6 @@ class ApEnv:
         self.event_trace.append(1 if event else 0)
         return Observation(y, u_cmd), self._done
 
-    def log_reward(self, r: float) -> None:
-        """Record the reward credited to the most recently decided step."""
-        self.reward_trace.append(r)
-
 
 class HoldResult(NamedTuple):
     reward: float  # R_k: gamma-discounted sum over the held steps
@@ -256,14 +241,17 @@ def hold_until_trigger(
     eta: float,
     gamma: float,
     reward_fn: Callable[[float, int], float],
+    ell: int = 0,
 ) -> HoldResult:
     """Hold u until the CGM moves at least eta from its start value.
 
     Steps the environment with the held command, accumulating
-    R_k = sum_i gamma^i * reward_fn(y_i, i) over the held steps, where y_i
-    is the CGM the i-th held step starts from (i = 0 at the decision).
-    Stops after the first step whose fresh CGM satisfies
-    |y - y_start| >= eta, or when the episode ends mid-hold.
+    R_k = sum_i gamma^i * reward_fn(y_i, ell + i) over the held steps,
+    where y_i is the CGM the i-th held step starts from (i = 0 at the
+    decision) and ell counts the steps already held since the last insulin
+    update. Only a step at ell + i = 0 is an update event. Stops after the
+    first step whose fresh CGM satisfies |y - y_start| >= eta, or when the
+    episode ends mid-hold.
     """
     if env.done:
         raise EpisodeFinishedError("episode-finished: reset before stepping again")
@@ -276,9 +264,8 @@ def hold_until_trigger(
     disc = 1.0
     tau = 0
     while True:
-        r = reward_fn(env.y, tau)
-        env.log_reward(r)
-        obs, done = env.step(u, event=(tau == 0))
+        r = reward_fn(env.y, ell + tau)
+        obs, done = env.step(u, event=(ell + tau == 0))
         total += disc * r
         tau += 1
         disc *= gamma

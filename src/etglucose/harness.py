@@ -13,6 +13,9 @@ Directory layout under the output base:
         hist.csv              (interval-average CGM, threshold) counts
         plotdata/             export-plots output
 
+Every file above except plotdata/ is written through write_atomic, so an
+interrupted run leaves either the previous file or the new one.
+
 Evaluation always runs the policy greedily (Gaussian mean, event iff
 p >= 1/2) on the five fixed scenarios under fixed sensor-noise streams,
 so a (config, seed) pair maps to byte-identical metrics.csv content.
@@ -30,7 +33,7 @@ import yaml
 from .cgmetppo import CgmEtppoTrainer
 from .config import ConfigError, ExperimentConfig, MatrixConfig
 from .env import ApEnv, rollout
-from .hetppo import HetppoTrainer
+from .hetppo import HetppoTrainer, PinnedHetppoTrainer
 from .metrics import aggregate, aurr, ecf, interval_avg_hist, tir
 from .neural import (
     GaussianPolicy,
@@ -57,14 +60,14 @@ CGM_HIST_EDGES = np.arange(40.0, 401.0, 20.0)
 ETA_HIST_EDGES = np.arange(15.0, 26.0, 1.0)
 
 
-def write_atomic(path: Path, write) -> None:
+def write_atomic(path: Path, write, binary: bool = False) -> None:
     """Write path through write(fh) on a temporary file beside it, then
     rename it into place, so an interrupted write never leaves a partial
-    file behind.
+    file behind. binary opens the temporary file in bytes mode.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "wb" if binary else "w") as fh:
             write(fh)
         os.replace(tmp, path)
     finally:
@@ -103,7 +106,8 @@ def build_trainer(cfg: ExperimentConfig, patient, seed: int):
     if cfg.method == "ppo":
         return PpoTrainer(patient, rngs, **common)
     if cfg.method == "hetppo":
-        return HetppoTrainer(patient, rngs, pin_events=cfg.pin_events, **common)
+        cls = PinnedHetppoTrainer if cfg.pin_events else HetppoTrainer
+        return cls(patient, rngs, **common)
     scheme = "fixed" if cfg.method == "cgmetppo-fixed" else "variable"
     trigger = dataclasses.replace(cfg.trigger, scheme=scheme)
     return CgmEtppoTrainer(
@@ -128,7 +132,10 @@ def trainer_arrays(trainer) -> dict[str, np.ndarray]:
 
 
 def save_trainer(trainer, path: Path) -> None:
-    save_checkpoint(path, trainer.method, trainer_arrays(trainer))
+    # np.savez appends ".npz" to a path without it, so it gets the open file.
+    arrays = trainer_arrays(trainer)
+    write_atomic(path, lambda fh: save_checkpoint(fh, trainer.method, arrays),
+                 binary=True)
 
 
 def load_policy(path: Path) -> tuple[str, object, ValueNet, bool]:
@@ -249,26 +256,29 @@ def run_train(cfg: ExperimentConfig, out_base: str | Path,
         rd = run_dir(out_base, cfg, seed)
         rd.mkdir(parents=True, exist_ok=True)
         trainer = build_trainer(cfg, patient, seed)
-        with open(rd / "train_log.csv", "w") as fh:
-            fh.write("episode,steps,K,ret,ecf,tir,aurr\n")
-            for ep in range(cfg.episodes):
-                s = trainer.run_episode(ep)
-                fh.write(
-                    f"{s.episode},{s.steps},{s.K},{s.ret:.6f},"
-                    f"{s.ecf:.6f},{s.tir:.6f},{s.aurr:.6f}\n"
-                )
-                if cfg.checkpoint_every and (ep + 1) % cfg.checkpoint_every == 0:
-                    save_trainer(trainer, rd / f"checkpoint_ep{ep + 1}.npz")
-        with open(rd / "updates.csv", "w") as fh:
-            fh.write("update,policy_objective,value_loss,entropy,"
-                     "mean_ratio,clip_frac,minibatches,diverged\n")
-            for i, u in enumerate(trainer.updates):
-                fh.write(
-                    f"{i},{u.policy_objective:.6f},{u.value_loss:.6f},"
-                    f"{u.entropy:.6f},{u.mean_ratio:.6f},{u.clip_frac:.6f},"
-                    f"{u.minibatches},{int(u.diverged)}\n"
-                )
+        train_log = ["episode,steps,K,ret,ecf,tir,aurr\n"]
+        for ep in range(cfg.episodes):
+            s = trainer.run_episode(ep)
+            train_log.append(
+                f"{s.episode},{s.steps},{s.K},{s.ret:.6f},"
+                f"{s.ecf:.6f},{s.tir:.6f},{s.aurr:.6f}\n"
+            )
+            if cfg.checkpoint_every and (ep + 1) % cfg.checkpoint_every == 0:
+                save_trainer(trainer, rd / f"checkpoint_ep{ep + 1}.npz")
+        write_atomic(rd / "train_log.csv", lambda fh: fh.writelines(train_log))
+        updates = ["update,policy_objective,value_loss,entropy,"
+                   "mean_ratio,clip_frac,minibatches,diverged\n"] + [
+            f"{i},{u.policy_objective:.6f},{u.value_loss:.6f},"
+            f"{u.entropy:.6f},{u.mean_ratio:.6f},{u.clip_frac:.6f},"
+            f"{u.minibatches},{int(u.diverged)}\n"
+            for i, u in enumerate(trainer.updates)
+        ]
+        write_atomic(rd / "updates.csv", lambda fh: fh.writelines(updates))
         save_trainer(trainer, rd / "checkpoint.npz")
+        diverged = [i for i, u in enumerate(trainer.updates) if u.diverged]
+        if diverged:
+            log.warning("%s/%s seed %d: diverged updates %s",
+                        cfg.method, cfg.patient, seed, diverged)
         log.info("trained %s/%s seed %d: %d episodes, %d updates",
                  cfg.method, cfg.patient, seed, cfg.episodes, len(trainer.updates))
         dirs.append(rd)
@@ -317,10 +327,12 @@ def run_eval(cfg: ExperimentConfig, out_base: str | Path,
         rolled = eval_records(cfg, patient, rd)
         rows = []
         for i, (rec, trace) in enumerate(rolled):
-            with open(rd / f"eval_trace_scen{i}.csv", "w") as fh:
-                fh.write(TRACE_HEADER + "\n")
-                for step, t_min, y, u, event, eta in trace:
-                    fh.write(f"{step},{t_min:.1f},{y:.6f},{u:.8f},{event},{eta}\n")
+            lines = [TRACE_HEADER + "\n"] + [
+                f"{step},{t_min:.1f},{y:.6f},{u:.8f},{event},{eta}\n"
+                for step, t_min, y, u, event, eta in trace
+            ]
+            write_atomic(rd / f"eval_trace_scen{i}.csv",
+                         lambda fh: fh.writelines(lines))
             rows.append({"scenario": str(i), "ecf": ecf(rec), "tir": tir(rec),
                          "aurr": aurr(rec)})
         mean_row = {
@@ -339,12 +351,12 @@ def run_eval(cfg: ExperimentConfig, out_base: str | Path,
             for rec, _ in rolled:
                 c, _, _ = interval_avg_hist(rec, (CGM_HIST_EDGES, ETA_HIST_EDGES))
                 counts += c
-            with open(rd / "hist.csv", "w") as fh:
-                fh.write("cgm_lo,eta_lo,count\n")
-                for a in range(counts.shape[0]):
-                    for b in range(counts.shape[1]):
-                        fh.write(f"{CGM_HIST_EDGES[a]:.1f},"
-                                 f"{ETA_HIST_EDGES[b]:.1f},{int(counts[a, b])}\n")
+            hist = ["cgm_lo,eta_lo,count\n"] + [
+                f"{CGM_HIST_EDGES[a]:.1f},{ETA_HIST_EDGES[b]:.1f},"
+                f"{int(counts[a, b])}\n"
+                for a in range(counts.shape[0]) for b in range(counts.shape[1])
+            ]
+            write_atomic(rd / "hist.csv", lambda fh: fh.writelines(hist))
         paths.append(path)
         log.info("evaluated %s/%s seed %d -> %s", cfg.method, cfg.patient, seed, path)
     return paths

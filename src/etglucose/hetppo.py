@@ -11,9 +11,12 @@ The clipped-surrogate objective factors the same way: a Bernoulli ratio
 term over every step plus a Gaussian ratio term over the event steps
 only, both driven by the same advantage estimates.
 
-With pin_events=True the event head is removed outright: every step is
-an event, no Bernoulli is drawn, and no event charge applies. That mode
-is plain per-step PPO, run by the shared decision loop at threshold 0.
+The trainer runs on the shared SMDP loop of ppo.py: each decision holds
+one step (threshold 0), and a non-event decision keeps the last command.
+With pin_events the event head is removed outright: every step is an
+event, no Bernoulli is drawn, and no event charge applies. That mode is
+plain per-step PPO, so PinnedHetppoTrainer is a PpoTrainer under this
+method's name.
 """
 from __future__ import annotations
 
@@ -21,15 +24,14 @@ import math
 
 import numpy as np
 
-from .env import obs_vec, reward_het
+from .env import reward_het
 from .neural import (
-    GaussianPolicy,
     HetPolicy,
     bernoulli_logprob_entropy,
     gaussian_logprob_entropy,
     sigmoid,
 )
-from .ppo import EpisodeStats, HyperParams, SmdpExperience, Trainer, squash_rate
+from .ppo import EpisodeStats, HyperParams, PpoTrainer, Trainer, squash_rate
 
 
 def factored_sample(
@@ -136,41 +138,37 @@ class HetppoTrainer(Trainer):
 
     method = "hetppo"
 
-    def __init__(self, patient, rngs, *, pin_events: bool = False, **kwargs):
-        self.pin_events = pin_events
-        super().__init__(patient, rngs, **kwargs)
-
-    def new_policy(self, rng: np.random.Generator):
-        if self.pin_events:
-            return GaussianPolicy.create(2, 1, rng)
+    def new_policy(self, rng: np.random.Generator) -> HetPolicy:
         return HetPolicy.create(2, rng)
 
+    def _reset(self):
+        self._held = 0.0  # raw commanded value; zero insulin until the first event
+        return super()._reset()
+
+    def sample_decision(self, x: np.ndarray):
+        """Factored draw: act [held, e] and log-prob [logp_u, logp_e].
+
+        Non-event rows store the held command; the objective masks their
+        insulin slot out either way.
+        """
+        e, u_raw, lp_e, lp_u = factored_sample(self.policy, x, self.rngs.policy)
+        if e:
+            self._held = u_raw
+        rate = squash_rate(u_raw, self.pump) if e else None
+        return np.asarray([self._held, float(e)]), np.asarray([lp_u, lp_e]), rate, 0.0
+
+    def step_reward(self, y: float, ell: int) -> float:
+        return reward_het(y, ell == 0, self.reward_cfg)
+
+    def _maybe_update(self) -> None:
+        super()._maybe_update(het_policy_grads)
+
     def run_episode(self, episode_idx: int = 0) -> EpisodeStats:
-        if self.pin_events:
-            return self._smdp_episode(episode_idx)
-        env = self.env
-        obs = self._reset()
-        ep_ret = 0.0
-        held = 0.0  # raw commanded value; zero insulin until the first event
-        event_steps: list[int] = []
-        while not env.done:
-            x = obs_vec(obs, self.pump)
-            e, u_raw, lp_e, lp_u = factored_sample(self.policy, x, self.rngs.policy)
-            if e:
-                held = u_raw
-                event_steps.append(env.steps)
-            r = reward_het(obs.y, e, self.reward_cfg)
-            env.log_reward(r)
-            obs_next, done = env.step(squash_rate(held, self.pump), event=bool(e))
-            # Non-event rows store the held command; the objective masks
-            # their insulin slot out either way.
-            self.buffer.add(
-                SmdpExperience(x, np.asarray([held, float(e)]),
-                               np.asarray([lp_u, lp_e]), r, 1,
-                               1.0 if done else 0.0),
-                obs_vec(obs_next, self.pump),
-            )
-            ep_ret += r
-            obs = obs_next
-            self._maybe_update(het_policy_grads)
-        return self._episode_stats(episode_idx, ep_ret, event_steps)
+        return self._smdp_episode(episode_idx)
+
+
+class PinnedHetppoTrainer(PpoTrainer):
+    """hetppo with pin_events: no event head, so plain per-step PPO."""
+
+    method = "hetppo"
+    pin_events = True

@@ -1,17 +1,19 @@
 """PPO over a semi-Markov decision process: the core every trainer shares.
 
-A decision fixes the pump rate (and, for the triggered trainer, a CGM
-threshold); the rate then holds until the CGM has moved by the threshold.
-Each held interval is one experience with a gamma-aggregated reward and a
-duration tau, and advantage estimation discounts bootstraps by gamma^tau.
-A per-step MDP is the tau = 1 case (Sutton, Precup & Singh 1999), so plain
-PPO is this trainer at threshold 0 with the in-range reward, and the
-per-step recursion compute_gae is smdp_gae with every tau = 1.
+A decision sends a pump rate, or keeps the last one without an insulin
+update, and fixes a CGM threshold; the command then holds until the CGM
+has moved by the threshold. Each held interval is one experience with a
+gamma-aggregated reward and a duration tau, and advantage estimation
+discounts bootstraps by gamma^tau. A per-step MDP is the tau = 1 case
+(Sutton, Precup & Singh 1999), so plain PPO is this trainer at threshold 0
+with the in-range reward, and the per-step recursion compute_gae is
+smdp_gae with every tau = 1.
 
 Here live the decision buffer, the advantage recursion, the clipped
 surrogate with an entropy bonus, value regression against targets
 G = V_old(s) + A, the shuffled-minibatch epoch engine, the trainer
-skeleton with its decision loop, and the greedy evaluation decision.
+skeleton with the one training loop every trainer runs (per-step,
+factored and CGM-triggered), and the greedy evaluation decision.
 """
 from __future__ import annotations
 
@@ -58,7 +60,6 @@ class HyperParams:
     lr: float = 3e-4
     epochs: int = 10
     minibatch: int = 128
-    adv_norm: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -222,8 +223,8 @@ def update_networks(
     """Epochs of shuffled minibatches: ascend J(theta), descend J(phi).
 
     data needs keys obs, act, logp_old, adv, vtarget (adv already
-    normalized by the caller if desired). A non-finite loss or gradient
-    aborts the update and flags the stats.
+    normalized by the caller). A non-finite loss or gradient aborts the
+    update and flags the stats.
     """
     n = len(data["adv"])
     stats = UpdateStats()
@@ -330,7 +331,7 @@ def smdp_update(
         "obs": d["obs"],
         "act": d["act"],
         "logp_old": d["logp_old"],
-        "adv": normalize_advantages(adv) if hyper.adv_norm else adv,
+        "adv": normalize_advantages(adv),
         "vtarget": values[:-1] + adv,
     }
     stats = update_networks(
@@ -383,16 +384,18 @@ def greedy_decide(policy, obs: Observation, pump: PumpConfig, threshold=None):
 
 
 class Trainer:
-    """The skeleton every trainer shares, and its SMDP decision loop.
+    """The skeleton every trainer shares, and its one SMDP decision loop.
 
-    Each decision samples a raw action, maps it to (pump rate, threshold),
-    holds the rate until the CGM has moved by the threshold, and stores the
-    held interval as one experience; a full buffer triggers an update. The
-    defaults here, threshold 0 and the in-range reward R1, make every hold
-    one step long: that is plain per-step PPO. Subclasses override
-    new_policy, action_to_rate_eta and step_reward. Each defines its own
-    run_episode and none calls another's, so a probe wrapping each class's
-    run_episode sees every episode exactly once.
+    Each decision samples an action and maps it to (pump rate or None,
+    threshold). A rate is sent to the pump; None keeps the last command
+    without an insulin update. The command then holds until the CGM has
+    moved by the threshold, and the held interval is stored as one
+    experience; a full buffer triggers an update. The defaults here,
+    threshold 0 and the in-range reward R1, make every hold one step long
+    and every decision an update: that is plain per-step PPO. Subclasses
+    override new_policy, action_to_rate_eta or sample_decision, and
+    step_reward. Each trainer class's run_episode is one call to this loop
+    and none calls another's, so a wrapper on each sees every episode once.
     """
 
     method = ""
@@ -437,7 +440,13 @@ class Trainer:
         """Raw action sample -> (pump rate, trigger threshold)."""
         return squash_rate(a_raw[0], self.pump), 0.0
 
+    def sample_decision(self, x: np.ndarray):
+        """(stored action, log-prob, pump rate or None, threshold) at x."""
+        a_raw, logp = self.policy.sample(x, self.rngs.policy)
+        return (a_raw, logp, *self.action_to_rate_eta(a_raw))
+
     def step_reward(self, y: float, ell: int) -> float:
+        """Reward of a step from CGM y, ell steps after the last update."""
         return reward_r1(y, self.reward_cfg)
 
     def greedy_decide(self, obs: Observation):
@@ -470,42 +479,42 @@ class Trainer:
         return self.env.reset(scenario, self.rngs.plant_noise,
                               self.rngs.init_state, training=True)
 
-    def _episode_stats(self, episode_idx: int, ret: float, update_times,
-                       thresholds=None) -> EpisodeStats:
-        env = self.env
-        rec = EpisodeRecord(
-            T=env.steps, H=env.cfg.horizon, y_trace=tuple(env.y_trace),
-            K=len(update_times), update_times=tuple(update_times),
-            thresholds=thresholds,
-        )
-        return EpisodeStats(
-            episode_idx, rec.T, rec.K, ret, ecf(rec), tir(rec), aurr(rec)
-        )
-
     def _smdp_episode(self, episode_idx: int) -> EpisodeStats:
         env = self.env
         obs = self._reset()
         ep_ret = 0.0
+        u = 0.0  # zero insulin until the first update
+        # Steps held since the last update; 0 only at an update, so holding
+        # the initial zero is not an event.
+        ell = 1
         update_times: list[int] = []
-        etas: list[float] = []
         done = False
         while not done:
             x = obs_vec(obs, self.pump)
-            a_raw, logp = self.policy.sample(x, self.rngs.policy)
-            u, eta = self.action_to_rate_eta(a_raw)
-            update_times.append(env.steps)
-            etas.append(eta)
-            res = hold_until_trigger(env, u, eta, self.hyper.gamma, self.step_reward)
+            act, logp, rate, eta = self.sample_decision(x)
+            if rate is not None:
+                u = rate
+                ell = 0
+                update_times.append(env.steps)
+            res = hold_until_trigger(env, u, eta, self.hyper.gamma,
+                                     self.step_reward, ell)
             self.buffer.add(
-                SmdpExperience(x, a_raw, logp, res.reward, res.tau,
+                SmdpExperience(x, act, logp, res.reward, res.tau,
                                1.0 if res.done else 0.0),
                 obs_vec(res.obs, self.pump),
             )
             ep_ret += res.reward
+            ell += res.tau
             obs = res.obs
             done = res.done
             self._maybe_update()
-        return self._episode_stats(episode_idx, ep_ret, update_times, tuple(etas))
+        rec = EpisodeRecord(
+            T=env.steps, H=env.cfg.horizon, y_trace=tuple(env.y_trace),
+            K=len(update_times), update_times=tuple(update_times),
+        )
+        return EpisodeStats(
+            episode_idx, rec.T, rec.K, ep_ret, ecf(rec), tir(rec), aurr(rec)
+        )
 
 
 class PpoTrainer(Trainer):

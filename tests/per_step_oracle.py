@@ -68,7 +68,7 @@ class PerStepPpo:
         adv = per_step_gae(rew, values, done, self.hyper.gamma, self.hyper.lam)
         data = {
             "obs": obs, "act": act, "logp_old": logp,
-            "adv": normalize_advantages(adv) if self.hyper.adv_norm else adv,
+            "adv": normalize_advantages(adv),
             "vtarget": values[:-1] + adv,
         }
         stats = update_networks(self.policy, self.vnet, self.opt_policy,
@@ -92,7 +92,6 @@ class PerStepPpo:
             x = obs_vec(obs, self.pump)
             a_raw, logp = self.policy.sample(x, self.rngs.policy)
             r = reward_r1(obs.y, self.reward_cfg)
-            env.log_reward(r)
             rate = float(np.clip(a_raw[0], 0.0, 1.0)) * self.pump.u_max
             obs, done = env.step(rate, event=True)
             self.rows.append((x, a_raw, r, 1.0 if done else 0.0, logp))

@@ -186,9 +186,6 @@ class _Scripted:
         self.done = False
         self.y = self._ys[0]
 
-    def log_reward(self, r):
-        pass
-
     def step(self, u, event=False):
         self._i += 1
         self.y = self._ys[self._i]

@@ -204,11 +204,7 @@ class ScriptedEnv:
         self._i = 0
         self.done = False
         self.y = self._ys[0]
-        self.rewards = []
         self.stepped_with = []
-
-    def log_reward(self, r):
-        self.rewards.append(r)
 
     def step(self, u, event=False):
         self.stepped_with.append((u, event))
@@ -247,21 +243,37 @@ class TestTrigger:
 
     def test_rewards_use_pre_step_cgm(self):
         seen = []
+        rewards = []
 
         def spy(y, ell):
             seen.append((y, ell))
-            return reward_r1(y)
+            rewards.append(reward_r1(y))
+            return rewards[-1]
 
         env = ScriptedEnv(self.SCRIPT)
         hold_until_trigger(env, 0.02, 25.0, 1.0, spy)
         assert seen == [(150.0, 0), (155.0, 1), (160.0, 2), (168.0, 3)]
-        assert env.rewards == [1.0, 1.0, 1.0, 1.0]
+        assert rewards == [1.0, 1.0, 1.0, 1.0]
 
     def test_only_first_held_step_is_an_event(self):
         env = ScriptedEnv(self.SCRIPT)
         hold_until_trigger(env, 0.02, 25.0, 1.0, R1)
         assert [e for _, e in env.stepped_with] == [True, False, False, False]
         assert all(u == 0.02 for u, _ in env.stepped_with)
+
+    def test_hold_after_update_is_no_event(self):
+        # ell steps already held since the last update: rewards see ell + i
+        # and no step is an event.
+        seen = []
+
+        def spy(y, ell):
+            seen.append(ell)
+            return 0.0
+
+        env = ScriptedEnv(self.SCRIPT)
+        res = hold_until_trigger(env, 0.02, 15.0, 1.0, spy, ell=2)
+        assert seen == [2, 3, 4] and res.tau == 3
+        assert [e for _, e in env.stepped_with] == [False, False, False]
 
     def test_episode_end_cuts_hold_short(self):
         env = ScriptedEnv([150.0, 151.0, 152.0])
@@ -295,9 +307,15 @@ class TestTrigger:
             ys = np.cumsum(rng.normal(0.0, 6.0, size=n)) + 140.0
             eta = float(rng.uniform(0.0, 30.0))
             env = ScriptedEnv(ys)
-            res = hold_until_trigger(env, 0.0, eta, gamma, reward_r2)
+            rewards = []
+
+            def spy(y, ell):
+                rewards.append(reward_r2(y, ell))
+                return rewards[-1]
+
+            res = hold_until_trigger(env, 0.0, eta, gamma, spy)
             want = sum(
                 gamma**i * reward_r2(float(ys[i]), i) for i in range(res.tau)
             )
             assert res.reward == pytest.approx(want, abs=1e-12)
-            assert env.rewards == [reward_r2(float(ys[i]), i) for i in range(res.tau)]
+            assert rewards == [reward_r2(float(ys[i]), i) for i in range(res.tau)]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from etglucose import cli, harness
+from etglucose import cli, harness, ppo
 from etglucose.config import (
     ConfigError,
     ExperimentConfig,
@@ -38,7 +38,7 @@ from etglucose.harness import (
     save_trainer,
     tune_pid,
 )
-from etglucose.neural import GaussianPolicy, HetPolicy
+from etglucose.neural import DivergedUpdateError, GaussianPolicy, HetPolicy
 from etglucose.patients import default_cohort
 from etglucose.scenario import default_eval_scenarios
 from etglucose.seeding import eval_noise_stream
@@ -77,6 +77,29 @@ def write_yaml(path, payload) -> str:
 def read_rows(path):
     with open(path) as fh:
         return [ln.rstrip("\n") for ln in fh if ln.strip()]
+
+
+class HalfWrite:
+    """A file whose first write keeps half its data and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    def writelines(self, lines):
+        self.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +464,54 @@ class TestTrainEval:
             run_matrix(matrix, tmp_path)
         assert path.read_bytes() == before
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("target", [
+        "train_log.csv", "updates.csv", "checkpoint.npz", "checkpoint_ep1.npz",
+        "eval_trace_scen0.csv", "hist.csv",
+    ])
+    def test_failed_run_write_keeps_previous_file(self, tmp_path, monkeypatch,
+                                                  target):
+        cfg = tiny_cfg("cgmetppo-variable", episodes=1, checkpoint_every=1)
+        run_train(cfg, tmp_path)
+        run_eval(cfg, tmp_path)
+        path = run_dir(tmp_path, cfg, 0) / target
+        before = path.read_bytes()
+
+        def open_(file, mode="r", *args, **kwargs):
+            fh = builtins.open(file, mode, *args, **kwargs)
+            return HalfWrite(fh) if str(file).endswith(target + ".tmp") else fh
+
+        monkeypatch.setattr(harness, "open", open_, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            run_train(cfg, tmp_path)
+            run_eval(cfg, tmp_path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_diverged_updates_are_named(self, tmp_path, monkeypatch, caplog):
+        calls = {"update": -1}
+        real_update, real_value_grads = ppo.update_networks, ppo.value_grads
+
+        def counting_update(*args, **kwargs):
+            calls["update"] += 1
+            return real_update(*args, **kwargs)
+
+        def value_grads(*args):
+            if calls["update"] in (1, 3):
+                raise DivergedUpdateError("diverged-update: forced")
+            return real_value_grads(*args)
+
+        monkeypatch.setattr(ppo, "update_networks", counting_update)
+        monkeypatch.setattr(ppo, "value_grads", value_grads)
+        cfg = tiny_cfg("ppo")
+        with caplog.at_level("WARNING", logger="etglucose.harness"):
+            run_train(cfg, tmp_path)
+        rows = read_rows(run_dir(tmp_path, cfg, 0) / "updates.csv")[1:]
+        assert len(rows) > 4
+        assert [i for i, r in enumerate(rows) if r.endswith(",1")] == [1, 3]
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "etglucose.harness" and r.levelname == "WARNING"]
+        assert warnings == ["ppo/adult#001 seed 0: diverged updates [1, 3]"]
 
     def test_pid_train_alias(self, tmp_path):
         # run_train on the pid method is tuning

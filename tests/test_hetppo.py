@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from etglucose.env import EpisodeConfig, Observation, RewardConfig
-from etglucose.hetppo import HetppoTrainer, factored_sample, het_policy_grads
+from etglucose.hetppo import (
+    HetppoTrainer,
+    PinnedHetppoTrainer,
+    factored_sample,
+    het_policy_grads,
+)
 from etglucose.neural import (
     HetPolicy,
     OptimizerState,
@@ -238,6 +243,17 @@ class TestTrainer:
         assert stats.K == sum(tr.env.event_trace)
         assert 0 <= stats.K <= stats.steps
 
+    def test_event_trace_matches_sampled_events(self, patient):
+        # Every decision holds one step; only a sampled event is flagged.
+        tr = HetppoTrainer(patient, RngBundle.from_master(5),
+                           hyper=HyperParams(buffer_size=4096),
+                           episode_cfg=EpisodeConfig(horizon=200))
+        tr.run_episode(0)
+        d = tr.buffer.arrays()
+        assert list(d["tau"]) == [1] * tr.env.steps
+        assert [int(e) for e in d["act"][:, 1]] == tr.env.event_trace
+        assert 0 < sum(tr.env.event_trace) < tr.env.steps
+
     def test_event_charge_lowers_return(self, patient):
         # same seed, eta_e = 0 vs eta_e large: identical trajectories until
         # the first update, so the return difference is eta_e * K
@@ -257,8 +273,8 @@ class TestTrainer:
         seed = 7
         hyper = HyperParams(buffer_size=256)
         ref = PerStepPpo(patient, RngBundle.from_master(seed), hyper=hyper)
-        pin = HetppoTrainer(patient, RngBundle.from_master(seed), hyper=hyper,
-                            pin_events=True, record_updates=True)
+        pin = PinnedHetppoTrainer(patient, RngBundle.from_master(seed),
+                                  hyper=hyper, record_updates=True)
         stats_ref = ref.train(2)
         stats_pin = pin.train(2)
         assert [(s.steps, s.ret, s.tir) for s in stats_ref] == \
@@ -270,10 +286,9 @@ class TestTrainer:
                 assert np.array_equal(pa, pb)
 
     def test_pinned_events_every_step_transmits(self, patient):
-        tr = HetppoTrainer(patient, RngBundle.from_master(9),
-                           hyper=HyperParams(buffer_size=4096),
-                           episode_cfg=EpisodeConfig(horizon=100),
-                           pin_events=True)
+        tr = PinnedHetppoTrainer(patient, RngBundle.from_master(9),
+                                 hyper=HyperParams(buffer_size=4096),
+                                 episode_cfg=EpisodeConfig(horizon=100))
         stats = tr.run_episode(0)
         assert stats.K == stats.steps
         assert all(tr.env.event_trace)
@@ -299,7 +314,7 @@ class TestGreedy:
         assert tr.greedy_decide(Observation(120.0, 0.0)) == (None, None)
 
     def test_pinned_mode_always_transmits(self, patient):
-        tr = HetppoTrainer(patient, RngBundle.from_master(0), pin_events=True)
+        tr = PinnedHetppoTrainer(patient, RngBundle.from_master(0))
         rate, eta = tr.greedy_decide(Observation(120.0, 0.0))
         assert eta is None
         mean = tr.policy.net.forward(

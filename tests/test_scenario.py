@@ -8,8 +8,10 @@ from etglucose.scenario import (
     MealScenario,
     MealSpec,
     RATE_MG_PER_MIN,
+    default_eval_scenarios,
     generate_daily_scenario,
     generate_episode_scenario,
+    generate_eval_scenarios,
     load_scenario,
     meal_rate_at,
     sample_truncated_normal,
@@ -158,3 +160,11 @@ class TestScenarioFiles:
         path.write_text("# header\n420,45.0\nnot-a-meal\n")
         with pytest.raises(ValueError, match="bad scenario line"):
             load_scenario(path)
+
+    def test_packaged_eval_scenarios_match_generator(self):
+        # The shipped files are the generator's output from the reserved seeds.
+        packaged = default_eval_scenarios()
+        generated = generate_eval_scenarios()
+        assert len(packaged) == len(generated) == 5
+        for got, want in zip(packaged, generated):
+            assert got.events == want.events
