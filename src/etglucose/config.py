@@ -7,6 +7,7 @@ values raise ConfigError, which the CLI turns into exit code 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -36,6 +37,8 @@ class PidGrid:
             vals = getattr(self, name)
             if len(vals) == 0:
                 raise ValueError(f"pid grid {name} must be non-empty")
+            if not all(0.0 <= v < math.inf for v in vals):
+                raise ValueError(f"{name} must hold finite non-negative gains")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .metrics import EpisodeRecord
+from .metrics import RANGE_HI, RANGE_LO, EpisodeRecord
 from .plant import (
     PatientParams,
     PatientState,
@@ -56,6 +56,11 @@ class EpisodeConfig:
             raise ValueError("horizon must be positive")
         if self.hypo_threshold >= self.hyper_threshold:
             raise ValueError("hypo threshold must lie below hyper threshold")
+        for name in ("step_minutes", "ode_dt"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0.0 <= self.init_spread < math.inf:
+            raise ValueError("init_spread must be finite and non-negative")
         n = self.step_minutes / self.ode_dt
         if abs(n - round(n)) > 1e-12 or round(n) < 1:
             raise ValueError("step_minutes must be an integer multiple of ode_dt")
@@ -138,6 +143,7 @@ class ApEnv:
         self.cfg = episode_cfg
         self.sensor = sensor
         self.pump = pump
+        self._substeps = episode_cfg.substeps
         self._scenario: MealScenario | None = None
         self._noise_rng: np.random.Generator | None = None
         self._done = True
@@ -211,16 +217,20 @@ class ApEnv:
         u_cmd = pump_command(u, self.pump)
         state = self._state
         cfg = self.cfg
-        for j in range(cfg.substeps):
-            d = meal_rate_at(self._t + j * cfg.ode_dt, self._scenario)
-            state = rk4_step(state, u_cmd, d, cfg.ode_dt, self.patient)
+        patient = self.patient
+        scenario = self._scenario
+        t = self._t
+        dt = cfg.ode_dt
+        for j in range(self._substeps):
+            d = meal_rate_at(t + j * dt, scenario)
+            state = rk4_step(state, u_cmd, d, dt, patient)
         self._state = state
-        self._t += cfg.step_minutes
-        self._steps += 1
-        y, self._noise = cgm_read(state, self.patient, self.sensor, self._noise, self._noise_rng)
+        self._t = t + cfg.step_minutes
+        steps = self._steps = self._steps + 1
+        y, self._noise = cgm_read(state, patient, self.sensor, self._noise, self._noise_rng)
         self._y = y
         self._u_prev = u_cmd
-        if self._steps >= cfg.horizon or not (cfg.hypo_threshold < y < cfg.hyper_threshold):
+        if steps >= cfg.horizon or not (cfg.hypo_threshold < y < cfg.hyper_threshold):
             self._done = True
         self.y_trace.append(y)
         self.u_trace.append(u_cmd)
@@ -282,6 +292,7 @@ def rollout(
     scenario: MealScenario,
     noise_rng: np.random.Generator,
     decide: Callable[[Observation], tuple[float | None, float | None]],
+    max_misses: int | None = None,
 ) -> EpisodeRecord:
     """Run one evaluation episode under a deterministic controller.
 
@@ -289,10 +300,15 @@ def rollout(
     keep the last one without an update (zero insulin before the first).
     With eta None the decision covers one step; otherwise the rate holds
     until the CGM has moved by eta, which is recorded as its threshold.
+
+    max_misses, for per-step controllers only, cuts the episode right
+    after the step whose CGM is the (max_misses + 1)-th outside the
+    metrics' target range; the record then covers the steps run.
     """
     obs = env.reset(scenario, noise_rng)
     u = 0.0
     t = 0  # steps taken
+    misses = 0  # out-of-range CGM values among y_1 .. y_t
     update_times: list[int] = []
     etas: list[float] = []
     done = False
@@ -304,6 +320,12 @@ def rollout(
         if eta is None:
             obs, done = env.step(u, event=cmd is not None)
             t += 1
+            if max_misses is not None and not RANGE_LO <= obs.y <= RANGE_HI:
+                misses += 1
+                if misses > max_misses:
+                    break
+        elif max_misses is not None:
+            raise ValueError("max_misses needs a per-step controller")
         else:
             etas.append(eta)
             _, tau, obs, done = hold_until_trigger(env, u, eta, 1.0, _no_reward)

@@ -13,8 +13,8 @@ Directory layout under the output base:
         hist.csv              (interval-average CGM, threshold) counts
         plotdata/             export-plots output
 
-Every file above except plotdata/ is written through write_atomic, so an
-interrupted run leaves either the previous file or the new one.
+Every file above is written through write_atomic, so an interrupted run
+leaves either the previous file or the new one.
 
 Evaluation always runs the policy greedily (Gaussian mean, event iff
 p >= 1/2) on the five fixed scenarios under fixed sensor-noise streams,
@@ -257,8 +257,10 @@ def run_train(cfg: ExperimentConfig, out_base: str | Path,
         rd.mkdir(parents=True, exist_ok=True)
         trainer = build_trainer(cfg, patient, seed)
         train_log = ["episode,steps,K,ret,ecf,tir,aurr\n"]
+        update_episode = []  # the episode each update ran in
         for ep in range(cfg.episodes):
             s = trainer.run_episode(ep)
+            update_episode += [ep] * (len(trainer.updates) - len(update_episode))
             train_log.append(
                 f"{s.episode},{s.steps},{s.K},{s.ret:.6f},"
                 f"{s.ecf:.6f},{s.tir:.6f},{s.aurr:.6f}\n"
@@ -275,10 +277,11 @@ def run_train(cfg: ExperimentConfig, out_base: str | Path,
         ]
         write_atomic(rd / "updates.csv", lambda fh: fh.writelines(updates))
         save_trainer(trainer, rd / "checkpoint.npz")
-        diverged = [i for i, u in enumerate(trainer.updates) if u.diverged]
+        diverged = [f"{i} (episode {update_episode[i]})"
+                    for i, u in enumerate(trainer.updates) if u.diverged]
         if diverged:
             log.warning("%s/%s seed %d: diverged updates %s",
-                        cfg.method, cfg.patient, seed, diverged)
+                        cfg.method, cfg.patient, seed, ", ".join(diverged))
         log.info("trained %s/%s seed %d: %d episodes, %d updates",
                  cfg.method, cfg.patient, seed, cfg.episodes, len(trainer.updates))
         dirs.append(rd)
@@ -397,12 +400,12 @@ def export_plotdata(cfg: ExperimentConfig, out_base: str | Path,
             rows = _read_csv(rd / f"eval_trace_scen{i}.csv",
                              ("step", "t_min", "y", "u", "event", "eta"))
             dst = pd / f"timeresponse_scen{i}.csv"
-            with open(dst, "w") as fh:
-                fh.write("t_min,y,u,event,eta,meal_mg_min\n")
-                for r in rows:
-                    meal = meal_rate_at(float(r["t_min"]), sc)
-                    fh.write(f"{r['t_min']},{r['y']},{r['u']},{r['event']},"
-                             f"{r['eta']},{meal:.1f}\n")
+            lines = ["t_min,y,u,event,eta,meal_mg_min\n"] + [
+                f"{r['t_min']},{r['y']},{r['u']},{r['event']},{r['eta']},"
+                f"{meal_rate_at(float(r['t_min']), sc):.1f}\n"
+                for r in rows
+            ]
+            write_atomic(dst, lambda fh: fh.writelines(lines))
             out.append(dst)
         hist = rd / "hist.csv"
         if hist.exists():
@@ -410,11 +413,12 @@ def export_plotdata(cfg: ExperimentConfig, out_base: str | Path,
             c_w = CGM_HIST_EDGES[1] - CGM_HIST_EDGES[0]
             e_w = ETA_HIST_EDGES[1] - ETA_HIST_EDGES[0]
             dst = pd / "hist_points.csv"
-            with open(dst, "w") as fh:
-                fh.write("cgm_center,eta_center,count\n")
-                for r in rows:
-                    fh.write(f"{float(r['cgm_lo']) + c_w / 2:.1f},"
-                             f"{float(r['eta_lo']) + e_w / 2:.1f},{r['count']}\n")
+            lines = ["cgm_center,eta_center,count\n"] + [
+                f"{float(r['cgm_lo']) + c_w / 2:.1f},"
+                f"{float(r['eta_lo']) + e_w / 2:.1f},{r['count']}\n"
+                for r in rows
+            ]
+            write_atomic(dst, lambda fh: fh.writelines(lines))
             out.append(dst)
     return out
 

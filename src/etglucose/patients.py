@@ -13,6 +13,7 @@ redrawn, so every shipped patient is controllable by construction.
 from __future__ import annotations
 
 import configparser
+import functools
 import importlib.resources
 import math
 from pathlib import Path
@@ -223,11 +224,20 @@ def load_cohort(path: str | Path) -> list[PatientParams]:
     return cohort
 
 
-def default_cohort() -> list[PatientParams]:
-    """Load the cohort shipped with the package."""
+@functools.cache
+def _packaged_cohort() -> tuple[PatientParams, ...]:
     ref = importlib.resources.files("etglucose").joinpath("data/adults.ini")
     with importlib.resources.as_file(ref) as path:
-        return load_cohort(path)
+        return tuple(load_cohort(path))
+
+
+def default_cohort() -> list[PatientParams]:
+    """The cohort shipped with the package.
+
+    The file is parsed and verified once per process; each call returns a
+    fresh list of the same frozen patients.
+    """
+    return list(_packaged_cohort())
 
 
 def get_patient(name: str, cohort: list[PatientParams] | None = None) -> PatientParams:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,7 @@ class PidGains:
     target: float = TARGET_MGDL
 
 
-@dataclass(frozen=True)
-class PidState:
+class PidState(NamedTuple):
     integral: float = 0.0
     prev_error: float | None = None  # None marks the first call
 
@@ -67,7 +67,7 @@ def pid_output(
     u_raw = gains.kp * error + gains.ki * i_cand + gains.kd * deriv
     u = min(max(u_raw, pump.u_min), pump.u_max)
     integral = i_cand if u_raw == u else state.integral
-    return u, PidState(integral=integral, prev_error=error)
+    return u, PidState(integral, error)
 
 
 def pid_decider(gains: PidGains, dt: float, pump: PumpConfig):
@@ -90,10 +90,15 @@ def run_pid_episode(
     episode_cfg: EpisodeConfig = EpisodeConfig(),
     sensor: SensorConfig = SensorConfig(),
     pump: PumpConfig = PumpConfig(),
+    max_misses: int | None = None,
 ) -> EpisodeRecord:
-    """Roll one evaluation episode under PID control."""
+    """Roll one evaluation episode under PID control.
+
+    max_misses cuts the episode once more CGM values than that have left
+    the target range (see env.rollout).
+    """
     return rollout(ApEnv(patient, episode_cfg, sensor, pump), scenario, noise_rng,
-                   pid_decider(gains, episode_cfg.step_minutes, pump))
+                   pid_decider(gains, episode_cfg.step_minutes, pump), max_misses)
 
 
 def grid_search_pid(
@@ -120,6 +125,14 @@ def grid_search_pid(
     whose bound cannot beat the incumbent, or can only tie it from a later
     grid position, is dropped.
 
+    The bound also reaches inside an episode. TIR divides by the horizon
+    H, so an episode with m out-of-range CGM values scores at most
+    100 * (H - m) / H. Each episode after the screen runs with the largest
+    miss count m that still passes the drop rule with that value in place
+    of 100, and is cut at its (m + 1)-th miss. A TIR at or below
+    100 * (H - m - 1) / H, whether cut or not, fails the rule, so the
+    candidate is dropped and that TIR enters no mean.
+
     A gain whose optimum is the first or last value of a grid with two or
     more values is logged as a warning: the search may be capped by its
     own grid.
@@ -134,31 +147,54 @@ def grid_search_pid(
     candidates = [PidGains(kp=kp, ki=ki, kd=kd)
                   for kp, ki, kd in itertools.product(kp_grid, ki_grid, kd_grid)]
     n = len(scenarios)
+    horizon = episode_cfg.horizon
+    episodes = steps = 0
 
-    def score(gains: PidGains, i: int) -> float:
-        return tir(run_pid_episode(
+    def score(gains: PidGains, i: int, max_misses: int | None = None) -> float:
+        nonlocal episodes, steps
+        rec = run_pid_episode(
             patient, gains, scenarios[i], eval_noise_stream(i),
-            episode_cfg, sensor, pump,
-        ))
+            episode_cfg, sensor, pump, max_misses=max_misses,
+        )
+        episodes += 1
+        steps += rec.T
+        return tir(rec)
+
+    def passes(j: int, bound: float) -> bool:
+        return bound > best_score or (bound == best_score and j < best)
 
     tirs = [[score(gains, 0)] for gains in candidates]
     best, best_score = len(candidates), -np.inf
     for j in sorted(range(len(candidates)), key=lambda j: (-tirs[j][0], j)):
         row = tirs[j]
         for i in range(1, n):
-            bound = float(np.mean(row + [100.0] * (n - i)))
-            if bound < best_score or (bound == best_score and j > best):
+            rest = [100.0] * (n - i - 1)
+
+            def bound(m: int) -> float:
+                return float(np.mean(row + [100.0 * (horizon - m) / horizon] + rest))
+
+            if not passes(j, bound(0)):
                 break
-            row.append(score(candidates[j], i))
+            lo, hi = 0, horizon  # the largest passing miss count is in [lo, hi]
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if passes(j, bound(mid)):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            t = score(candidates[j], i, lo)
+            if t <= 100.0 * (horizon - lo - 1) / horizon:
+                break
+            row.append(t)
         else:
             mean = float(np.mean(row))
-            if mean > best_score or (mean == best_score and j < best):
+            if passes(j, mean):
                 best, best_score = j, mean
     best_gains = candidates[best]
     name = getattr(patient, "name", "?")
-    log.info("grid search for %s: best %s mean TIR %.2f (ran %d of %d episodes)",
-             name, best_gains, best_score, sum(map(len, tirs)),
-             len(candidates) * n)
+    log.info("grid search for %s: best %s mean TIR %.2f "
+             "(ran %d of %d episodes, %d steps)",
+             name, best_gains, best_score, episodes, len(candidates) * n, steps)
     for gain, grid in grids:
         value = getattr(best_gains, gain)
         if len(grid) >= 2 and value in (grid[0], grid[-1]):

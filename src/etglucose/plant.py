@@ -14,7 +14,7 @@ u U/min; d mg/min; CGM output mg/dL; time minutes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -77,6 +77,11 @@ class PatientParams:
     u_basal: float  # basal pump rate [U/min]
     y_basal: float  # basal CGM level [mg/dL]
     basal: PatientState
+    # The parameter tuple _derivs reads, built once from the fields above.
+    coeffs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _coeffs(self))
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,16 @@ class SensorConfig:
 
     phi: float = 0.7  # AR(1) coefficient
     sigma: float = 5.0  # stationary standard deviation [mg/dL]
+    # Standard deviation of the AR(1) innovation, sigma * sqrt(1 - phi^2).
+    innovation: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not abs(self.phi) < 1.0:
+            raise ValueError("phi must lie strictly between -1 and 1")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and non-negative")
+        object.__setattr__(self, "innovation",
+                           self.sigma * math.sqrt(1.0 - self.phi**2))
 
 
 @dataclass(frozen=True)
@@ -94,6 +109,12 @@ class PumpConfig:
     u_min: float = 0.0
     u_max: float = 0.15
 
+    def __post_init__(self):
+        if not 0.0 < self.u_max < math.inf:
+            raise ValueError("u_max must be finite and positive")
+        if not 0.0 <= self.u_min <= self.u_max:
+            raise ValueError("u_min must lie in [0, u_max]")
+
 
 # 1 U of insulin = 6000 pmol.
 PMOL_PER_UNIT = 6000.0
@@ -102,49 +123,51 @@ _new_state = tuple.__new__  # PatientState from a 13-tuple, without _make's chec
 
 
 def _coeffs(p: PatientParams) -> tuple:
-    """The parameter tuple _derivs reads, built once per rhs or rk4_step call.
+    """The parameter tuple _derivs reads, built once per PatientParams.
 
     Only parameter-only subexpressions that Python evaluates before any
     state term are folded in, so every derivative rounds exactly as it
-    would with the parameters written inline.
+    would with the parameters written inline. That includes the unary
+    minus of -k * x, which Python evaluates as (-k) * x.
     """
     return (
-        p.k_gri, p.k_empt, p.k_abs, p.f_abs * p.k_abs, p.bw,
+        -p.k_gri, p.k_gri, p.k_empt, p.k_abs, p.f_abs * p.k_abs, p.bw,
         p.k_p1, p.k_p2, p.k_p3, p.u_ii, p.k_1, p.k_2, p.k_x,
         -(p.m_2 + p.m_4), p.m_1, p.m_2, p.m_1 + p.m_3,
-        p.k_a1, p.k_a2, p.p_2u, p.k_i,
-        -(p.k_d + p.k_a1), p.k_d, p.k_sc,
+        p.k_a1, p.k_a2, -p.p_2u, -p.k_i,
+        -(p.k_d + p.k_a1), p.k_d, -p.k_sc,
     )
 
 
 def _derivs(q_sto1, q_sto2, q_gut, g_p, g_t, i_p, x_remote,
             i_1, i_d, i_l, i_sc1, i_sc2, g_sc, u, d, c):
-    """The plant dynamics, written once; c comes from _coeffs."""
+    """The plant dynamics, written once; c is PatientParams.coeffs."""
     probe = (q_sto1 + q_sto2 + q_gut + g_p + g_t + i_p + x_remote
              + i_1 + i_d + i_l + i_sc1 + i_sc2 + g_sc + u + d)
     if not math.isfinite(probe):
         raise PlantDivergedError("plant-diverged: non-finite state or input")
 
-    (k_gri, k_empt, k_abs, fk_abs, bw, k_p1, k_p2, k_p3, u_ii, k_1, k_2, k_x,
-     neg_m24, m_1, m_2, m_13, k_a1, k_a2, p_2u, k_i, neg_kda1, k_d, k_sc) = c
+    (neg_kgri, k_gri, k_empt, k_abs, fk_abs, bw, k_p1, k_p2, k_p3, u_ii, k_1,
+     k_2, k_x, neg_m24, m_1, m_2, m_13, k_a1, k_a2, neg_p2u, neg_ki, neg_kda1,
+     k_d, neg_ksc) = c
     ra = fk_abs * q_gut / bw
     egp = k_p1 - k_p2 * g_p - k_p3 * i_d
     r_iu = PMOL_PER_UNIT * u / bw
 
     return (
-        -k_gri * q_sto1 + d,
+        neg_kgri * q_sto1 + d,
         k_gri * q_sto1 - k_empt * q_sto2,
         k_empt * q_sto2 - k_abs * q_gut,
         egp + ra - u_ii - k_1 * g_p + k_2 * g_t - k_x * x_remote * g_p,
         k_1 * g_p - k_2 * g_t,
         neg_m24 * i_p + m_1 * i_l + k_a1 * i_sc1 + k_a2 * i_sc2,
-        -p_2u * (x_remote - i_p),
-        -k_i * (i_1 - i_p),
-        -k_i * (i_d - i_1),
+        neg_p2u * (x_remote - i_p),
+        neg_ki * (i_1 - i_p),
+        neg_ki * (i_d - i_1),
         m_2 * i_p - m_13 * i_l,
         neg_kda1 * i_sc1 + r_iu,
         k_d * i_sc1 - k_a2 * i_sc2,
-        -k_sc * (g_sc - g_p),
+        neg_ksc * (g_sc - g_p),
     )
 
 
@@ -155,7 +178,7 @@ def rhs(state: Sequence[float], u: float, d: float, params: PatientParams) -> tu
     [mg/min], both held constant over the evaluation (zero-order hold).
     A thin wrapper over the one derivative routine that rk4_step also uses.
     """
-    return _derivs(*state, u, d, _coeffs(params))
+    return _derivs(*state, u, d, params.coeffs)
 
 
 def rk4_update(f: Callable[[tuple], tuple], x: Sequence[float], dt: float) -> tuple:
@@ -190,7 +213,7 @@ def rk4_step(
     the same finiteness check at every stage, so its result is bit-identical
     to clamping rk4_update(lambda s: rhs(s, u, d, params), state, dt).
     """
-    c = _coeffs(params)
+    c = params.coeffs
     (x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12) = state
     (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12) = _derivs(
         x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, u, d, c)
@@ -246,7 +269,7 @@ def cgm_read(
     normal variate is consumed per read even when sigma = 0, keeping RNG
     stream consumption independent of the noise configuration.
     """
-    w = rng.standard_normal() * (sensor.sigma * math.sqrt(1.0 - sensor.phi**2))
+    w = rng.standard_normal() * sensor.innovation
     noise_next = sensor.phi * noise + w
     y = state.g_sc / params.v_g + noise_next
     return y, noise_next

@@ -16,6 +16,8 @@ included slots one normal per rejection attempt (time) and one normal
 """
 from __future__ import annotations
 
+import functools
+import importlib.resources
 import logging
 import math
 from bisect import bisect_right
@@ -194,10 +196,8 @@ def generate_eval_scenarios(n_days: int = 2) -> list[MealScenario]:
     ]
 
 
-def default_eval_scenarios() -> list[MealScenario]:
-    """Load the evaluation scenarios shipped with the package."""
-    import importlib.resources
-
+@functools.cache
+def _packaged_eval_scenarios() -> tuple[MealScenario, ...]:
     scenarios = []
     for seed in EVAL_SCENARIO_SEEDS:
         ref = importlib.resources.files("etglucose").joinpath(
@@ -205,4 +205,13 @@ def default_eval_scenarios() -> list[MealScenario]:
         )
         with importlib.resources.as_file(ref) as path:
             scenarios.append(load_scenario(path))
-    return scenarios
+    return tuple(scenarios)
+
+
+def default_eval_scenarios() -> list[MealScenario]:
+    """The evaluation scenarios shipped with the package.
+
+    The files are parsed once per process; each call returns a fresh list
+    of the same frozen scenarios.
+    """
+    return list(_packaged_eval_scenarios())

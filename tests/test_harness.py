@@ -163,6 +163,17 @@ class TestConfig:
         ("reward", "eta_e", math.nan), ("reward", "C", math.nan),
         ("reward", "c", math.inf),
         ("trigger", "fixed_eta", math.nan), ("trigger", "fixed_eta", math.inf),
+        ("episode", "ode_dt", 0), ("episode", "ode_dt", -1.0),
+        ("episode", "step_minutes", math.inf),
+        ("episode", "init_spread", -0.1), ("episode", "init_spread", math.nan),
+        ("episode", "init_spread", math.inf),
+        ("sensor", "phi", 1.5), ("sensor", "phi", 1.0), ("sensor", "phi", -1.0),
+        ("sensor", "phi", math.nan), ("sensor", "sigma", -1.0),
+        ("sensor", "sigma", math.inf),
+        ("pump", "u_max", 0.0), ("pump", "u_max", -0.1), ("pump", "u_max", math.nan),
+        ("pump", "u_min", -0.01), ("pump", "u_min", 0.2),
+        ("pid_grid", "kp", [math.nan]), ("pid_grid", "ki", [0.0, -1e-5]),
+        ("pid_grid", "kd", [math.inf]),
     ])
     def test_out_of_range_value_rejected(self, section, key, value):
         raw = tiny_dict("cgmetppo-fixed")
@@ -506,12 +517,19 @@ class TestTrainEval:
         cfg = tiny_cfg("ppo")
         with caplog.at_level("WARNING", logger="etglucose.harness"):
             run_train(cfg, tmp_path)
-        rows = read_rows(run_dir(tmp_path, cfg, 0) / "updates.csv")[1:]
+        rd = run_dir(tmp_path, cfg, 0)
+        rows = read_rows(rd / "updates.csv")[1:]
         assert len(rows) > 4
         assert [i for i, r in enumerate(rows) if r.endswith(",1")] == [1, 3]
+        # ppo updates once per buffer_size decisions, one decision per step
+        steps = np.cumsum([int(r.split(",")[1])
+                           for r in read_rows(rd / "train_log.csv")[1:]])
+        ep = [int(np.searchsorted(steps, 64 * (i + 1))) for i in (1, 3)]
+        assert ep == [0, 1]
         warnings = [r.getMessage() for r in caplog.records
                     if r.name == "etglucose.harness" and r.levelname == "WARNING"]
-        assert warnings == ["ppo/adult#001 seed 0: diverged updates [1, 3]"]
+        assert warnings == ["ppo/adult#001 seed 0: diverged updates "
+                            "1 (episode 0), 3 (episode 1)"]
 
     def test_pid_train_alias(self, tmp_path):
         # run_train on the pid method is tuning
@@ -580,6 +598,28 @@ class TestExportAndMatrix:
         pts = _read_csv(rd / "plotdata" / "hist_points.csv",
                         ("cgm_center", "eta_center", "count"))
         assert all(float(r["cgm_center"]) % 10 == 0 for r in pts)
+
+    @pytest.mark.parametrize("target", ["timeresponse_scen0.csv", "hist_points.csv"])
+    def test_failed_export_write_keeps_previous_file(self, tmp_path, monkeypatch,
+                                                     target):
+        from etglucose.harness import export_plotdata
+
+        cfg = tiny_cfg("cgmetppo-variable", episodes=1)
+        run_train(cfg, tmp_path)
+        run_eval(cfg, tmp_path)
+        export_plotdata(cfg, tmp_path)
+        path = run_dir(tmp_path, cfg, 0) / "plotdata" / target
+        before = path.read_bytes()
+
+        def open_(file, mode="r", *args, **kwargs):
+            fh = builtins.open(file, mode, *args, **kwargs)
+            return HalfWrite(fh) if str(file).endswith(target + ".tmp") else fh
+
+        monkeypatch.setattr(harness, "open", open_, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            export_plotdata(cfg, tmp_path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_export_requires_eval(self, tmp_path):
         cfg = tiny_cfg("ppo", episodes=1)
@@ -651,6 +691,14 @@ class TestCli:
                        "--out-dir", str(tmp_path / "runs")])
         assert rc == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_zero_ode_dt_exit_one(self, tmp_path, capsys):
+        cfg_path = write_yaml(tmp_path / "c.yaml",
+                              tiny_dict("ppo", episode={"ode_dt": 0}))
+        rc = cli.main(["train", "--config", cfg_path,
+                       "--out-dir", str(tmp_path / "runs")])
+        assert rc == 1
+        assert "config error: episode: ode_dt must" in capsys.readouterr().err
 
     def test_missing_config_exit_one(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(tmp_path / "nope.yaml")])

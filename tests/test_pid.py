@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etglucose import pid
-from etglucose.env import EpisodeConfig
-from etglucose.metrics import aurr, ecf, tir
+from etglucose.env import EpisodeConfig, Observation, rollout
+from etglucose.metrics import EpisodeRecord, aurr, ecf, tir
 from etglucose.patients import NOMINAL_ADULT, build_patient
 from etglucose.pid import (
     PidGains,
@@ -46,10 +46,29 @@ def grid(kp_grid, ki_grid, kd_grid):
 
 def counting(calls):
     """Wrap run_pid_episode so each call appends its (gains, scenario)."""
-    def episode(patient, gains, scenario, *args):
+    def episode(patient, gains, scenario, *args, **kwargs):
         calls.append((gains, scenario))
-        return run_pid_episode(patient, gains, scenario, *args)
+        return run_pid_episode(patient, gains, scenario, *args, **kwargs)
     return episode
+
+
+class ScriptedEnv:
+    """Stands in for ApEnv: step h reads 100 mg/dL (in range) if flags[h-1]
+    holds, else 300 mg/dL, and the episode ends after len(flags) steps."""
+
+    def __init__(self, flags, horizon):
+        self.flags = flags
+        self.cfg = EpisodeConfig(horizon=horizon)
+
+    def reset(self, scenario, noise_rng):
+        self.y_trace = [100.0]
+        return Observation(100.0, 0.0)
+
+    def step(self, u, event=False):
+        h = len(self.y_trace)
+        y = 100.0 if self.flags[h - 1] else 300.0
+        self.y_trace.append(y)
+        return Observation(y, u), h == len(self.flags)
 
 
 class TestPidOutput:
@@ -180,6 +199,39 @@ class TestPidEpisode:
         assert recs[0].y_trace == recs[1].y_trace
 
 
+class TestMissCap:
+    @pytest.mark.parametrize("cap", [0, 1, 5, 40])
+    def test_cut_record_is_a_prefix_of_the_full_episode(self, patient, cap):
+        gains, scen = PidGains(kp=0.0001), default_eval_scenarios()[0]
+        full = run_pid_episode(patient, gains, scen, eval_noise_stream(0))
+        cut = run_pid_episode(patient, gains, scen, eval_noise_stream(0),
+                              max_misses=cap)
+        misses = [h for h, y in enumerate(full.y_trace[1:], 1)
+                  if not 70.0 <= y <= 180.0]
+        assert len(misses) > cap
+        assert cut.T == misses[cap] < full.T
+        assert cut.y_trace == full.y_trace[:cut.T + 1]
+        assert cut.update_times == full.update_times[:cut.T] == tuple(range(cut.T))
+        assert tir(cut) == 100.0 * (cut.T - cap - 1) / cut.H
+
+    def test_uncut_episode_is_unchanged(self, patient):
+        gains, scen = PidGains(kp=0.0013, kd=0.01), default_eval_scenarios()[0]
+        full = run_pid_episode(patient, gains, scen, eval_noise_stream(0))
+        capped = run_pid_episode(patient, gains, scen, eval_noise_stream(0),
+                                 max_misses=full.H)
+        assert capped == full
+
+    def test_early_termination_is_not_a_cut(self):
+        env = ScriptedEnv([True, False, True], horizon=6)
+        rec = rollout(env, None, None, lambda obs: (0.0, None), max_misses=1)
+        assert (rec.T, rec.H, tir(rec)) == (3, 6, 100.0 * 2 / 6)
+
+    def test_cap_needs_per_step_decisions(self):
+        env = ScriptedEnv([True] * 4, horizon=4)
+        with pytest.raises(ValueError, match="per-step"):
+            rollout(env, None, None, lambda obs: (0.0, 10.0), max_misses=2)
+
+
 class TestGridSearch:
     def test_grid_of_one_returns_it(self, patient):
         scen = [default_eval_scenarios()[0]]
@@ -272,18 +324,80 @@ class TestGridSearch:
                  for j, gains in enumerate(candidates)}
         calls = []
 
-        def fake_episode(patient, gains, scenario, *args):
+        def fake_episode(patient, gains, scenario, *args, max_misses=None):
+            # 960 steps, the in-range ones first, cut at the cap's next miss
             calls.append((gains, scenario))
-            return gains, scenario
+            hits = round(table[gains][scenario] * 9.6)
+            T = 960 if max_misses is None else min(960, hits + max_misses + 1)
+            y = (100.0,) * (hits + 1) + (300.0,) * (960 - hits)
+            return EpisodeRecord(T=T, H=960, y_trace=y, K=0, update_times=())
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pid, "run_pid_episode", fake_episode)
-            mp.setattr(pid, "tir", lambda rec: table[rec[0]][rec[1]])
             got = grid_search_pid(None, list(range(n)), *grids)
         want = exhaustive(candidates, lambda g, i: table[g][i], n)
         assert got == want
         assert len(calls) == len(set(calls))
         assert {(g, 0) for g in candidates} <= set(calls)
+
+    @given(
+        sizes=st.tuples(*[st.integers(1, 3)] * 3),
+        n=st.integers(1, 4),
+        horizon=st.integers(1, 6),
+        data=st.data(),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_in_episode_bound_matches_exhaustive_oracle(self, sizes, n, horizon,
+                                                        data):
+        # per-step in-range flags; a list shorter than the horizon is an
+        # episode that terminates early
+        grids = [tuple(float(v) for v in range(k)) for k in sizes]
+        candidates = grid(*grids)
+        steps = st.lists(st.booleans(), min_size=1, max_size=horizon)
+        table = {(j, i): data.draw(steps)
+                 for j in range(len(candidates)) for i in range(n)}
+        index = {gains: j for j, gains in enumerate(candidates)}
+        calls = []  # (candidate, scenario, max_misses, record) in call order
+
+        def fake_episode(patient, gains, scenario, *args, max_misses=None):
+            env = ScriptedEnv(table[index[gains], scenario], horizon)
+            rec = rollout(env, scenario, None, lambda obs: (0.0, None), max_misses)
+            calls.append((index[gains], scenario, max_misses, rec))
+            return rec
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pid, "run_pid_episode", fake_episode)
+            got = grid_search_pid(None, list(range(n)), *grids,
+                                  episode_cfg=EpisodeConfig(horizon=horizon))
+        want = exhaustive(
+            candidates, lambda g, i: 100.0 * sum(table[index[g], i]) / horizon, n)
+        assert got == want
+        pairs = [(j, i) for j, i, _, _ in calls]
+        assert len(pairs) == len(set(pairs))
+        screens = [(j, m, rec) for j, i, m, rec in calls if i == 0]
+        assert sorted(j for j, _, _ in screens) == list(range(len(candidates)))
+        assert all(m is None and rec.T == len(table[j, 0]) for j, m, rec in screens)
+        # Replay the log: the incumbent before a call is the best (mean,
+        # earliest) candidate whose n-th episode came earlier.
+        tirs = {}
+        for j, i, m, rec in calls:
+            if i > 0:
+                finished = [(float(np.mean(tirs[k])), -k) for k in tirs
+                            if len(tirs[k]) == n]
+                best_score, neg_best = max(finished, default=(-np.inf, 0))
+
+                def drops(misses):
+                    bound = float(np.mean(
+                        tirs[j] + [100.0 * (horizon - misses) / horizon]
+                        + [100.0] * (n - i - 1)))
+                    return bound < best_score or (bound == best_score and j > -neg_best)
+
+                assert len(tirs[j]) == i and not drops(0)
+                flags = table[j, i]
+                cut = [h for h in range(1, len(flags) + 1)
+                       if drops(flags[:h].count(False))]
+                assert rec.T == (cut[0] if cut else len(flags))
+            tirs.setdefault(j, []).append(tir(rec))
 
     def test_matches_exhaustive_on_the_plant(self, patient, monkeypatch):
         scen = default_eval_scenarios()[:3]
@@ -324,4 +438,4 @@ class TestGridSearch:
         assert len(calls) == 6 + 2
         infos = [r.getMessage() for r in caplog.records
                  if r.levelno == logging.INFO]
-        assert len(infos) == 1 and "ran 8 of 18 episodes" in infos[0]
+        assert len(infos) == 1 and "ran 8 of 18 episodes, 8 steps" in infos[0]

@@ -1,4 +1,5 @@
 """Plant dynamics, integrator, sensor, pump, and cohort tests."""
+import dataclasses
 import hashlib
 import math
 
@@ -18,6 +19,7 @@ from etglucose.patients import (
     save_cohort,
 )
 from etglucose.plant import (
+    PatientParams,
     PatientState,
     PlantDivergedError,
     PumpConfig,
@@ -167,6 +169,49 @@ class TestRk4StepOracle:
         assert outcome(reference_step, p.basal, u, d, p) == "diverged"
 
 
+class TestPerPatientCoefficients:
+    """Each PatientParams carries the coefficient tuple of its own fields."""
+
+    def test_replaced_params_step_with_their_own_coefficients(self):
+        p = COHORT[0]
+        q = dataclasses.replace(p, k_abs=p.k_abs * 1.1)
+        assert q.coeffs != p.coeffs
+        rebuilt = PatientParams(**{f.name: getattr(q, f.name)
+                                   for f in dataclasses.fields(q) if f.init})
+        assert rebuilt.coeffs == q.coeffs
+        state = p.basal._replace(q_sto2=4000.0, q_gut=3000.0)
+        # the gut compartment's derivative, written from the fields
+        assert rhs(state, p.u_basal, 0.0, q)[2] == (
+            q.k_empt * state.q_sto2 - q.k_abs * state.q_gut)
+        assert rhs(state, p.u_basal, 0.0, p)[2] != rhs(state, p.u_basal, 0.0, q)[2]
+        assert hexes(rk4_step(state, p.u_basal, 0.0, 1.0, q)) == hexes(
+            rk4_step(state, p.u_basal, 0.0, 1.0, rebuilt))
+        assert hexes(rk4_step(state, p.u_basal, 0.0, 1.0, q)) != hexes(
+            rk4_step(state, p.u_basal, 0.0, 1.0, p))
+
+    def test_alternating_patients_match_separate_runs(self):
+        a, b = COHORT[0], COHORT[5]
+
+        def inputs(k):
+            return (0.15, 5000.0) if k % 40 < 8 else (0.02, 0.0)
+
+        def alone(p):
+            x, out = p.basal, []
+            for k in range(120):
+                x = rk4_step(x, *inputs(k), 1.0, p)
+                out.append(hexes(x))
+            return out
+
+        xa, xb, ta, tb = a.basal, b.basal, [], []
+        for k in range(120):
+            xa = rk4_step(xa, *inputs(k), 1.0, a)
+            xb = rk4_step(xb, *inputs(k), 1.0, b)
+            ta.append(hexes(xa))
+            tb.append(hexes(xb))
+        assert ta == alone(a) and tb == alone(b)
+        assert ta != tb
+
+
 def outcome(step, state, u, d, params):
     try:
         return hexes(step(state, u, d, 1.0, params))
@@ -314,6 +359,14 @@ class TestCohort:
         for p in cohort:
             d = rhs(p.basal, p.u_basal, 0.0, p)
             assert max(abs(v) for v in d) < 1e-9, p.name
+
+    def test_packaged_cohort_list_is_fresh_per_call(self):
+        first = default_cohort()
+        first.pop()
+        first[0] = None
+        again = default_cohort()
+        assert len(again) == 10 and again[0].name == "adult#001"
+        assert again == COHORT and again is not COHORT
 
     def test_generation_is_deterministic(self):
         a = generate_cohort(n=3)

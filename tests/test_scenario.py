@@ -168,3 +168,10 @@ class TestScenarioFiles:
         assert len(packaged) == len(generated) == 5
         for got, want in zip(packaged, generated):
             assert got.events == want.events
+
+    def test_packaged_eval_scenario_list_is_fresh_per_call(self):
+        first = default_eval_scenarios()
+        want = [sc.events for sc in first]
+        first.reverse()
+        first.append(None)
+        assert [sc.events for sc in default_eval_scenarios()] == want
