@@ -14,7 +14,7 @@ from pathlib import Path
 import yaml
 
 from .cgmetppo import TriggerConfig
-from .env import EpisodeConfig, RewardConfig
+from .env import EpisodeConfig, RewardConfig, is_int
 from .pid import DEFAULT_KD_GRID, DEFAULT_KI_GRID, DEFAULT_KP_GRID
 from .plant import PumpConfig, SensorConfig
 from .ppo import HyperParams
@@ -64,12 +64,18 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
+        if not is_int(self.episodes):
+            raise ValueError("episodes must be an integer")
         if self.episodes < 1:
             raise ValueError("episodes must be positive")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
+        if not all(is_int(s) for s in self.seeds):
+            raise ValueError("seeds must be integers")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be non-negative")
+        if not is_int(self.checkpoint_every):
+            raise ValueError("checkpoint_every must be an integer")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
 

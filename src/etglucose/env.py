@@ -15,6 +15,7 @@ CGM), so the terminal observation itself is never rewarded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -42,6 +43,14 @@ class Observation(NamedTuple):
     u_prev: float  # previously applied pump rate [U/min]
 
 
+_new_obs = tuple.__new__  # Observation from a 2-tuple, without NamedTuple's call
+
+
+def is_int(value) -> bool:
+    """True for an integer that is not a bool (config counts and sizes)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EpisodeConfig:
     horizon: int = 960  # control steps (48 h at 3 min)
@@ -52,6 +61,8 @@ class EpisodeConfig:
     init_spread: float = 0.1  # training reset: sd as fraction of the mean
 
     def __post_init__(self):
+        if not is_int(self.horizon):
+            raise ValueError("horizon must be an integer")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
         if self.hypo_threshold >= self.hyper_threshold:
@@ -143,7 +154,13 @@ class ApEnv:
         self.cfg = episode_cfg
         self.sensor = sensor
         self.pump = pump
+        # Read once here: step runs on these locals, not on cfg.
         self._substeps = episode_cfg.substeps
+        self._dt = episode_cfg.ode_dt
+        self._step_minutes = episode_cfg.step_minutes
+        self._horizon = episode_cfg.horizon
+        self._hypo = episode_cfg.hypo_threshold
+        self._hyper = episode_cfg.hyper_threshold
         self._scenario: MealScenario | None = None
         self._noise_rng: np.random.Generator | None = None
         self._done = True
@@ -216,26 +233,25 @@ class ApEnv:
             raise EpisodeFinishedError("episode-finished: reset before stepping again")
         u_cmd = pump_command(u, self.pump)
         state = self._state
-        cfg = self.cfg
         patient = self.patient
         scenario = self._scenario
         t = self._t
-        dt = cfg.ode_dt
+        dt = self._dt
         for j in range(self._substeps):
             d = meal_rate_at(t + j * dt, scenario)
             state = rk4_step(state, u_cmd, d, dt, patient)
         self._state = state
-        self._t = t + cfg.step_minutes
+        self._t = t + self._step_minutes
         steps = self._steps = self._steps + 1
         y, self._noise = cgm_read(state, patient, self.sensor, self._noise, self._noise_rng)
         self._y = y
         self._u_prev = u_cmd
-        if steps >= cfg.horizon or not (cfg.hypo_threshold < y < cfg.hyper_threshold):
-            self._done = True
+        done = self._done = (steps >= self._horizon
+                             or not (self._hypo < y < self._hyper))
         self.y_trace.append(y)
         self.u_trace.append(u_cmd)
         self.event_trace.append(1 if event else 0)
-        return Observation(y, u_cmd), self._done
+        return _new_obs(Observation, (y, u_cmd)), done
 
 
 class HoldResult(NamedTuple):
@@ -269,17 +285,18 @@ def hold_until_trigger(
         raise ValueError("trigger threshold must be non-negative")
     if not math.isfinite(eta):
         raise ValueError("trigger threshold must be finite")
-    y_start = env.y
+    y_start = y = env.y
     total = 0.0
     disc = 1.0
     tau = 0
     while True:
-        r = reward_fn(env.y, ell + tau)
+        r = reward_fn(y, ell + tau)
         obs, done = env.step(u, event=(ell + tau == 0))
         total += disc * r
         tau += 1
         disc *= gamma
-        if done or abs(env.y - y_start) >= eta:
+        y = obs.y
+        if done or abs(y - y_start) >= eta:
             return HoldResult(total, tau, obs, done)
 
 

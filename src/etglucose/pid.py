@@ -39,6 +39,9 @@ class PidState(NamedTuple):
     prev_error: float | None = None  # None marks the first call
 
 
+_new_pid_state = tuple.__new__  # PidState from a 2-tuple, without NamedTuple's call
+
+
 # U/min per (mg/dL) and friends; chosen so the strongest kp alone maps a
 # +75 mg/dL excursion to the pump ceiling.
 DEFAULT_KP_GRID = (0.0001, 0.0005, 0.0009, 0.0013, 0.0017)
@@ -67,7 +70,7 @@ def pid_output(
     u_raw = gains.kp * error + gains.ki * i_cand + gains.kd * deriv
     u = min(max(u_raw, pump.u_min), pump.u_max)
     integral = i_cand if u_raw == u else state.integral
-    return u, PidState(integral, error)
+    return u, _new_pid_state(PidState, (integral, error))
 
 
 def pid_decider(gains: PidGains, dt: float, pump: PumpConfig):

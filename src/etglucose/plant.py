@@ -13,9 +13,12 @@ u U/min; d mg/min; CGM output mg/dL; time minutes.
 """
 from __future__ import annotations
 
+import linecache
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from math import isfinite
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,7 +80,7 @@ class PatientParams:
     u_basal: float  # basal pump rate [U/min]
     y_basal: float  # basal CGM level [mg/dL]
     basal: PatientState
-    # The parameter tuple _derivs reads, built once from the fields above.
+    # The constants of _COEFFS, built once from the fields above.
     coeffs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -122,53 +125,174 @@ PMOL_PER_UNIT = 6000.0
 _new_state = tuple.__new__  # PatientState from a 13-tuple, without _make's checks
 
 
-def _coeffs(p: PatientParams) -> tuple:
-    """The parameter tuple _derivs reads, built once per PatientParams.
+# The plant model, written once. _coeffs, _derivs and rk4_step are
+# generated from these four tables when the module is imported (see
+# _generated_source), so the scalar step and rhs cannot drift apart.
+#
+# _COEFFS: the per-patient constants the dynamics read, each as an
+# expression of the PatientParams p. Only parameter-only subexpressions
+# that Python evaluates before any state term are folded in, so every
+# derivative rounds exactly as it would with the parameters written
+# inline. That includes the unary minus of -k * x, which Python evaluates
+# as (-k) * x.
+_COEFFS = (
+    ("neg_k_gri", "-p.k_gri"),
+    ("k_gri", "p.k_gri"),
+    ("k_empt", "p.k_empt"),
+    ("k_abs", "p.k_abs"),
+    ("fk_abs", "p.f_abs * p.k_abs"),
+    ("bw", "p.bw"),
+    ("k_p1", "p.k_p1"),
+    ("k_p2", "p.k_p2"),
+    ("k_p3", "p.k_p3"),
+    ("u_ii", "p.u_ii"),
+    ("k_1", "p.k_1"),
+    ("k_2", "p.k_2"),
+    ("k_x", "p.k_x"),
+    ("neg_m_24", "-(p.m_2 + p.m_4)"),
+    ("m_1", "p.m_1"),
+    ("m_2", "p.m_2"),
+    ("m_13", "p.m_1 + p.m_3"),
+    ("k_a1", "p.k_a1"),
+    ("k_a2", "p.k_a2"),
+    ("neg_p_2u", "-p.p_2u"),
+    ("neg_k_i", "-p.k_i"),
+    ("neg_k_da1", "-(p.k_d + p.k_a1)"),
+    ("k_d", "p.k_d"),
+    ("neg_k_sc", "-p.k_sc"),
+)
+# Terms of the inputs alone, the same at every RK4 stage: the pump rate as
+# an insulin flux into the first subcutaneous depot [pmol/kg/min].
+_INPUT_TERMS = (
+    ("r_iu", "PMOL_PER_UNIT * u / bw"),
+)
+# Subexpressions of the state that several derivatives share.
+_SHARED_TERMS = (
+    ("ra", "fk_abs * q_gut / bw"),  # glucose appearance from the gut
+    ("egp", "k_p1 - k_p2 * g_p - k_p3 * i_d"),  # endogenous production
+)
+# d/dt of each compartment, in PatientState order.
+_DYNAMICS = (
+    ("q_sto1", "neg_k_gri * q_sto1 + d"),
+    ("q_sto2", "k_gri * q_sto1 - k_empt * q_sto2"),
+    ("q_gut", "k_empt * q_sto2 - k_abs * q_gut"),
+    ("g_p", "egp + ra - u_ii - k_1 * g_p + k_2 * g_t - k_x * x_remote * g_p"),
+    ("g_t", "k_1 * g_p - k_2 * g_t"),
+    ("i_p", "neg_m_24 * i_p + m_1 * i_l + k_a1 * i_sc1 + k_a2 * i_sc2"),
+    ("x_remote", "neg_p_2u * (x_remote - i_p)"),
+    ("i_1", "neg_k_i * (i_1 - i_p)"),
+    ("i_d", "neg_k_i * (i_d - i_1)"),
+    ("i_l", "m_2 * i_p - m_13 * i_l"),
+    ("i_sc1", "neg_k_da1 * i_sc1 + r_iu"),
+    ("i_sc2", "k_d * i_sc1 - k_a2 * i_sc2"),
+    ("g_sc", "neg_k_sc * (g_sc - g_p)"),
+)
 
-    Only parameter-only subexpressions that Python evaluates before any
-    state term are folded in, so every derivative rounds exactly as it
-    would with the parameters written inline. That includes the unary
-    minus of -k * x, which Python evaluates as (-k) * x.
+_RK4_STEP_DOC = """Advance the plant by dt minutes under constant (u, d).
+
+    Compartments are clamped to be non-negative after the step; the clamp
+    guards against integrator overshoot near zero, not against instability.
+
+    Classical fourth-order Runge-Kutta with its four stages unrolled over
+    the 13 compartments, generated from plant._DYNAMICS. Each stage runs
+    the same finiteness check and the same operations in the same order as
+    a call of rhs, and the stages combine as the textbook update
+    x + dt/6 * (k1 + 2 * (k2 + k3) + k4), so the result is bit-identical
+    to the generic integrator over rhs followed by the clamp.
     """
-    return (
-        -p.k_gri, p.k_gri, p.k_empt, p.k_abs, p.f_abs * p.k_abs, p.bw,
-        p.k_p1, p.k_p2, p.k_p3, p.u_ii, p.k_1, p.k_2, p.k_x,
-        -(p.m_2 + p.m_4), p.m_1, p.m_2, p.m_1 + p.m_3,
-        p.k_a1, p.k_a2, -p.p_2u, -p.k_i,
-        -(p.k_d + p.k_a1), p.k_d, -p.k_sc,
-    )
+_GENERATED_FILE = "<etglucose.plant: generated from _DYNAMICS>"
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
-def _derivs(q_sto1, q_sto2, q_gut, g_p, g_t, i_p, x_remote,
-            i_1, i_d, i_l, i_sc1, i_sc2, g_sc, u, d, c):
-    """The plant dynamics, written once; c is PatientParams.coeffs."""
-    probe = (q_sto1 + q_sto2 + q_gut + g_p + g_t + i_p + x_remote
-             + i_1 + i_d + i_l + i_sc1 + i_sc2 + g_sc + u + d)
-    if not math.isfinite(probe):
-        raise PlantDivergedError("plant-diverged: non-finite state or input")
+def _generated_source() -> str:
+    """Python source of _coeffs, _derivs and rk4_step, built from the tables."""
+    fields = tuple(name for name, _ in _DYNAMICS)
+    if fields != PatientState._fields:
+        raise RuntimeError("_DYNAMICS must list the PatientState fields in order")
+    unpack_coeffs = f"({', '.join(name for name, _ in _COEFFS)})"
 
-    (neg_kgri, k_gri, k_empt, k_abs, fk_abs, bw, k_p1, k_p2, k_p3, u_ii, k_1,
-     k_2, k_x, neg_m24, m_1, m_2, m_13, k_a1, k_a2, neg_p2u, neg_ki, neg_kda1,
-     k_d, neg_ksc) = c
-    ra = fk_abs * q_gut / bw
-    egp = k_p1 - k_p2 * g_p - k_p3 * i_d
-    r_iu = PMOL_PER_UNIT * u / bw
+    def evaluate(x: dict, k: str, first: bool) -> list[str]:
+        """One evaluation of the dynamics at the state named by x.
 
-    return (
-        neg_kgri * q_sto1 + d,
-        k_gri * q_sto1 - k_empt * q_sto2,
-        k_empt * q_sto2 - k_abs * q_gut,
-        egp + ra - u_ii - k_1 * g_p + k_2 * g_t - k_x * x_remote * g_p,
-        k_1 * g_p - k_2 * g_t,
-        neg_m24 * i_p + m_1 * i_l + k_a1 * i_sc1 + k_a2 * i_sc2,
-        neg_p2u * (x_remote - i_p),
-        neg_ki * (i_1 - i_p),
-        neg_ki * (i_d - i_1),
-        m_2 * i_p - m_13 * i_l,
-        neg_kda1 * i_sc1 + r_iu,
-        k_d * i_sc1 - k_a2 * i_sc2,
-        neg_ksc * (g_sc - g_p),
-    )
+        The probe sums every state and input, so any non-finite value, or
+        an overflow of the sum, stops the step before it is used.
+        """
+        def at(expr):
+            return _IDENTIFIER.sub(lambda m: x.get(m[0], m[0]), expr)
+
+        probe = " + ".join(x[f] for f in fields)
+        return [
+            f"if not isfinite({probe} + u + d):",
+            '    raise PlantDivergedError("plant-diverged: non-finite state or input")',
+            *([f"{name} = {expr}" for name, expr in _INPUT_TERMS] if first else []),
+            *[f"{name} = {at(expr)}" for name, expr in _SHARED_TERMS],
+            *[f"{k}{f} = {at(expr)}" for f, expr in _DYNAMICS],
+        ]
+
+    def body(lines):
+        return [f"    {line}" for line in lines]
+
+    plain = {f: f for f in fields}
+    src = [
+        "def _coeffs(p):",
+        '    """The constants of _COEFFS for one PatientParams, in table order."""',
+        "    return (",
+        *[f"        {expr},  # {name}" for name, expr in _COEFFS],
+        "    )",
+        "",
+        "",
+        f"def _derivs({', '.join(fields)}, u, d, c):",
+        '    """The time derivative of the state; c is PatientParams.coeffs."""',
+        f"    {unpack_coeffs} = c",
+        *body(evaluate(plain, "f_", True)),
+        f"    return ({', '.join(f'f_{f}' for f in fields)})",
+        "",
+        "",
+        "def rk4_step(state, u, d, dt, params):",
+        f'    """{_RK4_STEP_DOC}"""',
+        f"    {unpack_coeffs} = params.coeffs",
+        f"    ({', '.join(fields)}) = state",
+        "    # k1 = f(x)",
+        *body(evaluate(plain, "k1_", True)),
+        "    h = 0.5 * dt",
+    ]
+    for stage, step in ((2, "h"), (3, "h"), (4, "dt")):
+        x = {f: f"s{stage}_{f}" for f in fields}
+        src += [
+            f"    # k{stage} = f(x + {step} * k{stage - 1})",
+            *[f"    {x[f]} = {f} + {step} * k{stage - 1}_{f}" for f in fields],
+            *body(evaluate(x, f"k{stage}_", False)),
+        ]
+    src += [
+        "    sixth = dt / 6.0",
+        *[f"    n_{f} = {f} + sixth * (k1_{f} + 2.0 * (k2_{f} + k3_{f}) + k4_{f})"
+          for f in fields],
+        "    return _new_state(PatientState, (",
+        *[f"        n_{f} if n_{f} > 0.0 else 0.0," for f in fields],
+        "    ))",
+    ]
+    return "\n".join(src) + "\n"
+
+
+def _compile_generated() -> dict:
+    """Compile the generated functions against this module's globals.
+
+    The source is registered in linecache under _GENERATED_FILE, so
+    tracebacks, inspect.getsource and profilers show its lines.
+    """
+    src = _generated_source()
+    linecache.cache[_GENERATED_FILE] = (
+        len(src), None, src.splitlines(True), _GENERATED_FILE)
+    namespace: dict = {}
+    exec(compile(src, _GENERATED_FILE, "exec"), globals(), namespace)
+    return namespace
+
+
+_generated = _compile_generated()
+_coeffs = _generated["_coeffs"]
+_derivs = _generated["_derivs"]
+rk4_step = _generated["rk4_step"]
+del _generated
 
 
 def rhs(state: Sequence[float], u: float, d: float, params: PatientParams) -> tuple:
@@ -176,83 +300,9 @@ def rhs(state: Sequence[float], u: float, d: float, params: PatientParams) -> tu
 
     u is the pump rate [U/min] and d the carbohydrate delivery rate
     [mg/min], both held constant over the evaluation (zero-order hold).
-    A thin wrapper over the one derivative routine that rk4_step also uses.
+    A thin wrapper over _derivs, generated from the same table as rk4_step.
     """
     return _derivs(*state, u, d, params.coeffs)
-
-
-def rk4_update(f: Callable[[tuple], tuple], x: Sequence[float], dt: float) -> tuple:
-    """One classical fourth-order Runge-Kutta step of x' = f(x).
-
-    Works on plain tuples of floats so it can integrate any small system,
-    not just the plant. It is the generic reference integrator; the plant
-    itself is stepped by rk4_step.
-    """
-    k1 = f(tuple(x))
-    h = 0.5 * dt
-    k2 = f(tuple(xi + h * ki for xi, ki in zip(x, k1)))
-    k3 = f(tuple(xi + h * ki for xi, ki in zip(x, k2)))
-    k4 = f(tuple(xi + dt * ki for xi, ki in zip(x, k3)))
-    s = dt / 6.0
-    return tuple(
-        xi + s * (a + 2.0 * (b + c) + e)
-        for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
-    )
-
-
-def rk4_step(
-    state: PatientState, u: float, d: float, dt: float, params: PatientParams
-) -> PatientState:
-    """Advance the plant by dt minutes under constant (u, d).
-
-    Compartments are clamped to be non-negative after the step; the clamp
-    guards against integrator overshoot near zero, not against instability.
-
-    The step is rk4_update over rhs, unrolled over the 13 compartments:
-    the same derivative routine, the same operations in the same order and
-    the same finiteness check at every stage, so its result is bit-identical
-    to clamping rk4_update(lambda s: rhs(s, u, d, params), state, dt).
-    """
-    c = params.coeffs
-    (x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12) = state
-    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12) = _derivs(
-        x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, u, d, c)
-    h = 0.5 * dt
-    (b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12) = _derivs(
-        x0 + h * a0, x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4,
-        x5 + h * a5, x6 + h * a6, x7 + h * a7, x8 + h * a8, x9 + h * a9,
-        x10 + h * a10, x11 + h * a11, x12 + h * a12, u, d, c)
-    (c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12) = _derivs(
-        x0 + h * b0, x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4,
-        x5 + h * b5, x6 + h * b6, x7 + h * b7, x8 + h * b8, x9 + h * b9,
-        x10 + h * b10, x11 + h * b11, x12 + h * b12, u, d, c)
-    (e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12) = _derivs(
-        x0 + dt * c0, x1 + dt * c1, x2 + dt * c2, x3 + dt * c3, x4 + dt * c4,
-        x5 + dt * c5, x6 + dt * c6, x7 + dt * c7, x8 + dt * c8, x9 + dt * c9,
-        x10 + dt * c10, x11 + dt * c11, x12 + dt * c12, u, d, c)
-    s = dt / 6.0
-    v0 = x0 + s * (a0 + 2.0 * (b0 + c0) + e0)
-    v1 = x1 + s * (a1 + 2.0 * (b1 + c1) + e1)
-    v2 = x2 + s * (a2 + 2.0 * (b2 + c2) + e2)
-    v3 = x3 + s * (a3 + 2.0 * (b3 + c3) + e3)
-    v4 = x4 + s * (a4 + 2.0 * (b4 + c4) + e4)
-    v5 = x5 + s * (a5 + 2.0 * (b5 + c5) + e5)
-    v6 = x6 + s * (a6 + 2.0 * (b6 + c6) + e6)
-    v7 = x7 + s * (a7 + 2.0 * (b7 + c7) + e7)
-    v8 = x8 + s * (a8 + 2.0 * (b8 + c8) + e8)
-    v9 = x9 + s * (a9 + 2.0 * (b9 + c9) + e9)
-    v10 = x10 + s * (a10 + 2.0 * (b10 + c10) + e10)
-    v11 = x11 + s * (a11 + 2.0 * (b11 + c11) + e11)
-    v12 = x12 + s * (a12 + 2.0 * (b12 + c12) + e12)
-    return _new_state(PatientState, (
-        v0 if v0 > 0.0 else 0.0, v1 if v1 > 0.0 else 0.0,
-        v2 if v2 > 0.0 else 0.0, v3 if v3 > 0.0 else 0.0,
-        v4 if v4 > 0.0 else 0.0, v5 if v5 > 0.0 else 0.0,
-        v6 if v6 > 0.0 else 0.0, v7 if v7 > 0.0 else 0.0,
-        v8 if v8 > 0.0 else 0.0, v9 if v9 > 0.0 else 0.0,
-        v10 if v10 > 0.0 else 0.0, v11 if v11 > 0.0 else 0.0,
-        v12 if v12 > 0.0 else 0.0,
-    ))
 
 
 def cgm_read(

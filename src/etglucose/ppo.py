@@ -30,6 +30,7 @@ from .env import (
     Observation,
     RewardConfig,
     hold_until_trigger,
+    is_int,
     obs_vec,
     reward_r1,
 )
@@ -73,6 +74,8 @@ class HyperParams:
         if not 0.0 < self.lr < math.inf:
             raise ValueError("lr must be positive and finite")
         for name in ("buffer_size", "epochs", "minibatch"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
 

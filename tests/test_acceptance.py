@@ -24,7 +24,7 @@ from etglucose.metrics import EpisodeRecord, aurr, ecf, tir
 from etglucose.neural import GaussianPolicy, HetPolicy
 from etglucose.patients import default_cohort
 from etglucose.pid import grid_search_pid
-from etglucose.plant import rk4_step, rk4_update
+from etglucose.plant import rk4_step
 from etglucose.ppo import (
     HyperParams,
     PpoTrainer,
@@ -32,6 +32,7 @@ from etglucose.ppo import (
     gaussian_policy_grads,
 )
 from per_step_oracle import PerStepPpo
+from test_plant import rk4_update  # the generic integrator rk4_step unrolls
 from etglucose.scenario import (
     DEFAULT_MEAL_SPECS,
     MealSpec,

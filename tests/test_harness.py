@@ -181,6 +181,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{section}: {key} must"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("value", [20.5, True, 64.0, "64"])
+    @pytest.mark.parametrize("section,key", [
+        ("episode", "horizon"), ("hyper", "buffer_size"),
+        ("hyper", "minibatch"), ("hyper", "epochs"),
+        (None, "episodes"), (None, "checkpoint_every"), (None, "seeds"),
+    ])
+    def test_non_integer_count_rejected(self, section, key, value):
+        raw = tiny_dict("cgmetppo-fixed")
+        if key == "seeds":
+            value = [0, value]
+        if section is None:
+            raw[key] = value
+        else:
+            raw.setdefault(section, {})[key] = value
+        where = section or "config"
+        with pytest.raises(ConfigError, match=f"^{where}: {key} must be (an )?integers?$"):
+            config_from_dict(raw)
+
+    def test_integer_counts_accepted(self):
+        raw = tiny_dict("cgmetppo-fixed", episodes=np.int64(3),
+                        checkpoint_every=1, seeds=[0, np.int64(2)])
+        raw["episode"]["horizon"] = np.int32(240)
+        cfg = config_from_dict(raw)
+        assert (cfg.episodes, cfg.episode.horizon, cfg.seeds) == (3, 240, (0, 2))
+
+
     def test_trigger_scheme_key_rejected(self):
         # the scheme follows from the method; the key used to be overwritten
         raw = tiny_dict("cgmetppo-fixed", trigger={"scheme": "variable"})
@@ -699,6 +725,16 @@ class TestCli:
                        "--out-dir", str(tmp_path / "runs")])
         assert rc == 1
         assert "config error: episode: ode_dt must" in capsys.readouterr().err
+
+    def test_fractional_horizon_exit_one(self, tmp_path, capsys):
+        # used to pass validation and fail in the first episode with exit 2
+        cfg_path = write_yaml(tmp_path / "c.yaml",
+                              tiny_dict("pid", episode={"horizon": 20.5}))
+        rc = cli.main(["tune-pid", "--config", cfg_path,
+                       "--out-dir", str(tmp_path / "runs")])
+        assert rc == 1
+        assert ("config error: episode: horizon must be an integer"
+                in capsys.readouterr().err)
 
     def test_missing_config_exit_one(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(tmp_path / "nope.yaml")])

@@ -1,13 +1,16 @@
 """Plant dynamics, integrator, sensor, pump, and cohort tests."""
 import dataclasses
 import hashlib
+import inspect
 import math
+import traceback
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etglucose import plant
 from etglucose.cgmetppo import CgmEtppoTrainer
 from etglucose.patients import (
     NOMINAL_ADULT,
@@ -28,7 +31,6 @@ from etglucose.plant import (
     pump_command,
     rhs,
     rk4_step,
-    rk4_update,
 )
 from etglucose.pid import PidGains, run_pid_episode
 from etglucose.scenario import default_eval_scenarios
@@ -114,6 +116,25 @@ class TestRk4:
         assert all(v >= 0.0 for v in out)
 
 
+def rk4_update(f, x, dt):
+    """One classical fourth-order Runge-Kutta step of x' = f(x).
+
+    Works on plain tuples of floats so it can integrate any small system,
+    not just the plant. It is the generic reference integrator that the
+    unrolled rk4_step must match bit for bit.
+    """
+    k1 = f(tuple(x))
+    h = 0.5 * dt
+    k2 = f(tuple(xi + h * ki for xi, ki in zip(x, k1)))
+    k3 = f(tuple(xi + h * ki for xi, ki in zip(x, k2)))
+    k4 = f(tuple(xi + dt * ki for xi, ki in zip(x, k3)))
+    s = dt / 6.0
+    return tuple(
+        xi + s * (a + 2.0 * (b + c) + e)
+        for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
+    )
+
+
 def reference_step(state, u, d, dt, params):
     """The plant step spelled out with the generic integrator."""
     nxt = rk4_update(lambda s: rhs(s, u, d, params), state, dt)
@@ -131,9 +152,9 @@ class TestRk4StepOracle:
         p=st.sampled_from(COHORT),
         xs=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=13,
                     max_size=13),
-        u=st.floats(min_value=0.0, max_value=0.15),
-        d=st.sampled_from([0.0, 5000.0]),
-        dt=st.sampled_from([1.0, 0.5]),
+        u=st.floats(min_value=0.0, max_value=1.0),
+        d=st.floats(min_value=0.0, max_value=1e4),
+        dt=st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]),
     )
     @settings(max_examples=300, deadline=None)
     def test_random_states_match_reference(self, p, xs, u, d, dt):
@@ -167,6 +188,36 @@ class TestRk4StepOracle:
         u, d = (bad, 0.0) if which == "u" else (p.u_basal, bad)
         assert outcome(rk4_step, p.basal, u, d, p) == "diverged"
         assert outcome(reference_step, p.basal, u, d, p) == "diverged"
+
+
+class TestGeneratedSource:
+    """The generated step and rhs show their lines like written code."""
+
+    def test_diverging_step_traceback_shows_generated_lines(self):
+        p = COHORT[0]
+        # finite at the first stage; k_x * x_remote * g_p overflows, so the
+        # second stage's probe fails
+        state = p.basal._replace(g_p=1e200, x_remote=1e200)
+        with pytest.raises(PlantDivergedError) as info:
+            rk4_step(state, p.u_basal, 0.0, 1.0, p)
+        frame = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert frame.name == "rk4_step"
+        assert frame.filename == plant._GENERATED_FILE
+        assert frame.line == (
+            'raise PlantDivergedError("plant-diverged: non-finite state or input")')
+        lines = inspect.getsource(rk4_step).splitlines()
+        probe = lines[frame.lineno - rk4_step.__code__.co_firstlineno - 1]
+        assert probe.strip().startswith("if not isfinite(s2_q_sto1 + s2_q_sto2")
+
+    def test_getsource_shows_every_derivative_of_the_table(self):
+        step = inspect.getsource(rk4_step)
+        derivs = inspect.getsource(plant._derivs)
+        for name, expr in plant._DYNAMICS:
+            assert f"    k1_{name} = {expr}\n" in step
+            assert f"    f_{name} = {expr}\n" in derivs
+        assert step.count("raise PlantDivergedError") == 4
+        assert step.count("r_iu = PMOL_PER_UNIT * u / bw") == 1
+        assert step.count("= params.coeffs") == 1
 
 
 class TestPerPatientCoefficients:
