@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 import traceback
@@ -48,9 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seeds(args) -> tuple[int, ...] | None:
-    seed = getattr(args, "seed", None)
-    return None if seed is None else (seed,)
+def _with_seed(cfg, seed: int | None):
+    """cfg with its seed list replaced by --seed, checked like the list."""
+    try:
+        return cfg if seed is None else dataclasses.replace(cfg, seeds=(seed,))
+    except ValueError as exc:
+        raise ConfigError(f"--seed: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -65,19 +69,19 @@ def main(argv=None) -> int:
             path = harness.run_matrix(matrix, args.out_dir)
             print(path)
             return 0
-        cfg = load_config(args.config)
+        cfg = _with_seed(load_config(args.config), getattr(args, "seed", None))
         if args.command == "train":
-            for rd in harness.run_train(cfg, args.out_dir, _seeds(args)):
+            for rd in harness.run_train(cfg, args.out_dir):
                 print(rd)
         elif args.command == "eval":
-            for path in harness.run_eval(cfg, args.out_dir, _seeds(args)):
+            for path in harness.run_eval(cfg, args.out_dir):
                 print(path)
         elif args.command == "tune-pid":
             gains, score = harness.tune_pid(cfg, args.out_dir)
             print(f"kp={gains.kp} ki={gains.ki} kd={gains.kd} "
                   f"target={gains.target} mean_tir={score:.2f}")
         elif args.command == "export-plots":
-            for path in harness.export_plotdata(cfg, args.out_dir, _seeds(args)):
+            for path in harness.export_plotdata(cfg, args.out_dir):
                 print(path)
         return 0
     except ConfigError as exc:

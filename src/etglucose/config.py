@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be integers")
         if any(s < 0 for s in self.seeds):
             raise ValueError("seeds must be non-negative")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be distinct")
         if not is_int(self.checkpoint_every):
             raise ValueError("checkpoint_every must be an integer")
         if self.checkpoint_every < 0:
@@ -94,6 +96,11 @@ class MatrixConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r} in matrix")
+        if not all(isinstance(p, str) for p in self.patients):
+            raise ValueError("matrix patients must be patient names")
+        for name in ("methods", "patients"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"matrix {name} must be distinct")
 
     def configs(self) -> list[ExperimentConfig]:
         out = []
@@ -114,8 +121,6 @@ _NESTED = {
     "pump": PumpConfig,
     "pid_grid": PidGrid,
 }
-
-_LIST_FIELDS = ("seeds",)  # top-level sequences converted to tuples
 
 
 def _build(cls, mapping: dict, context: str):

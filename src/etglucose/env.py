@@ -220,9 +220,6 @@ class ApEnv:
     def done(self) -> bool:
         return self._done
 
-    def observation(self) -> Observation:
-        return Observation(self._y, self._u_prev)
-
     def step(self, u: float, event: bool = False) -> tuple[Observation, bool]:
         """Apply u for one control period; returns (observation, done).
 

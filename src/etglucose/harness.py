@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .cgmetppo import CgmEtppoTrainer
+from .cgmetppo import CgmEtppoTrainer, FixedCgmEtppoTrainer
 from .config import ConfigError, ExperimentConfig, MatrixConfig
 from .env import ApEnv, rollout
 from .hetppo import HetppoTrainer, PinnedHetppoTrainer
@@ -108,11 +108,8 @@ def build_trainer(cfg: ExperimentConfig, patient, seed: int):
     if cfg.method == "hetppo":
         cls = PinnedHetppoTrainer if cfg.pin_events else HetppoTrainer
         return cls(patient, rngs, **common)
-    scheme = "fixed" if cfg.method == "cgmetppo-fixed" else "variable"
-    trigger = dataclasses.replace(cfg.trigger, scheme=scheme)
-    return CgmEtppoTrainer(
-        patient, rngs, trigger=trigger, r1_only=cfg.r1_only, **common
-    )
+    cls = FixedCgmEtppoTrainer if cfg.method == "cgmetppo-fixed" else CgmEtppoTrainer
+    return cls(patient, rngs, trigger=cfg.trigger, r1_only=cfg.r1_only, **common)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +190,10 @@ def roll_hetppo(patient, policy: HetPolicy, scenario, noise_rng,
 
 
 def roll_cgmetppo(patient, policy: GaussianPolicy, scenario, noise_rng,
-                  cfg: ExperimentConfig, scheme: str):
-    threshold = dataclasses.replace(cfg.trigger, scheme=scheme).threshold
+                  cfg: ExperimentConfig):
     return _roll(patient, scenario, noise_rng, cfg,
-                 lambda obs: greedy_decide(policy, obs, cfg.pump, threshold))
+                 lambda obs: greedy_decide(policy, obs, cfg.pump,
+                                           cfg.trigger.threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -298,21 +295,18 @@ def eval_records(cfg: ExperimentConfig, patient, rd: Path):
         path = rd / "checkpoint.npz"
         if not path.exists():
             raise FileNotFoundError(f"no checkpoint at {path}; train first")
-        method, policy, _vnet, pin = load_policy(path)
+        method, policy, _vnet, _pin = load_policy(path)
         if method != cfg.method:
             raise ValueError(
                 f"checkpoint method {method!r} does not match config "
                 f"method {cfg.method!r}"
             )
-        if cfg.method == "hetppo" and not pin:
+        if isinstance(policy, HetPolicy):
             roll = lambda sc, rng: roll_hetppo(patient, policy, sc, rng, cfg)
         elif cfg.method in ("ppo", "hetppo"):
             roll = lambda sc, rng: roll_ppo(patient, policy, sc, rng, cfg)
         else:
-            scheme = "fixed" if cfg.method == "cgmetppo-fixed" else "variable"
-            roll = lambda sc, rng: roll_cgmetppo(
-                patient, policy, sc, rng, cfg, scheme
-            )
+            roll = lambda sc, rng: roll_cgmetppo(patient, policy, sc, rng, cfg)
     out = []
     for i, sc in enumerate(scenarios):
         out.append(roll(sc, eval_noise_stream(i)))

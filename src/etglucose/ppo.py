@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -120,20 +120,6 @@ def compute_gae(
     """Per-step GAE: smdp_gae with every tau = 1 (gamma ** 1 is gamma)."""
     tau = np.ones(len(rewards), dtype=np.int64)
     return smdp_gae(rewards, tau, values, dones, gamma, lam)
-
-
-def clipped_surrogate(
-    logp_new: np.ndarray, logp_old: np.ndarray, adv: np.ndarray, clip_eps: float
-) -> float:
-    """Batch mean of min(ratio * A, clip(ratio) * A)."""
-    ratio = np.exp(logp_new - logp_old)
-    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
-    return float(np.minimum(ratio * adv, clipped * adv).mean())
-
-
-def value_loss(values_pred: np.ndarray, return_targets: np.ndarray) -> float:
-    diff = np.asarray(values_pred, dtype=float) - np.asarray(return_targets, dtype=float)
-    return float((diff * diff).mean())
 
 
 def values_with_bootstrap(
@@ -355,15 +341,6 @@ class EpisodeStats:
     aurr: float
 
 
-@dataclass
-class UpdateSnapshot:
-    """Debug capture of one update, for equivalence and regression tests."""
-
-    advantages: np.ndarray
-    stats: UpdateStats
-    params: list[np.ndarray] = field(default_factory=list)
-
-
 def squash_rate(a_raw: float, pump: PumpConfig) -> float:
     """Raw insulin action in normalized space -> pump rate [U/min]."""
     return float(np.clip(a_raw, 0.0, 1.0)) * pump.u_max
@@ -397,11 +374,13 @@ class Trainer:
     threshold 0 and the in-range reward R1, make every hold one step long
     and every decision an update: that is plain per-step PPO. Subclasses
     override new_policy, action_to_rate_eta or sample_decision, and
-    step_reward. Each trainer class's run_episode is one call to this loop
-    and none calls another's, so a wrapper on each sees every episode once.
+    step_reward. PpoTrainer, HetppoTrainer and CgmEtppoTrainer each define
+    run_episode as one call to this loop, and their subclasses inherit it,
+    so a wrapper on those three sees every episode once.
     """
 
     method = ""
+    n_act = 1  # Gaussian policy outputs: the rate, then any threshold
 
     def __init__(
         self,
@@ -412,15 +391,11 @@ class Trainer:
         reward_cfg: RewardConfig = RewardConfig(),
         sensor: SensorConfig = SensorConfig(),
         pump: PumpConfig = PumpConfig(),
-        meal_specs=DEFAULT_MEAL_SPECS,
-        record_updates: bool = False,
     ):
-        self.patient = patient
         self.rngs = rngs
         self.hyper = hyper
         self.reward_cfg = reward_cfg
         self.pump = pump
-        self.meal_specs = meal_specs
         self.env = ApEnv(patient, episode_cfg, sensor, pump)
         # Net creation order (actor, then critic, both from the net-init
         # stream) is part of the seeding contract.
@@ -429,15 +404,13 @@ class Trainer:
         self.opt_policy = OptimizerState(lr=hyper.lr)
         self.opt_value = OptimizerState(lr=hyper.lr)
         self.buffer = SmdpBuffer(hyper.buffer_size)
-        self.record_updates = record_updates
         self.updates: list[UpdateStats] = []
-        self.snapshots: list[UpdateSnapshot] = []
         self.n_days = max(
             1, math.ceil(episode_cfg.horizon * episode_cfg.step_minutes / 1440.0)
         )
 
     def new_policy(self, rng: np.random.Generator):
-        return GaussianPolicy.create(2, 1, rng)
+        return GaussianPolicy.create(2, self.n_act, rng)
 
     def action_to_rate_eta(self, a_raw: np.ndarray) -> tuple[float, float]:
         """Raw action sample -> (pump rate, trigger threshold)."""
@@ -452,32 +425,19 @@ class Trainer:
         """Reward of a step from CGM y, ell steps after the last update."""
         return reward_r1(y, self.reward_cfg)
 
-    def greedy_decide(self, obs: Observation):
-        """This trainer's greedy evaluation decision (see greedy_decide)."""
-        return greedy_decide(self.policy, obs, self.pump)
-
-    def train(self, episodes: int) -> list[EpisodeStats]:
-        return [self.run_episode(i) for i in range(episodes)]
-
     def _maybe_update(self, policy_grads_fn=gaussian_policy_grads) -> None:
         if not self.buffer.full:
             return
-        stats, adv = smdp_update(
+        stats, _ = smdp_update(
             self.buffer, self.policy, self.vnet, self.opt_policy,
             self.opt_value, self.hyper, self.rngs.shuffle, policy_grads_fn,
         )
         self.updates.append(stats)
-        if self.record_updates:
-            self.snapshots.append(UpdateSnapshot(
-                advantages=adv,
-                stats=stats,
-                params=[p.copy() for p in self.policy.params() + self.vnet.params()],
-            ))
         self.buffer.clear()
 
     def _reset(self) -> Observation:
         scenario = generate_episode_scenario(
-            self.meal_specs, self.rngs.scenario, self.n_days
+            DEFAULT_MEAL_SPECS, self.rngs.scenario, self.n_days
         )
         return self.env.reset(scenario, self.rngs.plant_noise,
                               self.rngs.init_state, training=True)

@@ -158,14 +158,6 @@ def generate_episode_scenario(
     return MealScenario(tuple(events))
 
 
-def save_scenario(scenario: MealScenario, path: str | Path) -> None:
-    """Write a scenario as plain text, one 't_min,carb_g' line per meal."""
-    with open(path, "w") as fh:
-        fh.write("# meal scenario: t_min,carb_g\n")
-        for t, m in scenario.events:
-            fh.write(f"{int(t)},{float(m)!r}\n")
-
-
 def load_scenario(path: str | Path) -> MealScenario:
     """Read a scenario file ('#' comments and blank lines ignored)."""
     events = []
@@ -184,16 +176,6 @@ def load_scenario(path: str | Path) -> MealScenario:
 
 
 EVAL_SCENARIO_SEEDS = (1000, 1001, 1002, 1003, 1004)
-
-
-def generate_eval_scenarios(n_days: int = 2) -> list[MealScenario]:
-    """Regenerate the five fixed evaluation scenarios from reserved seeds."""
-    from .seeding import named_stream
-
-    return [
-        generate_episode_scenario(DEFAULT_MEAL_SPECS, named_stream(seed, "scenario"), n_days)
-        for seed in EVAL_SCENARIO_SEEDS
-    ]
 
 
 @functools.cache

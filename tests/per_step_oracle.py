@@ -6,12 +6,17 @@ trainer with its own episode loop, rollout buffer and GAE recursion, so the
 reductions are checked against code the library does not share. Only the
 networks, the sampler and the minibatch engine (update_networks) come from
 the library. PpoTrainer, the triggered trainer at threshold 0 with r1_only,
-and the pinned-event trainer must all match it bit for bit.
+and the pinned-event trainer must all match it bit for bit; record_updates
+captures the library trainers' updates for that comparison.
+
+The reference loss formulas (clipped surrogate, value loss) live here too.
 """
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from etglucose import ppo
 from etglucose.env import ApEnv, EpisodeConfig, RewardConfig, obs_vec, reward_r1
 from etglucose.metrics import EpisodeRecord, aurr, ecf, tir
 from etglucose.neural import GaussianPolicy, OptimizerState, ValueNet
@@ -19,12 +24,58 @@ from etglucose.plant import PumpConfig, SensorConfig
 from etglucose.ppo import (
     EpisodeStats,
     HyperParams,
-    UpdateSnapshot,
+    UpdateStats,
     normalize_advantages,
     update_networks,
     values_with_bootstrap,
 )
 from etglucose.scenario import DEFAULT_MEAL_SPECS, generate_episode_scenario
+
+
+def clipped_surrogate(
+    logp_new: np.ndarray, logp_old: np.ndarray, adv: np.ndarray, clip_eps: float
+) -> float:
+    """Batch mean of min(ratio * A, clip(ratio) * A)."""
+    ratio = np.exp(logp_new - logp_old)
+    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
+    return float(np.minimum(ratio * adv, clipped * adv).mean())
+
+
+def value_loss(values_pred: np.ndarray, return_targets: np.ndarray) -> float:
+    diff = np.asarray(values_pred, dtype=float) - np.asarray(return_targets, dtype=float)
+    return float((diff * diff).mean())
+
+
+@dataclass
+class UpdateSnapshot:
+    """Capture of one update: advantages, stats, parameters after it."""
+
+    advantages: np.ndarray
+    stats: UpdateStats
+    params: list[np.ndarray] = field(default_factory=list)
+
+
+def record_updates(monkeypatch, *trainers) -> dict:
+    """Snapshot every update the given library trainers run.
+
+    Wraps etglucose.ppo.smdp_update, the one update every trainer calls,
+    and files each call under the trainer whose buffer it was given.
+    Returns {trainer: [UpdateSnapshot, ...]}, filled as training runs.
+    """
+    real = ppo.smdp_update
+    owner = {id(t.buffer): t for t in trainers}
+    snaps = {t: [] for t in trainers}
+
+    def recording(buffer, policy, vnet, *args, **kwargs):
+        stats, adv = real(buffer, policy, vnet, *args, **kwargs)
+        snaps[owner[id(buffer)]].append(UpdateSnapshot(
+            advantages=adv, stats=stats,
+            params=[p.copy() for p in policy.params() + vnet.params()],
+        ))
+        return stats, adv
+
+    monkeypatch.setattr(ppo, "smdp_update", recording)
+    return snaps
 
 
 def per_step_gae(rewards, values, dones, gamma, lam):

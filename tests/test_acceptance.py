@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from etglucose.cgmetppo import CgmEtppoTrainer, TriggerConfig, smdp_gae
+from etglucose.cgmetppo import FixedCgmEtppoTrainer, TriggerConfig, smdp_gae
 from etglucose.config import config_from_dict
 from etglucose.env import Observation, hold_until_trigger, reward_r1
 from etglucose.harness import roll_cgmetppo, roll_pid, roll_ppo, run_eval, run_train
@@ -31,7 +31,7 @@ from etglucose.ppo import (
     compute_gae,
     gaussian_policy_grads,
 )
-from per_step_oracle import PerStepPpo
+from per_step_oracle import PerStepPpo, record_updates
 from test_plant import rk4_update  # the generic integrator rk4_step unrolls
 from etglucose.scenario import (
     DEFAULT_MEAL_SPECS,
@@ -86,12 +86,13 @@ def test_01_gae_matches_brute_force():
 # the baseline is an independent per-step PPO loop (tests/per_step_oracle.py)
 
 
-def test_02_zero_threshold_reduces_to_periodic_ppo():
+def test_02_zero_threshold_reduces_to_periodic_ppo(monkeypatch):
     patient = default_cohort()[0]
     hyper = HyperParams(buffer_size=256)
-    trig = TriggerConfig(scheme="fixed", fixed_eta=0.0)
-    a = CgmEtppoTrainer(patient, RngBundle.from_master(11), trigger=trig,
-                        hyper=hyper, r1_only=True, record_updates=True)
+    trig = TriggerConfig(fixed_eta=0.0)
+    a = FixedCgmEtppoTrainer(patient, RngBundle.from_master(11), trigger=trig,
+                             hyper=hyper, r1_only=True)
+    snaps = record_updates(monkeypatch, a)
     b = PerStepPpo(patient, RngBundle.from_master(11), hyper=hyper)
     for ep in range(2):
         sa = a.run_episode(ep)
@@ -101,7 +102,7 @@ def test_02_zero_threshold_reduces_to_periodic_ppo():
         assert a.env.y_trace == b.env.y_trace
         assert a.env.u_trace == b.env.u_trace
     assert len(a.updates) == len(b.updates) >= 3
-    for ua, ub in zip(a.snapshots, b.snapshots):
+    for ua, ub in zip(snaps[a], b.snapshots):
         assert np.array_equal(ua.advantages, ub.advantages)
         assert ua.stats.policy_objective == ub.stats.policy_objective
         assert ua.stats.value_loss == ub.stats.value_loss
@@ -301,16 +302,16 @@ def test_08_triggered_training_reaches_targets():
     lines = []
     for patient in default_cohort()[:3]:
         t0 = time.time()
-        trainer = CgmEtppoTrainer(
+        trainer = FixedCgmEtppoTrainer(
             patient, RngBundle.from_master(0),
-            trigger=TriggerConfig(scheme="fixed", fixed_eta=25.0),
+            trigger=TriggerConfig(fixed_eta=25.0),
         )
         for ep in range(300):
             trainer.run_episode(ep)
         ecfs, tirs, aurrs = [], [], []
         for i, sc in enumerate(scenarios):
             rec, _ = roll_cgmetppo(patient, trainer.policy, sc,
-                                   eval_noise_stream(i), cfg, "fixed")
+                                   eval_noise_stream(i), cfg)
             ecfs.append(ecf(rec))
             tirs.append(tir(rec))
             aurrs.append(aurr(rec))
@@ -340,15 +341,15 @@ def test_09_triggered_completion_at_least_periodic():
     scenarios = default_eval_scenarios()
     triggered, periodic = [], []
     for seed in range(4):
-        a = CgmEtppoTrainer(
+        a = FixedCgmEtppoTrainer(
             patient, RngBundle.from_master(seed),
-            trigger=TriggerConfig(scheme="fixed", fixed_eta=25.0), r1_only=True,
+            trigger=TriggerConfig(fixed_eta=25.0), r1_only=True,
         )
         for ep in range(300):
             a.run_episode(ep)
         triggered.append(np.mean([
             ecf(roll_cgmetppo(patient, a.policy, sc, eval_noise_stream(i),
-                              cfg, "fixed")[0])
+                              cfg)[0])
             for i, sc in enumerate(scenarios)
         ]))
         b = PpoTrainer(patient, RngBundle.from_master(seed))

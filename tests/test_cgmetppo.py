@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from etglucose import ppo
 from etglucose.cgmetppo import (
     CgmEtppoTrainer,
-    SmdpBuffer,
-    SmdpExperience,
+    FixedCgmEtppoTrainer,
     TriggerConfig,
-    smdp_delta,
     smdp_gae,
     smdp_update,
 )
@@ -17,9 +16,22 @@ from etglucose.env import EpisodeConfig, Observation
 from etglucose.neural import GaussianPolicy, OptimizerState, ValueNet
 from etglucose.patients import NOMINAL_ADULT, build_patient
 from etglucose.plant import SensorConfig
-from etglucose.ppo import HyperParams, compute_gae
+from etglucose.ppo import (
+    HyperParams,
+    SmdpBuffer,
+    SmdpExperience,
+    compute_gae,
+    greedy_decide,
+)
 from etglucose.seeding import RngBundle
-from per_step_oracle import PerStepPpo, per_step_gae
+from per_step_oracle import PerStepPpo, per_step_gae, record_updates
+
+
+def smdp_delta(
+    R: float, tau: int, v_next: float, v_cur: float, d: float, gamma: float
+) -> float:
+    """SMDP temporal-difference error with a gamma^tau bootstrap."""
+    return R + gamma ** int(tau) * (1.0 - d) * v_next - v_cur
 
 
 @pytest.fixture(scope="module")
@@ -160,15 +172,13 @@ class TestSmdpBuffer:
 class TestTriggerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            TriggerConfig(scheme="adaptive")
-        with pytest.raises(ValueError):
-            TriggerConfig(scheme="fixed", fixed_eta=-1.0)
+            TriggerConfig(fixed_eta=-1.0)
         with pytest.raises(ValueError):
             TriggerConfig(eta_lo=25.0, eta_hi=15.0)
 
     def test_action_mapping_fixed(self, patient):
-        tr = CgmEtppoTrainer(patient, RngBundle.from_master(0),
-                             trigger=TriggerConfig(scheme="fixed", fixed_eta=20.0))
+        tr = FixedCgmEtppoTrainer(patient, RngBundle.from_master(0),
+                                  trigger=TriggerConfig(fixed_eta=20.0))
         for a in (-3.0, 0.0, 0.4, 1.0, 9.0):
             u, eta = tr.action_to_rate_eta(np.array([a]))
             assert eta == 20.0
@@ -178,8 +188,7 @@ class TestTriggerConfig:
 
     def test_action_mapping_variable(self, patient):
         tr = CgmEtppoTrainer(patient, RngBundle.from_master(0),
-                             trigger=TriggerConfig(scheme="variable",
-                                                   eta_lo=15.0, eta_hi=25.0))
+                             trigger=TriggerConfig(eta_lo=15.0, eta_hi=25.0))
         assert tr.action_to_rate_eta(np.array([0.5, -4.0]))[1] == 15.0
         assert tr.action_to_rate_eta(np.array([0.5, 0.5]))[1] == pytest.approx(20.0)
         assert tr.action_to_rate_eta(np.array([0.5, 8.0]))[1] == 25.0
@@ -198,15 +207,15 @@ def constant_policy(n_act: int, outputs) -> GaussianPolicy:
 
 
 class TestTrainer:
-    def test_quiet_plant_yields_sparse_updates(self, patient):
+    def test_quiet_plant_yields_sparse_updates(self, patient, monkeypatch):
         # basal command, no meals, no sensor noise: the CGM settles and the
         # trigger never fires again, so one decision covers the episode
-        tr = CgmEtppoTrainer(
+        monkeypatch.setattr(ppo, "DEFAULT_MEAL_SPECS", ())
+        tr = FixedCgmEtppoTrainer(
             patient, RngBundle.from_master(123),
-            trigger=TriggerConfig(scheme="fixed", fixed_eta=25.0),
+            trigger=TriggerConfig(fixed_eta=25.0),
             hyper=HyperParams(buffer_size=4096),
             sensor=SensorConfig(sigma=0.0),
-            meal_specs=(),
         )
         tr.policy = constant_policy(1, [patient.u_basal / 0.15])
         stats = tr.run_episode(0)
@@ -245,21 +254,22 @@ class TestTrainer:
         stats = tr.run_episode(0)
         assert stats.ret == pytest.approx(sum(e.R for e in tr.buffer.exps))
 
-    def test_zero_threshold_reproduces_plain_ppo(self, patient):
+    def test_zero_threshold_reproduces_plain_ppo(self, patient, monkeypatch):
         seed = 31
         hyper = HyperParams(buffer_size=256)
         ref = PerStepPpo(patient, RngBundle.from_master(seed), hyper=hyper)
-        smdp = CgmEtppoTrainer(
+        smdp = FixedCgmEtppoTrainer(
             patient, RngBundle.from_master(seed),
-            trigger=TriggerConfig(scheme="fixed", fixed_eta=0.0),
-            hyper=hyper, r1_only=True, record_updates=True,
+            trigger=TriggerConfig(fixed_eta=0.0),
+            hyper=hyper, r1_only=True,
         )
+        snaps = record_updates(monkeypatch, smdp)
         stats_ref = ref.train(2)
-        stats_smdp = smdp.train(2)
+        stats_smdp = [smdp.run_episode(i) for i in range(2)]
         assert [(s.steps, s.K, s.ret) for s in stats_ref] == \
                [(s.steps, s.K, s.ret) for s in stats_smdp]
-        assert len(ref.snapshots) == len(smdp.snapshots) > 0
-        for a, b in zip(ref.snapshots, smdp.snapshots):
+        assert len(ref.snapshots) == len(snaps[smdp]) > 0
+        for a, b in zip(ref.snapshots, snaps[smdp]):
             assert np.array_equal(a.advantages, b.advantages)
             assert a.stats.policy_objective == b.stats.policy_objective
             assert a.stats.value_loss == b.stats.value_loss
@@ -275,9 +285,10 @@ class TestTrainer:
         assert full.step_reward(200.0, 15) == 0.0
 
     def test_greedy_uses_mean(self, patient):
-        tr = CgmEtppoTrainer(patient, RngBundle.from_master(0),
-                             trigger=TriggerConfig(scheme="fixed", fixed_eta=25.0))
+        tr = FixedCgmEtppoTrainer(patient, RngBundle.from_master(0),
+                                  trigger=TriggerConfig(fixed_eta=25.0))
         tr.policy = constant_policy(1, [0.4])
-        u, eta = tr.greedy_decide(Observation(140.0, 0.02))
+        u, eta = greedy_decide(tr.policy, Observation(140.0, 0.02), tr.pump,
+                               tr.trigger.threshold)
         assert u == pytest.approx(0.4 * 0.15)
         assert eta == 25.0

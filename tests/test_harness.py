@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from etglucose import cli, harness, ppo
+from etglucose.cgmetppo import CgmEtppoTrainer, FixedCgmEtppoTrainer
 from etglucose.config import (
     ConfigError,
     ExperimentConfig,
@@ -20,6 +21,7 @@ from etglucose.config import (
     load_matrix_config,
 )
 from etglucose.env import ApEnv, obs_vec
+from etglucose.hetppo import HetppoTrainer, PinnedHetppoTrainer
 from etglucose.harness import (
     METRICS_HEADER,
     TRACE_HEADER,
@@ -222,6 +224,30 @@ class TestConfig:
             config_from_dict(tiny_dict("ppo", seeds=[]))
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict(tiny_dict("ppo", seeds=[-1]))
+
+    @pytest.mark.parametrize("seeds", [[0, 0], [2, 1, 2], [0, np.int64(0)]])
+    def test_duplicate_seeds_rejected(self, seeds):
+        # two runs of one seed would share a directory and pose as two seeds
+        with pytest.raises(ConfigError, match="^config: seeds must be distinct$"):
+            config_from_dict(tiny_dict("ppo", seeds=seeds))
+
+    @pytest.mark.parametrize("key,value", [
+        ("seeds", [1, 1]),
+        ("methods", ["ppo", "pid", "ppo"]),
+        ("patients", ["adult#001", "adult#002", "adult#001"]),
+    ])
+    def test_matrix_duplicates_rejected(self, tmp_path, key, value):
+        payload = tiny_dict("ppo")
+        del payload["method"]
+        payload["matrix"] = {"methods": ["pid", "ppo"], "patients": ["adult#001"]}
+        (payload if key == "seeds" else payload["matrix"])[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must be distinct"):
+            load_matrix_config(write_yaml(tmp_path / "m.yaml", payload))
+
+    def test_matrix_patient_must_be_a_name(self, tmp_path):
+        payload = {"matrix": {"methods": ["pid"], "patients": [["adult#001"]]}}
+        with pytest.raises(ConfigError, match="matrix patients must be patient names"):
+            load_matrix_config(write_yaml(tmp_path / "m.yaml", payload))
 
     def test_matrix_load(self, tmp_path):
         payload = tiny_dict("ppo")
@@ -602,6 +628,48 @@ class TestGreedyRollout:
             ]
 
 
+class TestEpisodeEntryPoints:
+    """What perfbench's episode probe relies on: it wraps the four
+    harness.roll_* globals and each trainer class's own run_episode, and
+    must see every episode exactly once."""
+
+    ROLLS = ("roll_pid", "roll_ppo", "roll_hetppo", "roll_cgmetppo")
+
+    @pytest.mark.parametrize("method,over,trainer_cls,roll", [
+        ("pid", {}, None, "roll_pid"),
+        ("ppo", {}, ppo.PpoTrainer, "roll_ppo"),
+        ("hetppo", {}, HetppoTrainer, "roll_hetppo"),
+        ("hetppo", {"pin_events": True}, PinnedHetppoTrainer, "roll_ppo"),
+        ("cgmetppo-fixed", {}, FixedCgmEtppoTrainer, "roll_cgmetppo"),
+        ("cgmetppo-variable", {}, CgmEtppoTrainer, "roll_cgmetppo"),
+    ])
+    def test_eval_runs_one_roll_per_scenario(self, tmp_path, monkeypatch, patient,
+                                             method, over, trainer_cls, roll):
+        cfg = tiny_cfg(method, episodes=1, episode={"horizon": 20}, **over)
+        if trainer_cls is not None:
+            assert type(build_trainer(cfg, patient, 0)) is trainer_cls
+        run_train(cfg, tmp_path)
+        calls = {}
+
+        def spy(name, real):
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            return counted
+
+        for name in self.ROLLS:
+            monkeypatch.setattr(harness, name, spy(name, getattr(harness, name)))
+        run_eval(cfg, tmp_path)
+        assert calls == {roll: 5}
+
+    def test_run_episode_defined_once_per_loop_owner(self):
+        for cls in (ppo.PpoTrainer, HetppoTrainer, CgmEtppoTrainer):
+            assert "run_episode" in cls.__dict__, cls
+        # subclasses inherit it, so a wrapper on the parent counts them once
+        for cls in (PinnedHetppoTrainer, FixedCgmEtppoTrainer):
+            assert "run_episode" not in cls.__dict__, cls
+
+
 class TestExportAndMatrix:
     def test_export_plotdata(self, tmp_path):
         cfg = tiny_cfg("cgmetppo-variable", episodes=1)
@@ -758,6 +826,26 @@ class TestCli:
         assert "error: " in err
         assert "Traceback (most recent call last)" in err
         assert "FileNotFoundError" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "export-plots"])
+    def test_negative_seed_exit_one(self, tmp_path, capsys, command):
+        # used to exit 2 from the seed streams after making seed_-1/
+        cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict("ppo", episodes=1))
+        rc = cli.main([command, "--config", cfg_path,
+                       "--out-dir", str(tmp_path / "runs"), "--seed", "-1"])
+        assert rc == 1
+        assert ("config error: --seed: seeds must be non-negative"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.rglob("seed_-1"))
+
+    def test_duplicate_seeds_exit_one(self, tmp_path, capsys):
+        cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict("ppo", seeds=[0, 0]))
+        rc = cli.main(["train", "--config", cfg_path,
+                       "--out-dir", str(tmp_path / "runs")])
+        assert rc == 1
+        assert ("config error: config: seeds must be distinct"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
 
     def test_matrix_bad_section_exit_one(self, tmp_path, capsys):
         cfg_path = write_yaml(tmp_path / "m.yaml", tiny_dict("ppo"))

@@ -24,11 +24,11 @@ from etglucose.ppo import (
     HyperParams,
     SmdpBuffer,
     SmdpExperience,
-    clipped_surrogate,
+    greedy_decide,
     smdp_update,
 )
 from etglucose.seeding import RngBundle
-from per_step_oracle import PerStepPpo
+from per_step_oracle import PerStepPpo, clipped_surrogate, record_updates
 
 
 def factored_row(obs, e, u_raw, reward, done, logp_e, logp_u) -> SmdpExperience:
@@ -269,18 +269,19 @@ class TestTrainer:
         assert base.K == charged.K and base.steps == charged.steps
         assert charged.ret == pytest.approx(base.ret - 0.5 * charged.K)
 
-    def test_pinned_events_reproduce_plain_ppo(self, patient):
+    def test_pinned_events_reproduce_plain_ppo(self, patient, monkeypatch):
         seed = 7
         hyper = HyperParams(buffer_size=256)
         ref = PerStepPpo(patient, RngBundle.from_master(seed), hyper=hyper)
         pin = PinnedHetppoTrainer(patient, RngBundle.from_master(seed),
-                                  hyper=hyper, record_updates=True)
+                                  hyper=hyper)
+        snaps = record_updates(monkeypatch, pin)
         stats_ref = ref.train(2)
-        stats_pin = pin.train(2)
+        stats_pin = [pin.run_episode(i) for i in range(2)]
         assert [(s.steps, s.ret, s.tir) for s in stats_ref] == \
                [(s.steps, s.ret, s.tir) for s in stats_pin]
-        assert len(ref.snapshots) == len(pin.snapshots) > 0
-        for a, b in zip(ref.snapshots, pin.snapshots):
+        assert len(ref.snapshots) == len(snaps[pin]) > 0
+        for a, b in zip(ref.snapshots, snaps[pin]):
             assert np.array_equal(a.advantages, b.advantages)
             for pa, pb in zip(a.params, b.params):
                 assert np.array_equal(pa, pb)
@@ -297,7 +298,7 @@ class TestTrainer:
         tr = HetppoTrainer(patient, RngBundle.from_master(10),
                            hyper=HyperParams(buffer_size=128),
                            episode_cfg=EpisodeConfig(horizon=150))
-        stats = tr.train(2)
+        stats = [tr.run_episode(i) for i in range(2)]
         assert len(tr.updates) >= 1
         assert not any(u.diverged for u in tr.updates)
         assert all(0.0 <= s.tir <= 100.0 for s in stats)
@@ -309,13 +310,14 @@ class TestGreedy:
     def test_learning_mode_threshold(self, patient):
         tr = HetppoTrainer(patient, RngBundle.from_master(0))
         tr.policy = doctored_policy(0.4, 1.0)
-        assert tr.greedy_decide(Observation(120.0, 0.0)) == (0.4 * 0.15, None)
+        obs = Observation(120.0, 0.0)
+        assert greedy_decide(tr.policy, obs, tr.pump) == (0.4 * 0.15, None)
         tr.policy = doctored_policy(0.4, -1.0)
-        assert tr.greedy_decide(Observation(120.0, 0.0)) == (None, None)
+        assert greedy_decide(tr.policy, obs, tr.pump) == (None, None)
 
     def test_pinned_mode_always_transmits(self, patient):
         tr = PinnedHetppoTrainer(patient, RngBundle.from_master(0))
-        rate, eta = tr.greedy_decide(Observation(120.0, 0.0))
+        rate, eta = greedy_decide(tr.policy, Observation(120.0, 0.0), tr.pump)
         assert eta is None
         mean = tr.policy.net.forward(
             np.array([[120.0 / 600.0, 0.0]])

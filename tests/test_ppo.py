@@ -11,17 +11,15 @@ from etglucose.ppo import (
     PpoTrainer,
     SmdpBuffer,
     SmdpExperience,
-    clipped_surrogate,
     compute_gae,
     gaussian_policy_grads,
     normalize_advantages,
     smdp_update,
     update_networks,
-    value_loss,
     values_with_bootstrap,
 )
 from etglucose.seeding import RngBundle
-from per_step_oracle import PerStepPpo
+from per_step_oracle import PerStepPpo, clipped_surrogate, record_updates, value_loss
 
 
 def step_row(obs, act, reward, done, logp) -> SmdpExperience:
@@ -334,7 +332,7 @@ class TestTrainer:
         for _ in range(2):
             tr = PpoTrainer(patient, RngBundle.from_master(11),
                             hyper=HyperParams(buffer_size=256))
-            stats = tr.train(2)
+            stats = [tr.run_episode(i) for i in range(2)]
             runs.append((stats, [p.copy() for p in tr.policy.params()]))
         (s1, p1), (s2, p2) = runs
         assert [(s.steps, s.ret) for s in s1] == [(s.steps, s.ret) for s in s2]
@@ -364,16 +362,16 @@ class TestTrainer:
         u, eta = tr.action_to_rate_eta(np.array([7.0]))
         assert u == pytest.approx(0.15) and eta == 0.0
 
-    def test_matches_per_step_oracle(self, patient):
+    def test_matches_per_step_oracle(self, patient, monkeypatch):
         hyper = HyperParams(buffer_size=128, minibatch=64, epochs=2)
         ref = PerStepPpo(patient, RngBundle.from_master(13), hyper=hyper)
-        tr = PpoTrainer(patient, RngBundle.from_master(13), hyper=hyper,
-                        record_updates=True)
-        assert ref.train(2) == tr.train(2)
+        tr = PpoTrainer(patient, RngBundle.from_master(13), hyper=hyper)
+        snaps = record_updates(monkeypatch, tr)
+        assert ref.train(2) == [tr.run_episode(i) for i in range(2)]
         assert tr.env.y_trace == ref.env.y_trace
         assert tr.env.u_trace == ref.env.u_trace
-        assert len(tr.snapshots) == len(ref.snapshots) >= 3
-        for a, b in zip(tr.snapshots, ref.snapshots):
+        assert len(snaps[tr]) == len(ref.snapshots) >= 3
+        for a, b in zip(snaps[tr], ref.snapshots):
             assert np.array_equal(a.advantages, b.advantages)
             assert a.stats == b.stats
             for pa, pb in zip(a.params, b.params):

@@ -10,13 +10,29 @@ from etglucose.scenario import (
     RATE_MG_PER_MIN,
     default_eval_scenarios,
     generate_daily_scenario,
+    EVAL_SCENARIO_SEEDS,
     generate_episode_scenario,
-    generate_eval_scenarios,
     load_scenario,
     meal_rate_at,
     sample_truncated_normal,
-    save_scenario,
 )
+from etglucose.seeding import named_stream
+
+
+def save_scenario(scenario: MealScenario, path) -> None:
+    """Write a scenario as plain text, one 't_min,carb_g' line per meal."""
+    with open(path, "w") as fh:
+        fh.write("# meal scenario: t_min,carb_g\n")
+        for t, m in scenario.events:
+            fh.write(f"{int(t)},{float(m)!r}\n")
+
+
+def generate_eval_scenarios(n_days: int = 2) -> list[MealScenario]:
+    """Regenerate the five fixed evaluation scenarios from reserved seeds."""
+    return [
+        generate_episode_scenario(DEFAULT_MEAL_SPECS, named_stream(seed, "scenario"), n_days)
+        for seed in EVAL_SCENARIO_SEEDS
+    ]
 
 
 def _point_specs():
