@@ -313,13 +313,11 @@ def eval_records(cfg: ExperimentConfig, patient, rd: Path):
     return out
 
 
-def run_eval(cfg: ExperimentConfig, out_base: str | Path,
-             seeds: tuple[int, ...] | None = None) -> list[Path]:
+def run_eval(cfg: ExperimentConfig, out_base: str | Path) -> list[Path]:
     """Evaluate trained runs; writes metrics.csv, traces, histogram."""
-    seeds = seeds if seeds is not None else cfg.seeds
     patient = resolve_patient(cfg)
     paths = []
-    for seed in seeds:
+    for seed in cfg.seeds:
         rd = run_dir(out_base, cfg, seed)
         rolled = eval_records(cfg, patient, rd)
         rows = []
@@ -375,18 +373,16 @@ def _read_csv(path: Path, required: tuple[str, ...]) -> list[dict[str, str]]:
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
-def export_plotdata(cfg: ExperimentConfig, out_base: str | Path,
-                    seeds: tuple[int, ...] | None = None) -> list[Path]:
+def export_plotdata(cfg: ExperimentConfig, out_base: str | Path) -> list[Path]:
     """Bundle evaluation traces into plot-ready CSVs.
 
     Time-response files align CGM, command, threshold, and the meal
     delivery rate minute-grid values at each control step; the histogram
     bundle re-emits hist.csv with bin centers.
     """
-    seeds = seeds if seeds is not None else cfg.seeds
     scenarios = default_eval_scenarios()
     out = []
-    for seed in seeds:
+    for seed in cfg.seeds:
         rd = run_dir(out_base, cfg, seed)
         pd = rd / "plotdata"
         pd.mkdir(parents=True, exist_ok=True)
