@@ -5,8 +5,11 @@ commanded pump rate (zero-order hold) over three 1-minute RK4 substeps with
 the scenario's carbohydrate delivery rate sampled at each substep start.
 Episodes terminate at the horizon or when the CGM leaves (10, 600) mg/dL.
 
-rollout runs one greedy evaluation episode for any controller: PID, the
-per-step and factored policies, and the CGM-triggered policy.
+rollout is the one episode loop: greedy evaluation of every controller
+(PID, the per-step and factored policies, the CGM-triggered policy) and
+every training episode run on it, and each of its decisions holds its
+command through hold_until_trigger, the only caller of ApEnv.step. A
+per-step decision is a hold at threshold 0.
 
 Per-step rewards follow the convention that the reward credited to step h
 is computed from the observation the controller acted on (the pre-step
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -163,7 +167,11 @@ class ApEnv:
         self._hyper = episode_cfg.hyper_threshold
         self._scenario: MealScenario | None = None
         self._noise_rng: np.random.Generator | None = None
-        self._done = True
+        # The latest CGM value, completed steps, and whether the episode
+        # has ended; plain attributes, read on every held step.
+        self.y = math.nan
+        self.steps = 0
+        self.done = True
 
     def reset(
         self,
@@ -192,11 +200,11 @@ class ApEnv:
         self._state = state
         self._noise = 0.0
         self._t = 0.0
-        self._steps = 0
-        self._done = False
+        self.steps = 0
+        self.done = False
         self._u_prev = 0.0
         y, self._noise = cgm_read(state, self.patient, self.sensor, self._noise, noise_rng)
-        self._y = y
+        self.y = y
         # Per-episode trace. y_trace holds y_0 .. y_T; the other lists hold
         # one entry per completed step.
         self.y_trace: list[float] = [y]
@@ -204,29 +212,14 @@ class ApEnv:
         self.event_trace: list[int] = []
         return Observation(y, self._u_prev)
 
-    @property
-    def y(self) -> float:
-        return self._y
-
-    @property
-    def t(self) -> float:
-        return self._t
-
-    @property
-    def steps(self) -> int:
-        return self._steps
-
-    @property
-    def done(self) -> bool:
-        return self._done
-
     def step(self, u: float, event: bool = False) -> tuple[Observation, bool]:
         """Apply u for one control period; returns (observation, done).
 
         `event` marks steps at which the controller freshly decided the
-        command; it only feeds the trace log.
+        command; event_trace keeps it, and rollout reads its update times
+        from there.
         """
-        if self._done:
+        if self.done:
             raise EpisodeFinishedError("episode-finished: reset before stepping again")
         u_cmd = pump_command(u, self.pump)
         state = self._state
@@ -239,11 +232,11 @@ class ApEnv:
             state = rk4_step(state, u_cmd, d, dt, patient)
         self._state = state
         self._t = t + self._step_minutes
-        steps = self._steps = self._steps + 1
+        steps = self.steps = self.steps + 1
         y, self._noise = cgm_read(state, patient, self.sensor, self._noise, self._noise_rng)
-        self._y = y
+        self.y = y
         self._u_prev = u_cmd
-        done = self._done = (steps >= self._horizon
+        done = self.done = (steps >= self._horizon
                              or not (self._hypo < y < self._hyper))
         self.y_trace.append(y)
         self.u_trace.append(u_cmd)
@@ -258,12 +251,15 @@ class HoldResult(NamedTuple):
     done: bool
 
 
+_new_hold = tuple.__new__  # HoldResult from a 4-tuple, without NamedTuple's call
+
+
 def hold_until_trigger(
     env: ApEnv,
     u: float,
     eta: float,
     gamma: float,
-    reward_fn: Callable[[float, int], float],
+    reward_fn: Callable[[float, int], float] | None,
     ell: int = 0,
 ) -> HoldResult:
     """Hold u until the CGM moves at least eta from its start value.
@@ -272,80 +268,86 @@ def hold_until_trigger(
     R_k = sum_i gamma^i * reward_fn(y_i, ell + i) over the held steps,
     where y_i is the CGM the i-th held step starts from (i = 0 at the
     decision) and ell counts the steps already held since the last insulin
-    update. Only a step at ell + i = 0 is an update event. Stops after the
-    first step whose fresh CGM satisfies |y - y_start| >= eta, or when the
+    update; without a reward_fn, R_k is 0. Only a step at ell + i = 0 is
+    an update event. Stops after the first step whose fresh CGM satisfies
+    |y - y_start| >= eta, so threshold 0 holds one step, or when the
     episode ends mid-hold.
     """
     if env.done:
         raise EpisodeFinishedError("episode-finished: reset before stepping again")
-    if eta < 0:
-        raise ValueError("trigger threshold must be non-negative")
-    if not math.isfinite(eta):
-        raise ValueError("trigger threshold must be finite")
+    if not 0.0 <= eta < math.inf:
+        raise ValueError("trigger threshold must be non-negative" if eta < 0
+                         else "trigger threshold must be finite")
     y_start = y = env.y
     total = 0.0
     disc = 1.0
     tau = 0
     while True:
-        r = reward_fn(y, ell + tau)
+        if reward_fn is not None:
+            total += disc * reward_fn(y, ell + tau)
         obs, done = env.step(u, event=(ell + tau == 0))
-        total += disc * r
         tau += 1
         disc *= gamma
         y = obs.y
         if done or abs(y - y_start) >= eta:
-            return HoldResult(total, tau, obs, done)
-
-
-def _no_reward(y: float, ell: int) -> float:
-    return 0.0
+            return _new_hold(HoldResult, (total, tau, obs, done))
 
 
 def rollout(
     env: ApEnv,
-    scenario: MealScenario,
-    noise_rng: np.random.Generator,
+    obs: Observation,
     decide: Callable[[Observation], tuple[float | None, float | None]],
+    reward_fn: Callable[[float, int], float] | None = None,
+    gamma: float = 1.0,
+    keep: Callable[[HoldResult], None] | None = None,
     max_misses: int | None = None,
 ) -> EpisodeRecord:
-    """Run one evaluation episode under a deterministic controller.
+    """Run one episode from obs, the observation env.reset returned.
 
     decide(obs) returns (u, eta). u is the pump rate to send, or None to
     keep the last one without an update (zero insulin before the first).
-    With eta None the decision covers one step; otherwise the rate holds
-    until the CGM has moved by eta, which is recorded as its threshold.
+    The command then holds until the CGM has moved by eta, which is
+    recorded as the update's threshold; eta None is a per-step decision,
+    a hold at threshold 0 that records no threshold. Each hold accrues
+    reward_fn discounted by gamma (see hold_until_trigger), and keep, if
+    given, receives its HoldResult.
 
-    max_misses, for per-step controllers only, cuts the episode right
-    after the step whose CGM is the (max_misses + 1)-th outside the
-    metrics' target range; the record then covers the steps run.
+    max_misses, for per-step decisions only, cuts the episode right after
+    the step whose CGM is the (max_misses + 1)-th outside the metrics'
+    target range; the record then covers the steps run. Its update times
+    are the steps env.event_trace marks as events.
     """
-    obs = env.reset(scenario, noise_rng)
     u = 0.0
-    t = 0  # steps taken
-    misses = 0  # out-of-range CGM values among y_1 .. y_t
-    update_times: list[int] = []
+    # Steps held since the last update; 0 only at an update, so holding
+    # the initial zero is not an event.
+    ell = 1
+    misses = 0  # out-of-range CGM values among y_1 .. y_T
     etas: list[float] = []
     done = False
     while not done:
         cmd, eta = decide(obs)
         if cmd is not None:
             u = cmd
-            update_times.append(t)
+            ell = 0
+            if eta is not None:
+                etas.append(eta)
         if eta is None:
-            obs, done = env.step(u, event=cmd is not None)
-            t += 1
-            if max_misses is not None and not RANGE_LO <= obs.y <= RANGE_HI:
-                misses += 1
-                if misses > max_misses:
-                    break
+            eta = 0.0
         elif max_misses is not None:
             raise ValueError("max_misses needs a per-step controller")
-        else:
-            etas.append(eta)
-            _, tau, obs, done = hold_until_trigger(env, u, eta, 1.0, _no_reward)
-            t += tau
+        res = hold_until_trigger(env, u, eta, gamma, reward_fn, ell)
+        if keep is not None:
+            keep(res)
+        _, tau, obs, done = res
+        ell += tau
+        if max_misses is not None and not RANGE_LO <= obs.y <= RANGE_HI:
+            misses += 1
+            if misses > max_misses:
+                break
+    events = env.event_trace
+    update_times = tuple(compress(range(len(events)), events))
     return EpisodeRecord(
-        T=t, H=env.cfg.horizon, y_trace=tuple(env.y_trace),
-        K=len(update_times), update_times=tuple(update_times),
+        T=env.steps, H=env.cfg.horizon, y_trace=tuple(env.y_trace),
+        K=len(update_times), update_times=update_times,
         thresholds=tuple(etas) if etas else None,
     )

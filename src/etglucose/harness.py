@@ -158,7 +158,7 @@ def load_policy(path: Path) -> tuple[str, object, ValueNet, bool]:
 
 def _roll(patient, scenario, noise_rng, cfg: ExperimentConfig, decide):
     env = ApEnv(patient, cfg.episode, cfg.sensor, cfg.pump)
-    rec = rollout(env, scenario, noise_rng, decide)
+    rec = rollout(env, env.reset(scenario, noise_rng), decide)
     etas = [""] * rec.T
     if rec.thresholds is not None:
         # Interval k's threshold covers steps [h_k, h_{k+1}).
@@ -295,11 +295,16 @@ def eval_records(cfg: ExperimentConfig, patient, rd: Path):
         path = rd / "checkpoint.npz"
         if not path.exists():
             raise FileNotFoundError(f"no checkpoint at {path}; train first")
-        method, policy, _vnet, _pin = load_policy(path)
+        method, policy, _vnet, pin = load_policy(path)
         if method != cfg.method:
             raise ValueError(
                 f"checkpoint method {method!r} does not match config "
                 f"method {cfg.method!r}"
+            )
+        if method == "hetppo" and pin != cfg.pin_events:
+            raise ValueError(
+                f"checkpoint pin_events {pin} does not match config "
+                f"pin_events {cfg.pin_events}"
             )
         if isinstance(policy, HetPolicy):
             roll = lambda sc, rng: roll_hetppo(patient, policy, sc, rng, cfg)

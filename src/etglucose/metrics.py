@@ -106,8 +106,7 @@ def interval_avg_hist(
 class AggregateResult:
     mean: dict[str, float]
     std: dict[str, float]
-    n_seeds: int
-    single_seed: bool  # std degenerate (0 by construction)
+    n_seeds: int  # 1 makes every std 0 by construction
 
 
 def aggregate(
@@ -125,7 +124,4 @@ def aggregate(
         ])
         means[name] = float(seed_means.mean())
         stds[name] = float(seed_means.std())  # population std (ddof = 0)
-    return AggregateResult(
-        mean=means, std=stds,
-        n_seeds=len(per_seed_runs), single_seed=len(per_seed_runs) == 1,
-    )
+    return AggregateResult(mean=means, std=stds, n_seeds=len(per_seed_runs))

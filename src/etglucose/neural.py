@@ -204,9 +204,6 @@ class GaussianPolicy:
     def params(self) -> list[np.ndarray]:
         return self.net.params() + [self.log_std]
 
-    def mean(self, x: np.ndarray) -> np.ndarray:
-        return self.net.forward(x)
-
     def sample(self, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
         """Sample one unsquashed action for a single observation vector."""
         mean = self.net.forward(x[None, :])[0]

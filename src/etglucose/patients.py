@@ -180,25 +180,6 @@ def generate_cohort(
     return cohort
 
 
-def save_cohort(cohort: list[PatientParams], path: str | Path) -> None:
-    """Write a cohort as an INI file, one section per patient."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str  # keep key case
-    for p in cohort:
-        sec = p.name
-        cp.add_section(sec)
-        for key in NOMINAL_ADULT:
-            cp.set(sec, key, repr(float(getattr(p, key))))
-        cp.set(sec, "u_basal", repr(float(p.u_basal)))
-        for field, value in zip(PatientState._fields, p.basal):
-            cp.set(sec, _STATE_PREFIX + field, repr(float(value)))
-    with open(path, "w") as fh:
-        fh.write("# Synthetic patient parameters. One section per patient.\n")
-        fh.write("# Keys match PatientParams; basal_* fields give the\n")
-        fh.write("# steady state under u_basal, verified at load time.\n")
-        cp.write(fh)
-
-
 def load_cohort(path: str | Path) -> list[PatientParams]:
     """Load a cohort file, verifying each stored basal point."""
     cp = configparser.ConfigParser()

@@ -100,8 +100,10 @@ def run_pid_episode(
     max_misses cuts the episode once more CGM values than that have left
     the target range (see env.rollout).
     """
-    return rollout(ApEnv(patient, episode_cfg, sensor, pump), scenario, noise_rng,
-                   pid_decider(gains, episode_cfg.step_minutes, pump), max_misses)
+    env = ApEnv(patient, episode_cfg, sensor, pump)
+    return rollout(env, env.reset(scenario, noise_rng),
+                   pid_decider(gains, episode_cfg.step_minutes, pump),
+                   max_misses=max_misses)
 
 
 def grid_search_pid(
@@ -138,7 +140,8 @@ def grid_search_pid(
 
     A gain whose optimum is the first or last value of a grid with two or
     more values is logged as a warning: the search may be capped by its
-    own grid.
+    own grid. An optimum of 0 on a grid with no negative value is not,
+    because 0 is the gain's physical bound.
     """
     grids = (("kp", kp_grid), ("ki", ki_grid), ("kd", kd_grid))
     for gain, grid in grids:
@@ -200,6 +203,8 @@ def grid_search_pid(
              name, best_gains, best_score, episodes, len(candidates) * n, steps)
     for gain, grid in grids:
         value = getattr(best_gains, gain)
+        if value == 0.0 == min(grid):
+            continue  # 0 bounds the gain itself, not only its grid
         if len(grid) >= 2 and value in (grid[0], grid[-1]):
             edge = "lower" if value == grid[0] else "upper"
             log.warning("grid search for %s: %s optimum %g is on the %s edge "

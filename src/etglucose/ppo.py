@@ -12,8 +12,9 @@ smdp_gae with every tau = 1.
 Here live the decision buffer, the advantage recursion, the clipped
 surrogate with an entropy bonus, value regression against targets
 G = V_old(s) + A, the shuffled-minibatch epoch engine, the trainer
-skeleton with the one training loop every trainer runs (per-step,
-factored and CGM-triggered), and the greedy evaluation decision.
+skeleton whose training episode every trainer runs (per-step, factored
+and CGM-triggered) on env.rollout, the loop greedy evaluation runs too,
+and the greedy evaluation decision.
 """
 from __future__ import annotations
 
@@ -29,12 +30,12 @@ from .env import (
     EpisodeConfig,
     Observation,
     RewardConfig,
-    hold_until_trigger,
     is_int,
     obs_vec,
     reward_r1,
+    rollout,
 )
-from .metrics import EpisodeRecord, aurr, ecf, tir
+from .metrics import aurr, ecf, tir
 from .neural import (
     DivergedUpdateError,
     GaussianPolicy,
@@ -364,7 +365,7 @@ def greedy_decide(policy, obs: Observation, pump: PumpConfig, threshold=None):
 
 
 class Trainer:
-    """The skeleton every trainer shares, and its one SMDP decision loop.
+    """The skeleton every trainer shares, and its SMDP episode on env.rollout.
 
     Each decision samples an action and maps it to (pump rate or None,
     threshold). A rate is sent to the pump; None keeps the last command
@@ -375,7 +376,7 @@ class Trainer:
     and every decision an update: that is plain per-step PPO. Subclasses
     override new_policy, action_to_rate_eta or sample_decision, and
     step_reward. PpoTrainer, HetppoTrainer and CgmEtppoTrainer each define
-    run_episode as one call to this loop, and their subclasses inherit it,
+    run_episode as one call to _smdp_episode, and their subclasses inherit it,
     so a wrapper on those three sees every episode once.
     """
 
@@ -443,40 +444,35 @@ class Trainer:
                               self.rngs.init_state, training=True)
 
     def _smdp_episode(self, episode_idx: int) -> EpisodeStats:
-        env = self.env
+        pump = self.pump
+        ret = 0.0
         obs = self._reset()
-        ep_ret = 0.0
-        u = 0.0  # zero insulin until the first update
-        # Steps held since the last update; 0 only at an update, so holding
-        # the initial zero is not an event.
-        ell = 1
-        update_times: list[int] = []
-        done = False
-        while not done:
-            x = obs_vec(obs, self.pump)
+        # x normalizes the observation decide is next called with: keep
+        # computes it once from the hold's last observation, for the buffer
+        # row's next state and the next decision. row is the held decision's
+        # (x, act, logp).
+        x = obs_vec(obs, pump)
+        row = None
+
+        def decide(obs):
+            nonlocal row
             act, logp, rate, eta = self.sample_decision(x)
-            if rate is not None:
-                u = rate
-                ell = 0
-                update_times.append(env.steps)
-            res = hold_until_trigger(env, u, eta, self.hyper.gamma,
-                                     self.step_reward, ell)
-            self.buffer.add(
-                SmdpExperience(x, act, logp, res.reward, res.tau,
-                               1.0 if res.done else 0.0),
-                obs_vec(res.obs, self.pump),
-            )
-            ep_ret += res.reward
-            ell += res.tau
-            obs = res.obs
-            done = res.done
+            row = x, act, logp
+            return rate, eta
+
+        def keep(res):
+            nonlocal ret, x
+            x = obs_vec(res.obs, pump)
+            s, act, logp = row
+            self.buffer.add(SmdpExperience(s, act, logp, res.reward, res.tau,
+                                           1.0 if res.done else 0.0), x)
+            ret += res.reward
             self._maybe_update()
-        rec = EpisodeRecord(
-            T=env.steps, H=env.cfg.horizon, y_trace=tuple(env.y_trace),
-            K=len(update_times), update_times=tuple(update_times),
-        )
+
+        rec = rollout(self.env, obs, decide, self.step_reward,
+                      self.hyper.gamma, keep)
         return EpisodeStats(
-            episode_idx, rec.T, rec.K, ep_ret, ecf(rec), tir(rec), aurr(rec)
+            episode_idx, rec.T, rec.K, ret, ecf(rec), tir(rec), aurr(rec)
         )
 
 

@@ -87,10 +87,6 @@ class MealScenario:
         object.__setattr__(self, "_starts", tuple(starts))
         object.__setattr__(self, "_ends", tuple(ends))
 
-    @property
-    def total_carb_g(self) -> float:
-        return sum(m for _, m in self.events)
-
 
 def meal_rate_at(t: float, scenario: MealScenario) -> float:
     """Carbohydrate delivery rate [mg/min] at time t [min]."""

@@ -42,7 +42,7 @@ class TestReset:
         obs = env.reset(NO_MEALS, np.random.default_rng(0))
         assert obs.y == pytest.approx(patient.y_basal)
         assert obs.u_prev == 0.0
-        assert env.steps == 0 and env.t == 0.0 and not env.done
+        assert env.steps == 0 and not env.done
 
     def test_training_reset_requires_init_rng(self, patient):
         env = quiet_env(patient)

@@ -5,6 +5,7 @@ these tests exercise plumbing and reproducibility, not control quality.
 """
 import builtins
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +291,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cohort"):
             resolve_patient(cfg)
 
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).parents[1] / "configs").glob("*.yaml")),
+        ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+        if "matrix" in raw:
+            assert load_matrix_config(path).configs()
+        else:
+            assert load_config(path).method == raw["method"]
+
 
 class TestLayout:
     def test_patient_slug(self):
@@ -344,6 +356,19 @@ class TestCheckpoints:
         other = tiny_cfg("cgmetppo-fixed")
         with pytest.raises(ValueError, match="does not match"):
             eval_records(other, patient, rd)
+
+    @pytest.mark.parametrize("trained,evaluated", [(False, True), (True, False)])
+    def test_pin_events_mismatch_rejected(self, tmp_path, patient, trained,
+                                          evaluated):
+        cfg = tiny_cfg("hetppo", pin_events=trained)
+        rd = run_dir(tmp_path, cfg, 0)
+        rd.mkdir(parents=True)
+        save_trainer(build_trainer(cfg, patient, seed=0), rd / "checkpoint.npz")
+        other = tiny_cfg("hetppo", pin_events=evaluated)
+        with pytest.raises(ValueError, match=f"checkpoint pin_events {trained} "
+                           f"does not match config pin_events {evaluated}"):
+            eval_records(other, patient, rd)
+        assert len(eval_records(cfg, patient, rd)) == 5
 
     def test_eval_without_checkpoint(self, tmp_path, patient):
         cfg = tiny_cfg("ppo")
@@ -815,6 +840,20 @@ class TestCli:
                        "--out-dir", str(tmp_path / "runs")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    def test_pin_events_mismatch_exit_two(self, tmp_path, capsys):
+        out_dir = str(tmp_path / "runs")
+        trained = write_yaml(tmp_path / "a.yaml", tiny_dict(
+            "hetppo", episodes=1, episode={"horizon": 20}))
+        pinned = write_yaml(tmp_path / "b.yaml", tiny_dict(
+            "hetppo", episodes=1, episode={"horizon": 20}, pin_events=True))
+        assert cli.main(["train", "--config", trained, "--out-dir", out_dir]) == 0
+        rc = cli.main(["eval", "--config", pinned, "--out-dir", out_dir])
+        assert rc == 2
+        assert ("checkpoint pin_events False does not match config "
+                "pin_events True") in capsys.readouterr().err
+        rd = tmp_path / "runs" / "hetppo" / "adult-001" / "seed_0"
+        assert not (rd / "metrics.csv").exists()
 
     def test_runtime_error_traceback_only_when_verbose(self, tmp_path, capsys):
         cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict("ppo"))

@@ -215,7 +215,7 @@ class TestAggregate:
                         metric_names=("ecf",))
         assert out.mean["ecf"] == pytest.approx(95.0)
         assert out.std["ecf"] == pytest.approx(5.0)
-        assert out.n_seeds == 2 and not out.single_seed
+        assert out.n_seeds == 2
 
     def test_scenario_means_taken_first(self):
         # seed A: scenarios 80 and 100 -> 90; seed B: 100 -> mean (90+100)/2
@@ -233,7 +233,7 @@ class TestAggregate:
 
     def test_single_seed_flagged(self):
         out = aggregate([[{"ecf": 100.0, "tir": 90.0, "aurr": 95.0}]])
-        assert out.single_seed
+        assert out.n_seeds == 1
         assert out.std["ecf"] == 0.0
 
     def test_multiple_metrics(self):

@@ -247,7 +247,7 @@ class TestPolicySampling:
     def test_sample_statistics(self):
         pol = GaussianPolicy.create(2, 1, np.random.default_rng(21))
         x = np.array([0.2, 0.5])
-        mean = pol.mean(x[None, :])[0, 0]
+        mean = pol.net.forward(x[None, :])[0, 0]
         rng = np.random.default_rng(100)
         n = 40000
         draws = np.array([pol.sample(x, rng)[0][0] for _ in range(n)])
@@ -263,7 +263,7 @@ class TestPolicySampling:
         rng = np.random.default_rng(7)
         for _ in range(20):
             a, logp = pol.sample(x, rng)
-            mean = pol.mean(x[None, :])
+            mean = pol.net.forward(x[None, :])
             want, _ = gaussian_logprob_entropy(mean, pol.log_std, a[None, :])
             assert logp == pytest.approx(float(want[0]), abs=1e-12)
 

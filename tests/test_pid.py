@@ -62,13 +62,25 @@ class ScriptedEnv:
 
     def reset(self, scenario, noise_rng):
         self.y_trace = [100.0]
+        self.event_trace = []
+        self.done = False
         return Observation(100.0, 0.0)
+
+    @property
+    def y(self):
+        return self.y_trace[-1]
+
+    @property
+    def steps(self):
+        return len(self.event_trace)
 
     def step(self, u, event=False):
         h = len(self.y_trace)
         y = 100.0 if self.flags[h - 1] else 300.0
         self.y_trace.append(y)
-        return Observation(y, u), h == len(self.flags)
+        self.event_trace.append(int(event))
+        self.done = h == len(self.flags)
+        return Observation(y, u), self.done
 
 
 class TestPidOutput:
@@ -223,13 +235,15 @@ class TestMissCap:
 
     def test_early_termination_is_not_a_cut(self):
         env = ScriptedEnv([True, False, True], horizon=6)
-        rec = rollout(env, None, None, lambda obs: (0.0, None), max_misses=1)
+        rec = rollout(env, env.reset(None, None), lambda obs: (0.0, None),
+                      max_misses=1)
         assert (rec.T, rec.H, tir(rec)) == (3, 6, 100.0 * 2 / 6)
 
     def test_cap_needs_per_step_decisions(self):
         env = ScriptedEnv([True] * 4, horizon=4)
         with pytest.raises(ValueError, match="per-step"):
-            rollout(env, None, None, lambda obs: (0.0, 10.0), max_misses=2)
+            rollout(env, env.reset(None, None), lambda obs: (0.0, 10.0),
+                    max_misses=2)
 
 
 class TestGridSearch:
@@ -280,6 +294,17 @@ class TestGridSearch:
         assert "nominal" in warnings[0] and "kp optimum" in warnings[0]
         edge = "lower" if gains.kp == 0.0001 else "upper"
         assert f"{edge} edge" in warnings[0]
+
+    def test_zero_optimum_on_zero_edge_is_silent(self, patient, caplog):
+        # 0 is the gain's own bound, not a cap set by the grid
+        scen = [default_eval_scenarios()[0]]
+        with caplog.at_level(logging.WARNING, logger="etglucose.pid"):
+            gains, _ = grid_search_pid(
+                patient, scen, kp_grid=(0.0009,), ki_grid=(0.0, 1e-4),
+                kd_grid=(0.0,), episode_cfg=EpisodeConfig(horizon=240),
+            )
+        assert gains.ki == 0.0
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
     def test_interior_optimum_is_silent(self, patient, caplog):
         scen = [default_eval_scenarios()[0]]
@@ -361,7 +386,8 @@ class TestGridSearch:
 
         def fake_episode(patient, gains, scenario, *args, max_misses=None):
             env = ScriptedEnv(table[index[gains], scenario], horizon)
-            rec = rollout(env, scenario, None, lambda obs: (0.0, None), max_misses)
+            rec = rollout(env, env.reset(scenario, None), lambda obs: (0.0, None),
+                          max_misses=max_misses)
             calls.append((index[gains], scenario, max_misses, rec))
             return rec
 

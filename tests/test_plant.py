@@ -1,4 +1,5 @@
 """Plant dynamics, integrator, sensor, pump, and cohort tests."""
+import configparser
 import dataclasses
 import hashlib
 import inspect
@@ -19,7 +20,6 @@ from etglucose.patients import (
     default_cohort,
     generate_cohort,
     load_cohort,
-    save_cohort,
 )
 from etglucose.plant import (
     PatientParams,
@@ -389,6 +389,26 @@ class TestPump:
             pump_command(float("nan"), PumpConfig())
         with pytest.raises(ValueError, match="invalid-command"):
             pump_command(float("inf"), PumpConfig())
+
+
+def save_cohort(cohort, path):
+    """Write a cohort as an INI file, one section per patient: the format
+    load_cohort reads."""
+    cp = configparser.ConfigParser()
+    cp.optionxform = str  # keep key case
+    for p in cohort:
+        sec = p.name
+        cp.add_section(sec)
+        for key in NOMINAL_ADULT:
+            cp.set(sec, key, repr(float(getattr(p, key))))
+        cp.set(sec, "u_basal", repr(float(p.u_basal)))
+        for field, value in zip(PatientState._fields, p.basal):
+            cp.set(sec, "basal_" + field, repr(float(value)))
+    with open(path, "w") as fh:
+        fh.write("# Synthetic patient parameters. One section per patient.\n")
+        fh.write("# Keys match PatientParams; basal_* fields give the\n")
+        fh.write("# steady state under u_basal, verified at load time.\n")
+        cp.write(fh)
 
 
 class TestCohort:

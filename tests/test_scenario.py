@@ -89,7 +89,7 @@ class TestDailyGeneration:
         assert len(scen.events) == 12
         assert scen.events[0][0] == 420
         assert scen.events[6][0] == 420 + MINUTES_PER_DAY  # day-2 breakfast
-        assert scen.total_carb_g == pytest.approx(2 * (45 + 10 + 70 + 10 + 80 + 10))
+        assert sum(m for _, m in scen.events) == pytest.approx(2 * (45 + 10 + 70 + 10 + 80 + 10))
 
     def test_same_seed_same_scenario(self):
         a = generate_episode_scenario(DEFAULT_MEAL_SPECS, np.random.default_rng(123))
