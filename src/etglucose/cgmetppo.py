@@ -21,7 +21,6 @@ from .ppo import (  # noqa: F401  (the SMDP core's names are re-exported)
     Trainer,
     smdp_gae,
     smdp_update,
-    squash_rate,
 )
 
 @dataclass(frozen=True)
@@ -34,8 +33,8 @@ class TriggerConfig:
         for name in ("fixed_eta", "eta_lo", "eta_hi"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.fixed_eta < 0:
-            raise ValueError("fixed_eta must be non-negative")
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if not self.eta_lo < self.eta_hi:
             raise ValueError("need eta_lo < eta_hi")
 
@@ -68,11 +67,8 @@ class CgmEtppoTrainer(Trainer):
 
     def step_reward(self, y: float, ell: int) -> float:
         if self.r1_only:
-            return reward_r1(y, self.reward_cfg)
-        return reward_r1(y, self.reward_cfg) + reward_r2(y, ell, self.reward_cfg)
-
-    def action_to_rate_eta(self, a_raw: np.ndarray) -> tuple[float, float]:
-        return squash_rate(a_raw[0], self.pump), self.trigger.threshold(a_raw)
+            return reward_r1(y)
+        return reward_r1(y) + reward_r2(y, ell, self.reward_cfg)
 
     def run_episode(self, episode_idx: int = 0) -> EpisodeStats:
         return self._smdp_episode(episode_idx)

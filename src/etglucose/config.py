@@ -64,6 +64,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
+        for name in ("r1_only", "pin_events"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false")
         if not is_int(self.episodes):
             raise ValueError("episodes must be an integer")
         if self.episodes < 1:

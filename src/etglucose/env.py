@@ -89,20 +89,18 @@ class EpisodeConfig:
 class RewardConfig:
     """Constants of the reward terms.
 
-    R1 pays 1 per step with CGM in [range_lo, range_hi]. R2, used by the
-    trigger-based trainer, additionally pays (ell - c)/C for an in-range
-    step held ell steps after the last insulin update. eta_e is the
-    per-update penalty of the factored-policy trainer.
+    R1 pays 1 per step with CGM in [RANGE_LO, RANGE_HI], the range TIR
+    scores. R2, used by the trigger-based trainer, additionally pays
+    (ell - c)/C for an in-range step held ell steps after the last insulin
+    update. eta_e is the per-update penalty of the factored-policy trainer.
     """
 
     c: float = 5.0
     C: float = 10.0
     eta_e: float = 0.1
-    range_lo: float = 70.0
-    range_hi: float = 180.0
 
     def __post_init__(self):
-        for name in ("c", "C", "eta_e", "range_lo", "range_hi"):
+        for name in ("c", "C", "eta_e"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.C <= 0:
@@ -110,25 +108,23 @@ class RewardConfig:
         # A finite eta_e also makes reward_het(y, 0) equal reward_r1(y).
         if self.eta_e < 0:
             raise ValueError("eta_e must be non-negative")
-        if self.range_lo >= self.range_hi:
-            raise ValueError("range_lo must lie below range_hi")
 
 
-def reward_r1(y: float, cfg: RewardConfig = RewardConfig()) -> float:
+def reward_r1(y: float) -> float:
     """1 inside the target range (inclusive), else 0."""
-    return 1.0 if cfg.range_lo <= y <= cfg.range_hi else 0.0
+    return 1.0 if RANGE_LO <= y <= RANGE_HI else 0.0
 
 
 def reward_r2(y: float, ell: float, cfg: RewardConfig = RewardConfig()) -> float:
     """Holding bonus: (ell - c)/C while in range, else 0."""
-    if cfg.range_lo <= y <= cfg.range_hi:
+    if RANGE_LO <= y <= RANGE_HI:
         return (ell - cfg.c) / cfg.C
     return 0.0
 
 
 def reward_het(y: float, e: int, cfg: RewardConfig = RewardConfig()) -> float:
     """In-range reward minus the update penalty eta_e * e."""
-    return reward_r1(y, cfg) - cfg.eta_e * e
+    return reward_r1(y) - cfg.eta_e * e
 
 
 # Observation normalization for the networks.

@@ -34,11 +34,11 @@ from .cgmetppo import CgmEtppoTrainer, FixedCgmEtppoTrainer
 from .config import ConfigError, ExperimentConfig, MatrixConfig
 from .env import ApEnv, rollout
 from .hetppo import HetppoTrainer, PinnedHetppoTrainer
-from .metrics import aggregate, aurr, ecf, interval_avg_hist, tir
+from .metrics import aggregate, aurr, ecf, interval_averages, tir
 from .neural import (
     GaussianPolicy,
     HetPolicy,
-    ValueNet,
+    Mlp,
     load_checkpoint,
     pack_mlp,
     pack_opt,
@@ -119,7 +119,7 @@ def build_trainer(cfg: ExperimentConfig, patient, seed: int):
 def trainer_arrays(trainer) -> dict[str, np.ndarray]:
     arrays = pack_mlp("policy", trainer.policy.net)
     arrays["policy_log_std"] = trainer.policy.log_std
-    arrays.update(pack_mlp("value", trainer.vnet.net))
+    arrays.update(pack_mlp("value", trainer.vnet))
     arrays.update(pack_opt("opt_policy", trainer.opt_policy))
     arrays.update(pack_opt("opt_value", trainer.opt_value))
     arrays["pin_events"] = np.asarray(
@@ -135,7 +135,7 @@ def save_trainer(trainer, path: Path) -> None:
                  binary=True)
 
 
-def load_policy(path: Path) -> tuple[str, object, ValueNet, bool]:
+def load_policy(path: Path) -> tuple[str, object, Mlp, bool]:
     """Rebuild (method, policy, value net, pin_events) from a checkpoint."""
     method, data = load_checkpoint(path)
     net = unpack_mlp("policy", data)
@@ -145,8 +145,7 @@ def load_policy(path: Path) -> tuple[str, object, ValueNet, bool]:
         policy: object = HetPolicy(net, log_std)
     else:
         policy = GaussianPolicy(net, log_std)
-    vnet = ValueNet(unpack_mlp("value", data))
-    return method, policy, vnet, pin
+    return method, policy, unpack_mlp("value", data), pin
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +191,7 @@ def roll_hetppo(patient, policy: HetPolicy, scenario, noise_rng,
 def roll_cgmetppo(patient, policy: GaussianPolicy, scenario, noise_rng,
                   cfg: ExperimentConfig):
     return _roll(patient, scenario, noise_rng, cfg,
-                 lambda obs: greedy_decide(policy, obs, cfg.pump,
-                                           cfg.trigger.threshold))
+                 lambda obs: greedy_decide(policy, obs, cfg.pump, cfg.trigger))
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +345,9 @@ def run_eval(cfg: ExperimentConfig, out_base: str | Path) -> list[Path]:
         ]
         write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
         if cfg.method == "cgmetppo-variable":
-            counts = np.zeros((len(CGM_HIST_EDGES) - 1, len(ETA_HIST_EDGES) - 1))
-            for rec, _ in rolled:
-                c, _, _ = interval_avg_hist(rec, (CGM_HIST_EDGES, ETA_HIST_EDGES))
-                counts += c
+            counts = sum(np.histogram2d(*interval_averages(rec),
+                                        bins=(CGM_HIST_EDGES, ETA_HIST_EDGES))[0]
+                         for rec, _ in rolled)
             hist = ["cgm_lo,eta_lo,count\n"] + [
                 f"{CGM_HIST_EDGES[a]:.1f},{ETA_HIST_EDGES[b]:.1f},"
                 f"{int(counts[a, b])}\n"

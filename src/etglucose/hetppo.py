@@ -31,7 +31,14 @@ from .neural import (
     gaussian_logprob_entropy,
     sigmoid,
 )
-from .ppo import EpisodeStats, HyperParams, PpoTrainer, Trainer, squash_rate
+from .ppo import (
+    EpisodeStats,
+    HyperParams,
+    PpoTrainer,
+    Trainer,
+    clipped_surrogate,
+    squash_rate,
+)
 
 
 def factored_sample(
@@ -80,10 +87,7 @@ def het_policy_grads(
     # Event factor, every row.
     lp_e_new, ent_e = bernoulli_logprob_entropy(logit, e)
     ratio_e = np.exp(lp_e_new - logp_old[:, 1])
-    u1 = ratio_e * adv
-    u2 = np.clip(ratio_e, 1.0 - eps, 1.0 + eps) * adv
-    j_event = float(np.minimum(u1, u2).mean())
-    dlp_e = np.where(u1 <= u2, ratio_e * adv, 0.0) / b
+    j_event, dlp_e = clipped_surrogate(ratio_e, adv, eps, b)
     p = sigmoid(logit)
     dlogit = dlp_e * (e - p)
     # d entropy(e) / d logit = -logit * p * (1 - p)
@@ -103,10 +107,7 @@ def het_policy_grads(
         z = (act[idx, 0] - u_mean[idx]) / std
         lp_u_new = -0.5 * (z * z + math.log(2.0 * math.pi)) - policy.log_std[0]
         ratio_u = np.exp(lp_u_new - logp_old[idx, 0])
-        w1 = ratio_u * adv[idx]
-        w2 = np.clip(ratio_u, 1.0 - eps, 1.0 + eps) * adv[idx]
-        j_insulin = float(np.minimum(w1, w2).sum()) / m
-        dlp_u = np.where(w1 <= w2, ratio_u * adv[idx], 0.0) / m
+        j_insulin, dlp_u = clipped_surrogate(ratio_u, adv[idx], eps, m)
         dmean[idx] = dlp_u * z / std
         dlog_std[0] = float((dlp_u * (z * z - 1.0)).sum())
         mean_ratio_u = float(ratio_u.mean())
@@ -131,9 +132,8 @@ def het_policy_grads(
 class HetppoTrainer(Trainer):
     """Per-step trainer with a learned when-to-transmit head.
 
-    Between events the pump keeps the last commanded value (the raw
-    sample is what is held, so the executed rate stays constant). Before
-    the first event of an episode the held command is zero insulin.
+    Between events env.rollout holds the last command sent; before the
+    first event of an episode that is zero insulin.
     """
 
     method = "hetppo"
@@ -141,21 +141,15 @@ class HetppoTrainer(Trainer):
     def new_policy(self, rng: np.random.Generator) -> HetPolicy:
         return HetPolicy.create(2, rng)
 
-    def _reset(self):
-        self._held = 0.0  # raw commanded value; zero insulin until the first event
-        return super()._reset()
-
     def sample_decision(self, x: np.ndarray):
-        """Factored draw: act [held, e] and log-prob [logp_u, logp_e].
+        """Factored draw: act [u_raw, e] and log-prob [logp_u, logp_e].
 
-        Non-event rows store the held command; the objective masks their
-        insulin slot out either way.
+        A non-event row stores the zero insulin slot factored_sample
+        returns, and sends no rate; the objective masks that slot out.
         """
         e, u_raw, lp_e, lp_u = factored_sample(self.policy, x, self.rngs.policy)
-        if e:
-            self._held = u_raw
         rate = squash_rate(u_raw, self.pump) if e else None
-        return np.asarray([self._held, float(e)]), np.asarray([lp_u, lp_e]), rate, 0.0
+        return np.asarray([u_raw, float(e)]), np.asarray([lp_u, lp_e]), rate, None
 
     def step_reward(self, y: float, ell: int) -> float:
         return reward_het(y, ell == 0, self.reward_cfg)

@@ -86,22 +86,6 @@ def interval_averages(record: EpisodeRecord) -> tuple[np.ndarray, np.ndarray]:
     return means, np.asarray(record.thresholds, dtype=float)
 
 
-def interval_avg_hist(
-    record: EpisodeRecord,
-    bins: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """2-D histogram of (interval-average CGM, threshold).
-
-    bins is a pair of edge arrays (CGM edges, threshold edges). Returns
-    (counts, cgm_edges, eta_edges); counts sum to the interval count
-    whenever all intervals land inside the given edges.
-    """
-    means, etas = interval_averages(record)
-    c_edges, e_edges = bins
-    counts, c_out, e_out = np.histogram2d(means, etas, bins=(c_edges, e_edges))
-    return counts, c_out, e_out
-
-
 @dataclass(frozen=True)
 class AggregateResult:
     mean: dict[str, float]

@@ -213,23 +213,6 @@ class GaussianPolicy:
 
 
 @dataclass
-class ValueNet:
-    net: Mlp
-
-    @classmethod
-    def create(
-        cls, n_obs: int, rng: np.random.Generator, hidden: tuple[int, ...] = DEFAULT_HIDDEN
-    ) -> "ValueNet":
-        return cls(Mlp.create((n_obs, *hidden, 1), rng, out_gain=VALUE_OUT_GAIN))
-
-    def params(self) -> list[np.ndarray]:
-        return self.net.params()
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        return self.net.forward(x)[:, 0]
-
-
-@dataclass
 class HetPolicy:
     """Factored policy: one trunk MLP emits [insulin mean, event logit]."""
 

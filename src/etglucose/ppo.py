@@ -14,7 +14,8 @@ surrogate with an entropy bonus, value regression against targets
 G = V_old(s) + A, the shuffled-minibatch epoch engine, the trainer
 skeleton whose training episode every trainer runs (per-step, factored
 and CGM-triggered) on env.rollout, the loop greedy evaluation runs too,
-and the greedy evaluation decision.
+and the one map from a Gaussian action to a decision, which training
+applies to a sample and greedy evaluation to the mean.
 """
 from __future__ import annotations
 
@@ -37,11 +38,12 @@ from .env import (
 )
 from .metrics import aurr, ecf, tir
 from .neural import (
+    DEFAULT_HIDDEN,
     DivergedUpdateError,
     GaussianPolicy,
     HetPolicy,
+    Mlp,
     OptimizerState,
-    ValueNet,
     adam_step,
     gaussian_logprob_entropy,
 )
@@ -124,12 +126,27 @@ def compute_gae(
 
 
 def values_with_bootstrap(
-    vnet: ValueNet, obs: np.ndarray, last_next_obs: np.ndarray
+    vnet: Mlp, obs: np.ndarray, last_next_obs: np.ndarray
 ) -> np.ndarray:
     """V(s) for every stored state plus V of the final next-state."""
-    v = vnet.values(obs)
-    v_boot = vnet.values(np.asarray(last_next_obs, dtype=float)[None, :])
+    v = vnet.forward(obs)[:, 0]
+    v_boot = vnet.forward(np.asarray(last_next_obs, dtype=float)[None, :])[:, 0]
     return np.concatenate([v, v_boot])
+
+
+def clipped_surrogate(
+    ratio: np.ndarray, adv: np.ndarray, eps: float, n: int
+) -> tuple[float, np.ndarray]:
+    """PPO's clipped term: (sum of min(ratio * A, clip(ratio) * A) / n,
+    its derivative in each row's log-prob).
+
+    The derivative follows the branch the min selects: the unclipped
+    surrogate when it is the smaller (or equal) term, otherwise the clipped
+    branch, whose derivative is zero outside the clip interval.
+    """
+    u1 = ratio * adv
+    u2 = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
+    return float(np.minimum(u1, u2).sum()) / n, np.where(u1 <= u2, u1, 0.0) / n
 
 
 def gaussian_policy_grads(
@@ -140,25 +157,16 @@ def gaussian_policy_grads(
     adv: np.ndarray,
     hyper: HyperParams,
 ) -> tuple[float, list[np.ndarray], dict]:
-    """Objective J = L_clip + c_ent * entropy and gradients of -J.
-
-    The gradient follows the branch selected by the min: the unclipped
-    surrogate when it is the smaller (or equal) term, otherwise the
-    clipped branch, whose derivative is zero outside the clip interval.
-    """
+    """Objective J = L_clip + c_ent * entropy and gradients of -J."""
     mean, acts = policy.net.forward_cached(obs)
     std = np.exp(policy.log_std)
     z = (act - mean) / std
     logp_new, entropy = gaussian_logprob_entropy(mean, policy.log_std, act)
-    b = len(adv)
 
     ratio = np.exp(logp_new - logp_old)
-    clipped = np.clip(ratio, 1.0 - hyper.clip_eps, 1.0 + hyper.clip_eps)
-    u1 = ratio * adv
-    u2 = clipped * adv
-    objective = float(np.minimum(u1, u2).mean()) + hyper.c_ent * entropy
+    j_clip, dlogp = clipped_surrogate(ratio, adv, hyper.clip_eps, len(adv))
+    objective = j_clip + hyper.c_ent * entropy
 
-    dlogp = np.where(u1 <= u2, ratio * adv, 0.0) / b
     dmean = dlogp[:, None] * z / std
     dlog_std = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0) + hyper.c_ent
 
@@ -173,14 +181,14 @@ def gaussian_policy_grads(
 
 
 def value_grads(
-    vnet: ValueNet, obs: np.ndarray, targets: np.ndarray
+    vnet: Mlp, obs: np.ndarray, targets: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """Mean-squared-error loss and its gradients."""
-    pred, acts = vnet.net.forward_cached(obs)
+    pred, acts = vnet.forward_cached(obs)
     diff = pred[:, 0] - targets
     loss = float((diff * diff).mean())
     dout = (2.0 * diff / len(targets))[:, None]
-    return loss, vnet.net.backward(acts, dout)
+    return loss, vnet.backward(acts, dout)
 
 
 @dataclass
@@ -202,7 +210,7 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
 
 def update_networks(
     policy,
-    vnet: ValueNet,
+    vnet: Mlp,
     opt_policy: OptimizerState,
     opt_value: OptimizerState,
     data: dict[str, np.ndarray],
@@ -266,8 +274,8 @@ class SmdpBuffer:
 
     Per-step trainers store tau = 1 rows. The factored policy stores
     act rows [u_raw, e] and logp rows [logp_u, logp_e]; a non-event row
-    carries the held command and a zero insulin log-prob, neither of
-    which enters its objective.
+    carries a zero insulin action and log-prob, neither of which enters
+    its objective.
     """
 
     def __init__(self, capacity: int):
@@ -306,7 +314,7 @@ class SmdpBuffer:
 def smdp_update(
     buffer: SmdpBuffer,
     policy,
-    vnet: ValueNet,
+    vnet: Mlp,
     opt_policy: OptimizerState,
     opt_value: OptimizerState,
     hyper: HyperParams,
@@ -347,41 +355,51 @@ def squash_rate(a_raw: float, pump: PumpConfig) -> float:
     return float(np.clip(a_raw, 0.0, 1.0)) * pump.u_max
 
 
-def greedy_decide(policy, obs: Observation, pump: PumpConfig, threshold=None):
+def decision(a: np.ndarray, pump: PumpConfig, trigger=None):
+    """Gaussian action -> (pump rate, trigger threshold or None).
+
+    trigger (a TriggerConfig) maps the action to the threshold the rate
+    holds to; without one the decision is per-step, a hold of one step.
+    """
+    return squash_rate(a[0], pump), None if trigger is None else trigger.threshold(a)
+
+
+def greedy_decide(policy, obs: Observation, pump: PumpConfig, trigger=None):
     """One greedy evaluation decision: (rate or None, threshold or None).
 
-    The rate is the squashed Gaussian mean. A factored policy sends it only
-    when its event probability is at least 1/2, and otherwise returns None,
-    which holds the last command. threshold maps the mean to a trigger
-    threshold; without one, each decision lasts one step. env.rollout
-    runs an episode on these decisions.
+    A Gaussian policy's decision is that of its mean. A factored policy
+    sends its squashed mean only when its event probability is at least
+    1/2, and otherwise returns None, which holds the last command; each of
+    its decisions lasts one step. env.rollout runs an episode on these
+    decisions.
     """
     x = obs_vec(obs, pump)[None, :]
     if isinstance(policy, HetPolicy):
         mean, logit = policy.heads(x)
         return (squash_rate(mean[0], pump) if logit[0] >= 0.0 else None), None
-    mean = policy.net.forward(x)[0]
-    return squash_rate(mean[0], pump), None if threshold is None else threshold(mean)
+    return decision(policy.net.forward(x)[0], pump, trigger)
 
 
 class Trainer:
     """The skeleton every trainer shares, and its SMDP episode on env.rollout.
 
     Each decision samples an action and maps it to (pump rate or None,
-    threshold). A rate is sent to the pump; None keeps the last command
-    without an insulin update. The command then holds until the CGM has
-    moved by the threshold, and the held interval is stored as one
-    experience; a full buffer triggers an update. The defaults here,
-    threshold 0 and the in-range reward R1, make every hold one step long
-    and every decision an update: that is plain per-step PPO. Subclasses
-    override new_policy, action_to_rate_eta or sample_decision, and
-    step_reward. PpoTrainer, HetppoTrainer and CgmEtppoTrainer each define
-    run_episode as one call to _smdp_episode, and their subclasses inherit it,
-    so a wrapper on those three sees every episode once.
+    threshold or None). A rate is sent to the pump; None keeps the last
+    command without an insulin update. The command then holds until the
+    CGM has moved by the threshold, or for one step without one, and the
+    held interval is stored as one experience; a full buffer triggers an
+    update. The defaults here, no trigger and the in-range reward R1, make
+    every hold one step long and every decision an update: that is plain
+    per-step PPO. Subclasses override new_policy, trigger or
+    sample_decision, and step_reward. PpoTrainer, HetppoTrainer and
+    CgmEtppoTrainer each define run_episode as one call to _smdp_episode,
+    and their subclasses inherit it, so a wrapper on those three sees
+    every episode once.
     """
 
     method = ""
     n_act = 1  # Gaussian policy outputs: the rate, then any threshold
+    trigger = None  # a TriggerConfig makes each decision hold to a threshold
 
     def __init__(
         self,
@@ -401,7 +419,7 @@ class Trainer:
         # Net creation order (actor, then critic, both from the net-init
         # stream) is part of the seeding contract.
         self.policy = self.new_policy(rngs.net_init)
-        self.vnet = ValueNet.create(2, rngs.net_init)
+        self.vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rngs.net_init)
         self.opt_policy = OptimizerState(lr=hyper.lr)
         self.opt_value = OptimizerState(lr=hyper.lr)
         self.buffer = SmdpBuffer(hyper.buffer_size)
@@ -413,18 +431,14 @@ class Trainer:
     def new_policy(self, rng: np.random.Generator):
         return GaussianPolicy.create(2, self.n_act, rng)
 
-    def action_to_rate_eta(self, a_raw: np.ndarray) -> tuple[float, float]:
-        """Raw action sample -> (pump rate, trigger threshold)."""
-        return squash_rate(a_raw[0], self.pump), 0.0
-
     def sample_decision(self, x: np.ndarray):
-        """(stored action, log-prob, pump rate or None, threshold) at x."""
+        """(stored action, log-prob, pump rate or None, threshold or None) at x."""
         a_raw, logp = self.policy.sample(x, self.rngs.policy)
-        return (a_raw, logp, *self.action_to_rate_eta(a_raw))
+        return (a_raw, logp, *decision(a_raw, self.pump, self.trigger))
 
     def step_reward(self, y: float, ell: int) -> float:
         """Reward of a step from CGM y, ell steps after the last update."""
-        return reward_r1(y, self.reward_cfg)
+        return reward_r1(y)
 
     def _maybe_update(self, policy_grads_fn=gaussian_policy_grads) -> None:
         if not self.buffer.full:

@@ -7,7 +7,8 @@ reductions are checked against code the library does not share. Only the
 networks, the sampler and the minibatch engine (update_networks) come from
 the library. PpoTrainer, the triggered trainer at threshold 0 with r1_only,
 and the pinned-event trainer must all match it bit for bit; record_updates
-captures the library trainers' updates for that comparison.
+captures the library trainers' updates for that comparison, and
+record_episodes their training episodes' records.
 
 The reference loss formulas (clipped surrogate, value loss) live here too.
 """
@@ -19,7 +20,7 @@ import numpy as np
 from etglucose import ppo
 from etglucose.env import ApEnv, EpisodeConfig, RewardConfig, obs_vec, reward_r1
 from etglucose.metrics import EpisodeRecord, aurr, ecf, tir
-from etglucose.neural import GaussianPolicy, OptimizerState, ValueNet
+from etglucose.neural import DEFAULT_HIDDEN, GaussianPolicy, Mlp, OptimizerState
 from etglucose.plant import PumpConfig, SensorConfig
 from etglucose.ppo import (
     EpisodeStats,
@@ -78,6 +79,23 @@ def record_updates(monkeypatch, *trainers) -> dict:
     return snaps
 
 
+def record_episodes(monkeypatch) -> list:
+    """Collect the EpisodeRecord of every training episode run.
+
+    Wraps the env.rollout that ppo.Trainer's episode calls; the list fills
+    as training runs.
+    """
+    real = ppo.rollout
+    records = []
+
+    def recording(*args, **kwargs):
+        records.append(real(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(ppo, "rollout", recording)
+    return records
+
+
 def per_step_gae(rewards, values, dones, gamma, lam):
     """Backward-recursion GAE with done masking between episodes."""
     adv = np.empty(len(rewards))
@@ -102,7 +120,7 @@ class PerStepPpo:
         self.pump = pump
         self.env = ApEnv(patient, episode_cfg, sensor, pump)
         self.policy = GaussianPolicy.create(2, 1, rngs.net_init)
-        self.vnet = ValueNet.create(2, rngs.net_init)
+        self.vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rngs.net_init)
         self.opt_policy = OptimizerState(lr=hyper.lr)
         self.opt_value = OptimizerState(lr=hyper.lr)
         self.rows = []  # (obs, act, reward, done, logp) per step
@@ -142,7 +160,7 @@ class PerStepPpo:
         while not env.done:
             x = obs_vec(obs, self.pump)
             a_raw, logp = self.policy.sample(x, self.rngs.policy)
-            r = reward_r1(obs.y, self.reward_cfg)
+            r = reward_r1(obs.y)
             rate = float(np.clip(a_raw[0], 0.0, 1.0)) * self.pump.u_max
             obs, done = env.step(rate, event=True)
             self.rows.append((x, a_raw, r, 1.0 if done else 0.0, logp))

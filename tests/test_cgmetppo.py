@@ -12,15 +12,17 @@ from etglucose.cgmetppo import (
     smdp_gae,
     smdp_update,
 )
-from etglucose.env import EpisodeConfig, Observation
-from etglucose.neural import GaussianPolicy, OptimizerState, ValueNet
+from etglucose.env import EpisodeConfig, Observation, obs_vec
+from etglucose.neural import DEFAULT_HIDDEN, GaussianPolicy, Mlp, OptimizerState
 from etglucose.patients import NOMINAL_ADULT, build_patient
 from etglucose.plant import SensorConfig
 from etglucose.ppo import (
     HyperParams,
+    PpoTrainer,
     SmdpBuffer,
     SmdpExperience,
     compute_gae,
+    decision,
     greedy_decide,
 )
 from etglucose.seeding import RngBundle
@@ -152,7 +154,7 @@ class TestSmdpBuffer:
     def test_update_runs_from_buffer(self):
         rng = np.random.default_rng(12)
         pol = GaussianPolicy.create(2, 1, rng)
-        vnet = ValueNet.create(2, rng)
+        vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
         buf = SmdpBuffer(32)
         for i in range(32):
             buf.add(
@@ -180,7 +182,7 @@ class TestTriggerConfig:
         tr = FixedCgmEtppoTrainer(patient, RngBundle.from_master(0),
                                   trigger=TriggerConfig(fixed_eta=20.0))
         for a in (-3.0, 0.0, 0.4, 1.0, 9.0):
-            u, eta = tr.action_to_rate_eta(np.array([a]))
+            u, eta = decision(np.array([a]), tr.pump, tr.trigger)
             assert eta == 20.0
             assert u == pytest.approx(min(max(a, 0.0), 1.0) * 0.15)
         assert tr.method == "cgmetppo-fixed"
@@ -189,9 +191,10 @@ class TestTriggerConfig:
     def test_action_mapping_variable(self, patient):
         tr = CgmEtppoTrainer(patient, RngBundle.from_master(0),
                              trigger=TriggerConfig(eta_lo=15.0, eta_hi=25.0))
-        assert tr.action_to_rate_eta(np.array([0.5, -4.0]))[1] == 15.0
-        assert tr.action_to_rate_eta(np.array([0.5, 0.5]))[1] == pytest.approx(20.0)
-        assert tr.action_to_rate_eta(np.array([0.5, 8.0]))[1] == 25.0
+        assert decision(np.array([0.5, -4.0]), tr.pump, tr.trigger)[1] == 15.0
+        assert decision(np.array([0.5, 0.5]), tr.pump, tr.trigger)[1] == \
+            pytest.approx(20.0)
+        assert decision(np.array([0.5, 8.0]), tr.pump, tr.trigger)[1] == 25.0
         assert tr.method == "cgmetppo-variable"
         assert tr.policy.n_act == 2
 
@@ -244,7 +247,7 @@ class TestTrainer:
         tr.run_episode(0)
         # recompute the chosen thresholds from the stored raw actions
         for e in tr.buffer.exps:
-            _, eta = tr.action_to_rate_eta(e.a)
+            eta = tr.trigger.threshold(e.a)
             assert 15.0 <= eta <= 25.0
 
     def test_return_accumulates_hold_rewards(self, patient):
@@ -289,6 +292,22 @@ class TestTrainer:
                                   trigger=TriggerConfig(fixed_eta=25.0))
         tr.policy = constant_policy(1, [0.4])
         u, eta = greedy_decide(tr.policy, Observation(140.0, 0.02), tr.pump,
-                               tr.trigger.threshold)
+                               tr.trigger)
         assert u == pytest.approx(0.4 * 0.15)
         assert eta == 25.0
+
+    @pytest.mark.parametrize("cls,outputs", [
+        (PpoTrainer, [0.4]), (FixedCgmEtppoTrainer, [0.4]),
+        (CgmEtppoTrainer, [0.4, 0.3]), (CgmEtppoTrainer, [7.0, -4.0]),
+    ])
+    def test_sampled_and_greedy_decisions_agree(self, patient, cls, outputs):
+        # one decision map: a near-deterministic sample decides as the mean
+        tr = cls(patient, RngBundle.from_master(0))
+        tr.policy = constant_policy(len(outputs), outputs)
+        obs = Observation(140.0, 0.02)
+        _, _, rate, eta = tr.sample_decision(obs_vec(obs, tr.pump))
+        g_rate, g_eta = greedy_decide(tr.policy, obs, tr.pump, tr.trigger)
+        assert rate == pytest.approx(g_rate, abs=1e-12)
+        assert (eta is None) == (g_eta is None) == (cls is PpoTrainer)
+        if eta is not None:
+            assert eta == pytest.approx(g_eta, abs=1e-12)

@@ -173,8 +173,8 @@ class TestRewards:
             cfg = RewardConfig(eta_e=eta_e)
             for y in (50.0, 100.0, 200.0):
                 r = reward_het(y, 0, cfg)
-                assert r == reward_r1(y, cfg)
-                assert str(r) == str(reward_r1(y, cfg))
+                assert r == reward_r1(y)
+                assert str(r) == str(reward_r1(y))
         for bad in (float("inf"), float("nan")):
             with pytest.raises(ValueError):
                 RewardConfig(eta_e=bad)
@@ -184,8 +184,6 @@ class TestRewards:
             RewardConfig(C=0.0)
         with pytest.raises(ValueError):
             RewardConfig(eta_e=-0.1)
-        with pytest.raises(ValueError):
-            RewardConfig(range_lo=180.0, range_hi=70.0)
         with pytest.raises(ValueError):
             EpisodeConfig(horizon=0)
         with pytest.raises(ValueError):

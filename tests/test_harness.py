@@ -177,11 +177,19 @@ class TestConfig:
         ("pump", "u_min", -0.01), ("pump", "u_min", 0.2),
         ("pid_grid", "kp", [math.nan]), ("pid_grid", "ki", [0.0, -1e-5]),
         ("pid_grid", "kd", [math.inf]),
+        ("trigger", "eta_lo", -1.0),
+        # a boolean key takes true or false, not any truthy or falsy value
+        (None, "pin_events", "false"), (None, "r1_only", "no"),
+        (None, "pin_events", 1), (None, "r1_only", None),
     ])
     def test_out_of_range_value_rejected(self, section, key, value):
         raw = tiny_dict("cgmetppo-fixed")
-        raw.setdefault(section, {})[key] = value
-        with pytest.raises(ConfigError, match=f"^{section}: {key} must"):
+        if section is None:
+            raw[key] = value
+        else:
+            raw.setdefault(section, {})[key] = value
+        where = section or "config"
+        with pytest.raises(ConfigError, match=f"^{where}: {key} must"):
             config_from_dict(raw)
 
     @pytest.mark.parametrize("value", [20.5, True, 64.0, "64"])
@@ -325,7 +333,7 @@ class TestCheckpoints:
         assert not pin
         for got, want in zip(policy.net.params(), trainer.policy.net.params()):
             assert np.array_equal(got, want)
-        for got, want in zip(vnet.net.params(), trainer.vnet.net.params()):
+        for got, want in zip(vnet.params(), trainer.vnet.params()):
             assert np.array_equal(got, want)
         assert np.array_equal(policy.log_std, trainer.policy.log_std)
 
@@ -883,6 +891,17 @@ class TestCli:
                        "--out-dir", str(tmp_path / "runs")])
         assert rc == 1
         assert ("config error: config: seeds must be distinct"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
+    def test_negative_eta_lo_exit_one(self, tmp_path, capsys):
+        # used to exit 2 at the first decision after making seed_0/
+        cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict(
+            "cgmetppo-variable", trigger={"eta_lo": -5.0, "eta_hi": 5.0}))
+        rc = cli.main(["train", "--config", cfg_path,
+                       "--out-dir", str(tmp_path / "runs")])
+        assert rc == 1
+        assert ("config error: trigger: eta_lo must be non-negative"
                 in capsys.readouterr().err)
         assert not (tmp_path / "runs").exists()
 

@@ -12,9 +12,10 @@ from etglucose.hetppo import (
     het_policy_grads,
 )
 from etglucose.neural import (
+    DEFAULT_HIDDEN,
     HetPolicy,
+    Mlp,
     OptimizerState,
-    ValueNet,
     bernoulli_logprob_entropy,
     gaussian_logprob_entropy,
     sigmoid,
@@ -28,7 +29,12 @@ from etglucose.ppo import (
     smdp_update,
 )
 from etglucose.seeding import RngBundle
-from per_step_oracle import PerStepPpo, clipped_surrogate, record_updates
+from per_step_oracle import (
+    PerStepPpo,
+    clipped_surrogate,
+    record_episodes,
+    record_updates,
+)
 
 
 def factored_row(obs, e, u_raw, reward, done, logp_e, logp_u) -> SmdpExperience:
@@ -173,7 +179,7 @@ class TestHetObjective:
     def test_update_runs_from_buffer(self):
         rng = np.random.default_rng(21)
         pol = HetPolicy.create(2, rng)
-        vnet = ValueNet.create(2, rng)
+        vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
         buf = SmdpBuffer(64)
         for i in range(64):
             e = int(rng.random() < 0.4)
@@ -222,18 +228,29 @@ class TestTrainer:
                 prev = u[i - 1] if i > 0 else 0.0
                 assert u[i] == prev
 
-    def test_non_event_rows_store_held_command(self, patient):
+    def test_non_event_rows_store_zero_insulin(self, patient):
+        # env.rollout holds the command; a non-event row keeps the zero
+        # insulin slot factored_sample returns, masked out of the objective
         tr = HetppoTrainer(patient, RngBundle.from_master(4),
                            hyper=HyperParams(buffer_size=4096),
                            episode_cfg=EpisodeConfig(horizon=300))
         tr.run_episode(0)
         d = tr.buffer.arrays()
-        held = 0.0
-        for row in d["act"]:
-            if row[1] == 1.0:
-                held = row[0]
-            else:
-                assert row[0] == held
+        off = d["act"][:, 1] == 0.0
+        assert off.any() and not off.all()
+        assert np.all(d["act"][off, 0] == 0.0)
+        assert np.all(d["logp_old"][off, 0] == 0.0)
+        assert np.all(d["act"][~off, 0] != 0.0)
+
+    @pytest.mark.parametrize("cls", [HetppoTrainer, PinnedHetppoTrainer])
+    def test_per_step_records_carry_no_thresholds(self, patient, monkeypatch, cls):
+        records = record_episodes(monkeypatch)
+        tr = cls(patient, RngBundle.from_master(4),
+                 hyper=HyperParams(buffer_size=4096),
+                 episode_cfg=EpisodeConfig(horizon=100))
+        stats = tr.run_episode(0)
+        assert len(records) == 1 and records[0].T == stats.steps
+        assert records[0].thresholds is None
 
     def test_event_count_reported(self, patient):
         tr = HetppoTrainer(patient, RngBundle.from_master(6),

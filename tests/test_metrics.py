@@ -11,7 +11,6 @@ from etglucose.metrics import (
     aurr,
     ecf,
     interval_averages,
-    interval_avg_hist,
     tir,
 )
 
@@ -178,7 +177,7 @@ class TestIntervalAnalysis:
         )
         c_edges = np.arange(40.0, 401.0, 20.0)
         e_edges = np.arange(15.0, 26.0, 1.0)
-        counts, c_out, e_out = interval_avg_hist(rec, (c_edges, e_edges))
+        counts, _, _ = np.histogram2d(*interval_averages(rec), bins=(c_edges, e_edges))
         assert counts.sum() == 1.0
         ci = np.searchsorted(c_edges, 110.0, side="right") - 1
         ei = np.searchsorted(e_edges, 20.0, side="right") - 1
@@ -193,8 +192,9 @@ class TestIntervalAnalysis:
             K=5, update_times=times,
             thresholds=tuple(rng.uniform(15.0, 25.0, size=5)),
         )
-        counts, _, _ = interval_avg_hist(
-            rec, (np.arange(40.0, 401.0, 20.0), np.arange(15.0, 26.0, 1.0))
+        counts, _, _ = np.histogram2d(
+            *interval_averages(rec),
+            bins=(np.arange(40.0, 401.0, 20.0), np.arange(15.0, 26.0, 1.0)),
         )
         assert counts.sum() == 5.0
 
@@ -203,8 +203,9 @@ class TestIntervalAnalysis:
                             thresholds=())
         means, etas = interval_averages(rec)
         assert means.size == 0 and etas.size == 0
-        counts, _, _ = interval_avg_hist(
-            rec, (np.arange(40.0, 401.0, 20.0), np.arange(15.0, 26.0, 1.0))
+        counts, _, _ = np.histogram2d(
+            means, etas,
+            bins=(np.arange(40.0, 401.0, 20.0), np.arange(15.0, 26.0, 1.0)),
         )
         assert counts.sum() == 0.0
 

@@ -7,12 +7,12 @@ import pytest
 
 from etglucose.neural import (
     CHECKPOINT_VERSION,
+    DEFAULT_HIDDEN,
     DivergedUpdateError,
     GaussianPolicy,
     HetPolicy,
     Mlp,
     OptimizerState,
-    ValueNet,
     adam_step,
     bernoulli_logprob_entropy,
     gaussian_logprob_entropy,
@@ -276,9 +276,9 @@ class TestPolicySampling:
         assert np.array_equal(logit, out[:, 1])
 
     def test_value_net_scalar_output(self):
-        vnet = ValueNet.create(2, np.random.default_rng(40))
-        v = vnet.values(np.zeros((5, 2)))
-        assert v.shape == (5,)
+        # the critic is a plain Mlp with one linear output
+        vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), np.random.default_rng(40))
+        assert vnet.forward(np.zeros((5, 2))).shape == (5, 1)
 
 
 class TestCheckpoints:

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from etglucose.neural import GaussianPolicy, OptimizerState, ValueNet
+from etglucose import ppo
+from etglucose.env import EpisodeConfig
+from etglucose.neural import DEFAULT_HIDDEN, GaussianPolicy, Mlp, OptimizerState
 from etglucose.patients import NOMINAL_ADULT, build_patient
 from etglucose.ppo import (
     HyperParams,
@@ -12,6 +14,7 @@ from etglucose.ppo import (
     SmdpBuffer,
     SmdpExperience,
     compute_gae,
+    decision,
     gaussian_policy_grads,
     normalize_advantages,
     smdp_update,
@@ -19,7 +22,13 @@ from etglucose.ppo import (
     values_with_bootstrap,
 )
 from etglucose.seeding import RngBundle
-from per_step_oracle import PerStepPpo, clipped_surrogate, record_updates, value_loss
+from per_step_oracle import (
+    PerStepPpo,
+    clipped_surrogate,
+    record_episodes,
+    record_updates,
+    value_loss,
+)
 
 
 def step_row(obs, act, reward, done, logp) -> SmdpExperience:
@@ -182,7 +191,7 @@ class TestPolicyGrads:
     def test_zero_advantage_moves_only_log_std(self):
         rng = np.random.default_rng(13)
         pol = GaussianPolicy.create(2, 1, rng)
-        vnet = ValueNet.create(2, rng)
+        vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
         net_before = [p.copy() for p in pol.net.params()]
         log_std_before = pol.log_std.copy()
         data = {
@@ -215,6 +224,23 @@ class TestPolicyGrads:
         want = clipped_surrogate(logp_new, logp_old, adv, hyper.clip_eps)
         assert obj == pytest.approx(want + hyper.c_ent * entropy, abs=1e-12)
         assert diag["entropy"] == entropy
+
+    @pytest.mark.parametrize("n", [1, 7, 128, 1000])
+    def test_clipped_term_is_the_batch_mean(self, n):
+        # sum / n must equal numpy's mean bit for bit, which the golden
+        # digests were recorded with
+        rng = np.random.default_rng(n)
+        ratio = np.exp(rng.normal(scale=0.3, size=n))
+        adv = rng.normal(size=n)
+        j, dlogp = ppo.clipped_surrogate(ratio, adv, 0.2, n)
+        u1, u2 = ratio * adv, np.clip(ratio, 0.8, 1.2) * adv
+        assert j == float(np.minimum(u1, u2).mean())
+        assert j == pytest.approx(
+            clipped_surrogate(np.log(ratio), np.zeros(n), adv, 0.2), abs=1e-12)
+        # d/dlogp of the min: ratio * A / n on the unclipped branch, else 0
+        unclipped = u1 <= u2
+        assert np.array_equal(dlogp[unclipped], ratio[unclipped] * adv[unclipped] / n)
+        assert np.all(dlogp[~unclipped] == 0.0)
 
 
 class TestBuffer:
@@ -252,18 +278,18 @@ class TestBuffer:
 class TestUpdateEngine:
     def test_bootstrap_values_layout(self):
         rng = np.random.default_rng(1)
-        vnet = ValueNet.create(2, rng)
+        vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
         obs = rng.normal(size=(5, 2))
         last = rng.normal(size=2)
         v = values_with_bootstrap(vnet, obs, last)
         assert v.shape == (6,)
-        assert v[-1] == pytest.approx(vnet.values(last[None, :])[0])
-        assert np.allclose(v[:5], vnet.values(obs))
+        assert v[-1] == pytest.approx(vnet.forward(last[None, :])[0, 0])
+        assert np.allclose(v[:5], vnet.forward(obs)[:, 0])
 
     def test_minibatch_count(self):
         rng = np.random.default_rng(2)
         pol = GaussianPolicy.create(2, 1, rng)
-        vnet = ValueNet.create(2, rng)
+        vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
         data = {
             "obs": rng.normal(size=(64, 2)),
             "act": rng.normal(size=(64, 1)),
@@ -281,7 +307,7 @@ class TestUpdateEngine:
         # one-state problem: reward -(a - 0.5)^2, best constant action 0.5
         rng = np.random.default_rng(1234)
         pol = GaussianPolicy.create(1, 1, rng)
-        vnet = ValueNet.create(1, rng)
+        vnet = Mlp.create((1, *DEFAULT_HIDDEN, 1), rng)
         opt_p, opt_v = OptimizerState(lr=3e-3), OptimizerState(lr=3e-3)
         hyper = HyperParams(epochs=10, minibatch=128)
         x = np.zeros((256, 1))
@@ -356,11 +382,21 @@ class TestTrainer:
     def test_action_squash(self, patient):
         # per-step PPO is the decision loop at threshold 0
         tr = PpoTrainer(patient, RngBundle.from_master(5))
-        assert tr.action_to_rate_eta(np.array([-3.0])) == (0.0, 0.0)
-        u, eta = tr.action_to_rate_eta(np.array([0.5]))
-        assert u == pytest.approx(0.075) and eta == 0.0
-        u, eta = tr.action_to_rate_eta(np.array([7.0]))
-        assert u == pytest.approx(0.15) and eta == 0.0
+        assert tr.trigger is None
+        assert decision(np.array([-3.0]), tr.pump) == (0.0, None)
+        u, eta = decision(np.array([0.5]), tr.pump, tr.trigger)
+        assert u == pytest.approx(0.075) and eta is None
+        u, eta = decision(np.array([7.0]), tr.pump, tr.trigger)
+        assert u == pytest.approx(0.15) and eta is None
+
+    def test_per_step_records_carry_no_thresholds(self, patient, monkeypatch):
+        records = record_episodes(monkeypatch)
+        tr = PpoTrainer(patient, RngBundle.from_master(5),
+                        episode_cfg=EpisodeConfig(horizon=60))
+        stats = tr.run_episode(0)
+        assert len(records) == 1
+        assert records[0].K == stats.steps == 60
+        assert records[0].thresholds is None
 
     def test_matches_per_step_oracle(self, patient, monkeypatch):
         hyper = HyperParams(buffer_size=128, minibatch=64, epochs=2)
@@ -380,7 +416,7 @@ class TestTrainer:
     def test_ppo_update_returns_advantages(self, patient):
         rng = np.random.default_rng(0)
         pol = GaussianPolicy.create(2, 1, rng)
-        vnet = ValueNet.create(2, rng)
+        vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
         buf = SmdpBuffer(32)
         for i in range(32):
             buf.add(step_row(rng.normal(size=2), rng.normal(size=1), float(i % 2),
