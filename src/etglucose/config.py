@@ -20,6 +20,9 @@ from .plant import PumpConfig, SensorConfig
 from .ppo import HyperParams
 
 METHODS = ("pid", "ppo", "hetppo", "cgmetppo-fixed", "cgmetppo-variable")
+# The methods that read each switch; any other method would ignore it.
+SWITCH_READERS = {"r1_only": ("cgmetppo-fixed", "cgmetppo-variable"),
+                  "pin_events": ("hetppo",)}
 
 
 class ConfigError(Exception):
@@ -64,9 +67,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        for name in ("r1_only", "pin_events"):
+        for name, readers in SWITCH_READERS.items():
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false")
+            if getattr(self, name) and self.method not in readers:
+                raise ValueError(f"{name} must be false for method {self.method!r}")
         if not is_int(self.episodes):
             raise ValueError("episodes must be an integer")
         if self.episodes < 1:
@@ -87,32 +92,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MatrixConfig:
-    """A sweep: every (method, patient) pair shares the base settings."""
+    """A sweep: one checked run per (method, patient) pair, methods outer."""
 
-    methods: tuple[str, ...]
-    patients: tuple[str, ...]
-    base: dict
-
-    def __post_init__(self):
-        if len(self.methods) == 0 or len(self.patients) == 0:
-            raise ValueError("matrix needs at least one method and one patient")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r} in matrix")
-        if not all(isinstance(p, str) for p in self.patients):
-            raise ValueError("matrix patients must be patient names")
-        for name in ("methods", "patients"):
-            if len(set(getattr(self, name))) != len(getattr(self, name)):
-                raise ValueError(f"matrix {name} must be distinct")
+    runs: tuple[ExperimentConfig, ...]
 
     def configs(self) -> list[ExperimentConfig]:
-        out = []
-        for method in self.methods:
-            for patient in self.patients:
-                out.append(config_from_dict(
-                    dict(self.base, method=method, patient=patient)
-                ))
-        return out
+        return list(self.runs)
 
 
 _NESTED = {
@@ -155,7 +140,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                           "follows from method (cgmetppo-fixed or cgmetppo-variable)")
     prepared = dict(raw)
     for key, cls in _NESTED.items():
-        if key in prepared and prepared[key] is not None:
+        if key in prepared:
             prepared[key] = _build(cls, prepared[key], key)
     return _build(ExperimentConfig, prepared, "config")
 
@@ -166,6 +151,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def load_matrix_config(path: str | Path) -> MatrixConfig:
+    """Build and check every run of a sweep before any of them starts."""
     raw = _read_yaml(path)
     if not isinstance(raw, dict) or "matrix" not in raw:
         raise ConfigError("matrix config must have a 'matrix' section")
@@ -175,19 +161,25 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
     unknown = set(section) - {"methods", "patients"}
     if unknown:
         raise ConfigError(f"matrix: unknown keys {sorted(unknown)}")
+    if "method" in raw or "patient" in raw:
+        raise ConfigError("a matrix file has no top-level method or patient; "
+                          "list them under matrix: methods, patients")
+    methods, patients = section.get("methods"), section.get("patients")
+    if not all(isinstance(v, list) and v for v in (methods, patients)):
+        raise ConfigError("matrix needs lists of at least one method and one patient")
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r} in matrix")
+    if not all(isinstance(p, str) for p in patients):
+        raise ConfigError("matrix patients must be patient names")
+    for name, names in (("methods", methods), ("patients", patients)):
+        if len(set(names)) != len(names):
+            raise ConfigError(f"matrix {name} must be distinct")
     base = {k: v for k, v in raw.items() if k != "matrix"}
-    base.pop("method", None)
-    base.pop("patient", None)
-    # Validate the base settings once with a placeholder method.
-    config_from_dict(dict(base, method="ppo"))
-    try:
-        return MatrixConfig(
-            methods=tuple(section.get("methods", ())),
-            patients=tuple(section.get("patients", ())),
-            base=base,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return MatrixConfig(tuple(
+        config_from_dict(dict(base, method=m, patient=p))
+        for m in methods for p in patients
+    ))
 
 
 def _read_yaml(path: str | Path) -> dict:

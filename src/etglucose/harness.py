@@ -33,7 +33,7 @@ import yaml
 from .cgmetppo import CgmEtppoTrainer, FixedCgmEtppoTrainer
 from .config import ConfigError, ExperimentConfig, MatrixConfig
 from .env import ApEnv, rollout
-from .hetppo import HetppoTrainer, PinnedHetppoTrainer
+from .hetppo import HetppoTrainer, PinnedHetppoTrainer, event_decide
 from .metrics import aggregate, aurr, ecf, interval_averages, tir
 from .neural import (
     GaussianPolicy,
@@ -185,7 +185,7 @@ def roll_ppo(patient, policy: GaussianPolicy, scenario, noise_rng,
 def roll_hetppo(patient, policy: HetPolicy, scenario, noise_rng,
                 cfg: ExperimentConfig):
     return _roll(patient, scenario, noise_rng, cfg,
-                 lambda obs: greedy_decide(policy, obs, cfg.pump))
+                 lambda obs: event_decide(policy, obs, cfg.pump))
 
 
 def roll_cgmetppo(patient, policy: GaussianPolicy, scenario, noise_rng,
@@ -212,7 +212,8 @@ def tune_pid(cfg: ExperimentConfig, out_base: str | Path,
         kp_grid=cfg.pid_grid.kp, ki_grid=cfg.pid_grid.ki, kd_grid=cfg.pid_grid.kd,
         episode_cfg=cfg.episode, sensor=cfg.sensor, pump=cfg.pump,
     )
-    pid_cfg = dataclasses.replace(cfg, method="pid")
+    # pid reads neither switch, so a config that sets one still tunes.
+    pid_cfg = dataclasses.replace(cfg, method="pid", r1_only=False, pin_events=False)
     payload = {
         "kp": gains.kp, "ki": gains.ki, "kd": gains.kd, "target": gains.target,
         "mean_tir": round(score, 6),
@@ -285,35 +286,27 @@ def run_train(cfg: ExperimentConfig, out_base: str | Path,
 
 def eval_records(cfg: ExperimentConfig, patient, rd: Path):
     """Greedy records + traces for the five fixed scenarios of one run."""
-    scenarios = default_eval_scenarios()
     if cfg.method == "pid":
-        gains = load_gains(rd / "gains.yaml")
-        roll = lambda sc, rng: roll_pid(patient, gains, sc, rng, cfg)
+        controller, roll = load_gains(rd / "gains.yaml"), roll_pid
     else:
         path = rd / "checkpoint.npz"
         if not path.exists():
             raise FileNotFoundError(f"no checkpoint at {path}; train first")
-        method, policy, _vnet, pin = load_policy(path)
+        method, controller, _vnet, pin = load_policy(path)
         if method != cfg.method:
             raise ValueError(
                 f"checkpoint method {method!r} does not match config "
                 f"method {cfg.method!r}"
             )
-        if method == "hetppo" and pin != cfg.pin_events:
+        if pin != cfg.pin_events:
             raise ValueError(
                 f"checkpoint pin_events {pin} does not match config "
                 f"pin_events {cfg.pin_events}"
             )
-        if isinstance(policy, HetPolicy):
-            roll = lambda sc, rng: roll_hetppo(patient, policy, sc, rng, cfg)
-        elif cfg.method in ("ppo", "hetppo"):
-            roll = lambda sc, rng: roll_ppo(patient, policy, sc, rng, cfg)
-        else:
-            roll = lambda sc, rng: roll_cgmetppo(patient, policy, sc, rng, cfg)
-    out = []
-    for i, sc in enumerate(scenarios):
-        out.append(roll(sc, eval_noise_stream(i)))
-    return out
+        roll = (roll_hetppo if isinstance(controller, HetPolicy) else
+                roll_ppo if cfg.method in ("ppo", "hetppo") else roll_cgmetppo)
+    return [roll(patient, controller, sc, eval_noise_stream(i), cfg)
+            for i, sc in enumerate(default_eval_scenarios())]
 
 
 def run_eval(cfg: ExperimentConfig, out_base: str | Path) -> list[Path]:
@@ -420,7 +413,7 @@ def export_plotdata(cfg: ExperimentConfig, out_base: str | Path) -> list[Path]:
 
 
 def run_matrix(matrix: MatrixConfig, out_base: str | Path) -> Path:
-    """Train + evaluate every (method, patient) combination; summarize."""
+    """Train + evaluate every run of the sweep in order; summarize."""
     summary_rows = []
     for cfg in matrix.configs():
         run_train(cfg, out_base)

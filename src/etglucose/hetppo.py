@@ -24,13 +24,14 @@ import math
 
 import numpy as np
 
-from .env import reward_het
+from .env import Observation, obs_vec, reward_het
 from .neural import (
     HetPolicy,
     bernoulli_logprob_entropy,
     gaussian_logprob_entropy,
     sigmoid,
 )
+from .plant import PumpConfig
 from .ppo import (
     EpisodeStats,
     HyperParams,
@@ -61,6 +62,14 @@ def factored_sample(
         mean[:, None], policy.log_std, np.asarray([[u_raw]])
     )
     return 1, u_raw, float(lp_e[0]), float(lp_u[0])
+
+
+def event_decide(policy: HetPolicy, obs: Observation, pump: PumpConfig):
+    """One greedy decision, (rate or None, None): the squashed mean when the
+    event probability is at least 1/2 (logit >= 0), else None, which holds
+    the last command. Each decision lasts one step."""
+    mean, logit = policy.heads(obs_vec(obs, pump)[None, :])
+    return (squash_rate(mean[0], pump) if logit[0] >= 0.0 else None), None
 
 
 def het_policy_grads(

@@ -41,7 +41,6 @@ from .neural import (
     DEFAULT_HIDDEN,
     DivergedUpdateError,
     GaussianPolicy,
-    HetPolicy,
     Mlp,
     OptimizerState,
     adam_step,
@@ -365,19 +364,9 @@ def decision(a: np.ndarray, pump: PumpConfig, trigger=None):
 
 
 def greedy_decide(policy, obs: Observation, pump: PumpConfig, trigger=None):
-    """One greedy evaluation decision: (rate or None, threshold or None).
-
-    A Gaussian policy's decision is that of its mean. A factored policy
-    sends its squashed mean only when its event probability is at least
-    1/2, and otherwise returns None, which holds the last command; each of
-    its decisions lasts one step. env.rollout runs an episode on these
-    decisions.
-    """
-    x = obs_vec(obs, pump)[None, :]
-    if isinstance(policy, HetPolicy):
-        mean, logit = policy.heads(x)
-        return (squash_rate(mean[0], pump) if logit[0] >= 0.0 else None), None
-    return decision(policy.net.forward(x)[0], pump, trigger)
+    """One greedy decision of a Gaussian policy, (rate, threshold or None):
+    that of its mean. hetppo.event_decide is the factored policy's rule."""
+    return decision(policy.net.forward(obs_vec(obs, pump)[None, :])[0], pump, trigger)
 
 
 class Trainer:

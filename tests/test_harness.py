@@ -14,6 +14,7 @@ import yaml
 from etglucose import cli, harness, ppo
 from etglucose.cgmetppo import CgmEtppoTrainer, FixedCgmEtppoTrainer
 from etglucose.config import (
+    METHODS,
     ConfigError,
     ExperimentConfig,
     MatrixConfig,
@@ -69,6 +70,14 @@ def tiny_dict(method: str, **over) -> dict:
 
 def tiny_cfg(method: str, **over) -> ExperimentConfig:
     return config_from_dict(tiny_dict(method, **over))
+
+
+def matrix_dict(methods: list, **over) -> dict:
+    """Matrix file payload: tiny shared settings over methods on adult#001."""
+    payload = tiny_dict("ppo")
+    del payload["method"], payload["patient"]
+    payload.update(over, matrix={"methods": methods, "patients": ["adult#001"]})
+    return payload
 
 
 def write_yaml(path, payload) -> str:
@@ -228,6 +237,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="hyper.*mapping"):
             config_from_dict(tiny_dict("ppo", hyper=[1, 2]))
 
+    @pytest.mark.parametrize("section", [
+        "hyper", "trigger", "episode", "reward", "sensor", "pump", "pid_grid",
+    ])
+    def test_empty_section_rejected(self, section):
+        # an empty YAML section loads as None, which used to stand in for
+        # the section's defaults: an empty trigger trained cgmetppo-fixed per step
+        with pytest.raises(ConfigError,
+                           match=f"^{section}: expected a mapping, got NoneType$"):
+            config_from_dict(tiny_dict("cgmetppo-fixed", **{section: None}))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("switch,readers", [
+        ("pin_events", ("hetppo",)),
+        ("r1_only", ("cgmetppo-fixed", "cgmetppo-variable")),
+    ])
+    def test_switch_only_for_the_methods_that_read_it(self, method, switch,
+                                                       readers):
+        raw = tiny_dict(method, **{switch: True})
+        if method in readers:
+            assert getattr(config_from_dict(raw), switch) is True
+        else:
+            with pytest.raises(ConfigError, match=f"^config: {switch} must be "
+                               f"false for method '{method}'$"):
+                config_from_dict(raw)
+
     def test_bad_seeds(self):
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict(tiny_dict("ppo", seeds=[]))
@@ -247,11 +281,30 @@ class TestConfig:
     ])
     def test_matrix_duplicates_rejected(self, tmp_path, key, value):
         payload = tiny_dict("ppo")
-        del payload["method"]
+        del payload["method"], payload["patient"]
         payload["matrix"] = {"methods": ["pid", "ppo"], "patients": ["adult#001"]}
         (payload if key == "seeds" else payload["matrix"])[key] = value
         with pytest.raises(ConfigError, match=f"{key} must be distinct"):
             load_matrix_config(write_yaml(tmp_path / "m.yaml", payload))
+
+    @pytest.mark.parametrize("key,value", [("method", "ppo"),
+                                           ("patient", "adult#009")])
+    def test_matrix_top_level_method_or_patient_rejected(self, tmp_path, key,
+                                                         value):
+        # used to be dropped: the sweep ran its own lists and exited 0
+        payload = matrix_dict(["pid"], **{key: value})
+        with pytest.raises(ConfigError, match="no top-level method or patient"):
+            load_matrix_config(write_yaml(tmp_path / "m.yaml", payload))
+
+    def test_matrix_checks_every_run_with_its_own_method(self, tmp_path):
+        # the shared settings suit hetppo, the first run, but not ppo
+        payload = matrix_dict(["hetppo", "ppo"], pin_events=True)
+        with pytest.raises(ConfigError,
+                           match="^config: pin_events must be false for method 'ppo'$"):
+            load_matrix_config(write_yaml(tmp_path / "m.yaml", payload))
+        payload["matrix"]["methods"] = ["hetppo"]
+        runs = load_matrix_config(write_yaml(tmp_path / "m.yaml", payload)).runs
+        assert [(c.method, c.pin_events) for c in runs] == [("hetppo", True)]
 
     def test_matrix_patient_must_be_a_name(self, tmp_path):
         payload = {"matrix": {"methods": ["pid"], "patients": [["adult#001"]]}}
@@ -260,7 +313,7 @@ class TestConfig:
 
     def test_matrix_load(self, tmp_path):
         payload = tiny_dict("ppo")
-        del payload["method"]
+        del payload["method"], payload["patient"]
         payload["matrix"] = {"methods": ["pid", "ppo"],
                              "patients": ["adult#001", "adult#002"]}
         m = load_matrix_config(write_yaml(tmp_path / "m.yaml", payload))
@@ -285,9 +338,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown keys.*extra"):
             load_matrix_config(p)
 
-    def test_matrix_empty_lists(self):
-        with pytest.raises(ValueError, match="at least one"):
-            MatrixConfig(methods=(), patients=("adult#001",), base={})
+    def test_matrix_empty_lists(self, tmp_path):
+        payload = {"matrix": {"methods": [], "patients": ["adult#001"]}}
+        with pytest.raises(ConfigError, match="at least one"):
+            load_matrix_config(write_yaml(tmp_path / "m.yaml", payload))
+
+    @pytest.mark.parametrize("methods", [None, "ppo"])
+    def test_matrix_methods_must_be_a_list(self, tmp_path, methods):
+        # an empty "methods:" used to fail with a TypeError (exit 2)
+        payload = {"matrix": {"methods": methods, "patients": ["adult#001"]}}
+        with pytest.raises(ConfigError, match="needs lists of at least one"):
+            load_matrix_config(write_yaml(tmp_path / "m.yaml", payload))
 
     def test_unknown_patient(self):
         cfg = tiny_cfg("ppo", patient="adult#999")
@@ -508,6 +569,12 @@ class TestTrainEval:
         # updating every step leaves nothing above the update-reduction floor
         assert all(float(r["aurr"]) == 0.0 for r in rows)
 
+    def test_pid_tunes_from_a_config_with_a_switch(self, tmp_path):
+        # pid reads neither switch; the gains still land in pid's run directory
+        gains, _ = tune_pid(tiny_cfg("hetppo", pin_events=True), tmp_path)
+        assert load_gains(run_dir(tmp_path, tiny_cfg("pid"), 0)
+                          / "gains.yaml") == gains
+
     def test_failed_gains_write_keeps_previous_file(self, tmp_path, monkeypatch):
         cfg = tiny_cfg("pid")
         tune_pid(cfg, tmp_path)
@@ -527,9 +594,7 @@ class TestTrainEval:
     @pytest.mark.parametrize("target", ["metrics.csv", "summary.csv"])
     def test_failed_csv_write_keeps_previous_file(self, tmp_path, monkeypatch,
                                                   target):
-        base = tiny_dict("pid", episodes=1)
-        del base["method"]
-        matrix = MatrixConfig(methods=("pid",), patients=("adult#001",), base=base)
+        matrix = MatrixConfig((tiny_cfg("pid", episodes=1),))
         run_matrix(matrix, tmp_path)
         path = (tmp_path / "summary.csv" if target == "summary.csv"
                 else run_dir(tmp_path, tiny_cfg("pid"), 0) / "metrics.csv")
@@ -766,9 +831,8 @@ class TestExportAndMatrix:
     def test_matrix_summary(self, tmp_path):
         base = tiny_dict("ppo", episodes=1, seeds=[0, 1])
         base["episode"]["horizon"] = 120
-        del base["method"]
-        matrix = MatrixConfig(methods=("pid", "ppo"),
-                              patients=("adult#001",), base=base)
+        matrix = MatrixConfig(tuple(config_from_dict(dict(base, method=m))
+                                    for m in ("pid", "ppo")))
         path = run_matrix(matrix, tmp_path)
         rows = read_rows(path)
         assert rows[0] == "patient,method,metric,mean,std,n_seeds"
@@ -903,6 +967,36 @@ class TestCli:
         assert rc == 1
         assert ("config error: trigger: eta_lo must be non-negative"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command,payload,message", [
+        ("train", tiny_dict("cgmetppo-fixed", trigger=None),
+         "trigger: expected a mapping, got NoneType"),
+        ("train", tiny_dict("hetppo", reward=None),
+         "reward: expected a mapping, got NoneType"),
+        ("train", tiny_dict("ppo", pin_events=True),
+         "config: pin_events must be false for method 'ppo'"),
+        ("train", tiny_dict("hetppo", r1_only=True),
+         "config: r1_only must be false for method 'hetppo'"),
+        ("matrix", matrix_dict(["pid"], hyper=None),
+         "hyper: expected a mapping, got NoneType"),
+        ("matrix", matrix_dict(["pid"], method="ppo"),
+         "a matrix file has no top-level method or patient"),
+        ("matrix", matrix_dict(["pid"], patient="adult#009"),
+         "a matrix file has no top-level method or patient"),
+        # the first run is valid; the sweep must not start it
+        ("matrix", matrix_dict(["hetppo", "ppo"], pin_events=True),
+         "config: pin_events must be false for method 'ppo'"),
+        ("matrix", matrix_dict(["cgmetppo-fixed", "pid"], r1_only=True),
+         "config: r1_only must be false for method 'pid'"),
+    ])
+    def test_refused_config_exit_one(self, tmp_path, capsys, command, payload,
+                                     message):
+        cfg_path = write_yaml(tmp_path / "c.yaml", payload)
+        rc = cli.main([command, "--config", cfg_path,
+                       "--out-dir", str(tmp_path / "runs")])
+        assert rc == 1
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     def test_matrix_bad_section_exit_one(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from etglucose.env import EpisodeConfig, Observation, RewardConfig
 from etglucose.hetppo import (
     HetppoTrainer,
     PinnedHetppoTrainer,
+    event_decide,
     factored_sample,
     het_policy_grads,
 )
@@ -21,6 +22,7 @@ from etglucose.neural import (
     sigmoid,
 )
 from etglucose.patients import NOMINAL_ADULT, build_patient
+from etglucose.plant import PumpConfig
 from etglucose.ppo import (
     HyperParams,
     SmdpBuffer,
@@ -322,15 +324,21 @@ class TestTrainer:
 
 
 class TestGreedy:
-    """greedy_decide returns (rate to send or None to hold, threshold)."""
+    """A greedy decision is (rate to send or None to hold, threshold)."""
 
     def test_learning_mode_threshold(self, patient):
         tr = HetppoTrainer(patient, RngBundle.from_master(0))
         tr.policy = doctored_policy(0.4, 1.0)
         obs = Observation(120.0, 0.0)
-        assert greedy_decide(tr.policy, obs, tr.pump) == (0.4 * 0.15, None)
+        assert event_decide(tr.policy, obs, tr.pump) == (0.4 * 0.15, None)
         tr.policy = doctored_policy(0.4, -1.0)
-        assert greedy_decide(tr.policy, obs, tr.pump) == (None, None)
+        assert event_decide(tr.policy, obs, tr.pump) == (None, None)
+
+    def test_even_odds_send(self):
+        # p = 1/2 exactly (logit 0) is an event; the mean is clipped to [0, 1]
+        obs = Observation(120.0, 0.0)
+        pump = PumpConfig()
+        assert event_decide(doctored_policy(1.5, 0.0), obs, pump) == (pump.u_max, None)
 
     def test_pinned_mode_always_transmits(self, patient):
         tr = PinnedHetppoTrainer(patient, RngBundle.from_master(0))
