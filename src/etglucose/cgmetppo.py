@@ -21,6 +21,7 @@ from .ppo import (  # noqa: F401  (the SMDP core's names are re-exported)
     Trainer,
     smdp_gae,
     smdp_update,
+    unit_clip,
 )
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class TriggerConfig:
         into [eta_lo, eta_hi]; the policy's width is the threshold rule."""
         if len(a_raw) == 1:
             return self.fixed_eta
-        frac = float(np.clip(a_raw[1], 0.0, 1.0))
+        frac = unit_clip(a_raw[1])
         return self.eta_lo + (self.eta_hi - self.eta_lo) * frac
 
 

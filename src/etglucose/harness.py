@@ -120,8 +120,8 @@ def trainer_arrays(trainer) -> dict[str, np.ndarray]:
     arrays = pack_mlp("policy", trainer.policy.net)
     arrays["policy_log_std"] = trainer.policy.log_std
     arrays.update(pack_mlp("value", trainer.vnet))
-    arrays.update(pack_opt("opt_policy", trainer.opt_policy))
-    arrays.update(pack_opt("opt_value", trainer.opt_value))
+    arrays.update(pack_opt(trainer.opt, {"opt_policy": trainer.policy.params(),
+                                         "opt_value": trainer.vnet.params()}))
     arrays["pin_events"] = np.asarray(
         int(getattr(trainer, "pin_events", False)), dtype=np.int64
     )

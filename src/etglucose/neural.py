@@ -9,7 +9,7 @@ in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,38 +144,49 @@ def bernoulli_logprob_entropy(
 
 @dataclass
 class OptimizerState:
-    """Adam accumulators; created lazily on the first step."""
+    """Adam over one learner: its accumulators are flat over the actor's
+    parameters, then the critic's, and are created lazily on the first step."""
 
     lr: float = 3e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
 
 def adam_step(
     params: list[np.ndarray], grads: list[np.ndarray], opt: OptimizerState
 ) -> None:
-    """One bias-corrected Adam step, updating params in place."""
+    """One bias-corrected Adam step over all of params, updating them in place.
+
+    Adam is elementwise, so a step over the concatenated parameters is the
+    per-array step bit for bit. Non-finite gradients raise before anything
+    moves.
+    """
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise DivergedUpdateError("diverged-update: non-finite gradient")
-    if not opt.m:
-        opt.m = [np.zeros_like(p) for p in params]
-        opt.v = [np.zeros_like(p) for p in params]
+    g = np.concatenate(grads, axis=None)
+    if not np.isfinite(g).all():
+        raise DivergedUpdateError("diverged-update: non-finite gradient")
+    if opt.m is None:
+        opt.m = np.zeros_like(g)
+        opt.v = np.zeros_like(g)
     opt.t += 1
     bc1 = 1.0 - opt.beta1**opt.t
     bc2 = 1.0 - opt.beta2**opt.t
-    for p, g, m, v in zip(params, grads, opt.m, opt.v):
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * (g * g)
-        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+    m, v = opt.m, opt.v
+    m *= opt.beta1
+    m += (1.0 - opt.beta1) * g
+    v *= opt.beta2
+    v += (1.0 - opt.beta2) * (g * g)
+    step = opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+    start = 0
+    for p in params:
+        stop = start + p.size
+        p -= step[start:stop].reshape(p.shape)
+        start = stop
 
 
 @dataclass
@@ -264,24 +275,51 @@ def unpack_mlp(prefix: str, data: dict) -> Mlp:
     return Mlp(sizes, weights, biases)
 
 
-def pack_opt(prefix: str, opt: OptimizerState) -> dict[str, np.ndarray]:
-    out = {
-        f"{prefix}_t": np.asarray(opt.t, dtype=np.int64),
-        f"{prefix}_lr": np.asarray(opt.lr),
-        f"{prefix}_n": np.asarray(len(opt.m), dtype=np.int64),
-    }
-    for i, (m, v) in enumerate(zip(opt.m, opt.v)):
-        out[f"{prefix}_m{i}"] = m
-        out[f"{prefix}_v{i}"] = v
+def pack_opt(
+    opt: OptimizerState, groups: dict[str, list[np.ndarray]]
+) -> dict[str, np.ndarray]:
+    """The optimizer's checkpoint arrays, one key set per parameter group.
+
+    groups maps each prefix to its parameters, in the order the flat
+    accumulators run; each prefix gets the step count, the learning rate and
+    its slice of m and v, one array per parameter in that parameter's memory
+    order (a transposed init leaves some weights Fortran-ordered), so the
+    file bytes are those of per-array accumulators.
+    """
+    out = {}
+    start = 0
+    for prefix, params in groups.items():
+        out[f"{prefix}_t"] = np.asarray(opt.t, dtype=np.int64)
+        out[f"{prefix}_lr"] = np.asarray(opt.lr)
+        n = 0 if opt.m is None else len(params)
+        out[f"{prefix}_n"] = np.asarray(n, dtype=np.int64)
+        for i, p in enumerate(params[:n]):
+            stop = start + p.size
+            for acc in ("m", "v"):
+                arr = out[f"{prefix}_{acc}{i}"] = np.empty_like(p)
+                arr[...] = getattr(opt, acc)[start:stop].reshape(p.shape)
+            start = stop
     return out
 
 
-def unpack_opt(prefix: str, data: dict) -> OptimizerState:
-    opt = OptimizerState(lr=float(data[f"{prefix}_lr"]))
-    opt.t = int(data[f"{prefix}_t"])
-    n = int(data[f"{prefix}_n"])
-    opt.m = [np.array(data[f"{prefix}_m{i}"], dtype=float) for i in range(n)]
-    opt.v = [np.array(data[f"{prefix}_v{i}"], dtype=float) for i in range(n)]
+def unpack_opt(data: dict, prefixes: tuple[str, ...]) -> OptimizerState:
+    """One optimizer state from the key sets pack_opt wrote under prefixes.
+
+    Refuses groups with different step counts: a checkpoint from when each
+    network had its own state has them after an update that stepped the
+    actor and then diverged on the critic.
+    """
+    ts = {int(data[f"{p}_t"]) for p in prefixes}
+    ns = [int(data[f"{p}_n"]) for p in prefixes]
+    if len(ts) != 1:
+        raise ValueError(f"optimizer step counts {sorted(ts)} differ across groups")
+    opt = OptimizerState(lr=float(data[f"{prefixes[0]}_lr"]), t=ts.pop())
+    if any(ns):
+        for acc in ("m", "v"):
+            setattr(opt, acc, np.concatenate(
+                [data[f"{p}_{acc}{i}"] for p, n in zip(prefixes, ns)
+                 for i in range(n)], axis=None, dtype=float,
+            ))
     return opt
 
 

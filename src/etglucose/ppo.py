@@ -210,8 +210,7 @@ def normalize_advantages(adv: np.ndarray) -> np.ndarray:
 def update_networks(
     policy,
     vnet: Mlp,
-    opt_policy: OptimizerState,
-    opt_value: OptimizerState,
+    opt: OptimizerState,
     data: dict[str, np.ndarray],
     hyper: HyperParams,
     shuffle_rng: np.random.Generator,
@@ -220,8 +219,10 @@ def update_networks(
     """Epochs of shuffled minibatches: ascend J(theta), descend J(phi).
 
     data needs keys obs, act, logp_old, adv, vtarget (adv already
-    normalized by the caller). A non-finite loss or gradient aborts the
-    update and flags the stats.
+    normalized by the caller). Each minibatch is one Adam step over the
+    actor's parameters, then the critic's. A non-finite loss or gradient
+    aborts the update, before that minibatch moves anything, and flags the
+    stats.
     """
     n = len(data["adv"])
     stats = UpdateStats()
@@ -230,16 +231,16 @@ def update_networks(
         perm = shuffle_rng.permutation(n)
         for start in range(0, n, hyper.minibatch):
             idx = perm[start : start + hyper.minibatch]
+            obs = data["obs"][idx]
             try:
                 obj, pgrads, diag = policy_grads_fn(
-                    policy, data["obs"][idx], data["act"][idx],
+                    policy, obs, data["act"][idx],
                     data["logp_old"][idx], data["adv"][idx], hyper,
                 )
-                vl, vgrads = value_grads(vnet, data["obs"][idx], data["vtarget"][idx])
+                vl, vgrads = value_grads(vnet, obs, data["vtarget"][idx])
                 if not (math.isfinite(obj) and math.isfinite(vl)):
                     raise DivergedUpdateError("diverged-update: non-finite loss")
-                adam_step(policy.params(), pgrads, opt_policy)
-                adam_step(vnet.params(), vgrads, opt_value)
+                adam_step(policy.params() + vnet.params(), pgrads + vgrads, opt)
             except DivergedUpdateError as exc:
                 log.error("update aborted: %s", exc)
                 stats.diverged = True
@@ -314,8 +315,7 @@ def smdp_update(
     buffer: SmdpBuffer,
     policy,
     vnet: Mlp,
-    opt_policy: OptimizerState,
-    opt_value: OptimizerState,
+    opt: OptimizerState,
     hyper: HyperParams,
     shuffle_rng: np.random.Generator,
     policy_grads_fn=gaussian_policy_grads,
@@ -332,7 +332,7 @@ def smdp_update(
         "vtarget": values[:-1] + adv,
     }
     stats = update_networks(
-        policy, vnet, opt_policy, opt_value, data, hyper, shuffle_rng,
+        policy, vnet, opt, data, hyper, shuffle_rng,
         policy_grads_fn=policy_grads_fn,
     )
     return stats, adv
@@ -349,9 +349,16 @@ class EpisodeStats:
     aurr: float
 
 
+def unit_clip(a: float) -> float:
+    """a clipped to [0, 1] as a float: float(np.clip(a, 0.0, 1.0)) bit for
+    bit (-0.0 and NaN pass through), without numpy's per-call cost."""
+    a = float(a)
+    return 0.0 if a < 0.0 else 1.0 if a > 1.0 else a
+
+
 def squash_rate(a_raw: float, pump: PumpConfig) -> float:
     """Raw insulin action in normalized space -> pump rate [U/min]."""
-    return float(np.clip(a_raw, 0.0, 1.0)) * pump.u_max
+    return unit_clip(a_raw) * pump.u_max
 
 
 def decision(a: np.ndarray, pump: PumpConfig, trigger=None):
@@ -409,8 +416,7 @@ class Trainer:
         # stream) is part of the seeding contract.
         self.policy = self.new_policy(rngs.net_init)
         self.vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rngs.net_init)
-        self.opt_policy = OptimizerState(lr=hyper.lr)
-        self.opt_value = OptimizerState(lr=hyper.lr)
+        self.opt = OptimizerState(lr=hyper.lr)  # one Adam state, actor then critic
         self.buffer = SmdpBuffer(hyper.buffer_size)
         self.updates: list[UpdateStats] = []
         self.n_days = max(
@@ -433,8 +439,8 @@ class Trainer:
         if not self.buffer.full:
             return
         stats, _ = smdp_update(
-            self.buffer, self.policy, self.vnet, self.opt_policy,
-            self.opt_value, self.hyper, self.rngs.shuffle, policy_grads_fn,
+            self.buffer, self.policy, self.vnet, self.opt, self.hyper,
+            self.rngs.shuffle, policy_grads_fn,
         )
         self.updates.append(stats)
         self.buffer.clear()

@@ -76,11 +76,14 @@ def test_mlp_backward(benchmark):
 
 
 def test_adam_step(benchmark):
-    net = Mlp.create((2, *DEFAULT_HIDDEN, 1), np.random.default_rng(0))
-    grads = [np.full_like(p, 1e-3) for p in net.params()]
+    # one step over a learner: actor parameters, then critic parameters
+    rng = np.random.default_rng(0)
+    params = (GaussianPolicy.create(2, 1, rng).params()
+              + Mlp.create((2, *DEFAULT_HIDDEN, 1), rng).params())
+    grads = [np.full_like(p, 1e-3) for p in params]
     opt = OptimizerState()
-    benchmark(adam_step, net.params(), grads, opt)
-    assert opt.t >= 1 and len(opt.m) == len(grads)
+    benchmark(adam_step, params, grads, opt)
+    assert opt.t >= 1 and opt.m.size == sum(p.size for p in params)
 
 
 def test_smdp_gae(benchmark):
@@ -105,8 +108,8 @@ def test_update_networks(benchmark):
         "vtarget": rng.normal(size=N_ROWS),
     }
     hyper = HyperParams()
-    stats = benchmark(update_networks, pol, vnet, OptimizerState(), OptimizerState(),
-                      data, hyper, np.random.default_rng(1))
+    stats = benchmark(update_networks, pol, vnet, OptimizerState(), data, hyper,
+                      np.random.default_rng(1))
     assert not stats.diverged
     assert stats.minibatches == hyper.epochs * (N_ROWS // hyper.minibatch)
 

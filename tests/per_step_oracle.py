@@ -121,8 +121,7 @@ class PerStepPpo:
         self.env = ApEnv(patient, episode_cfg, sensor, pump)
         self.policy = GaussianPolicy.create(2, 1, rngs.net_init)
         self.vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rngs.net_init)
-        self.opt_policy = OptimizerState(lr=hyper.lr)
-        self.opt_value = OptimizerState(lr=hyper.lr)
+        self.opt = OptimizerState(lr=hyper.lr)
         self.rows = []  # (obs, act, reward, done, logp) per step
         self.last_next_obs = None
         self.updates = []
@@ -140,8 +139,8 @@ class PerStepPpo:
             "adv": normalize_advantages(adv),
             "vtarget": values[:-1] + adv,
         }
-        stats = update_networks(self.policy, self.vnet, self.opt_policy,
-                                self.opt_value, data, self.hyper, self.rngs.shuffle)
+        stats = update_networks(self.policy, self.vnet, self.opt, data,
+                                self.hyper, self.rngs.shuffle)
         self.updates.append(stats)
         self.snapshots.append(UpdateSnapshot(
             advantages=adv, stats=stats,

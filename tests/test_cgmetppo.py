@@ -1,8 +1,11 @@
 """Trigger-driven SMDP trainer tests: deltas, extended GAE, equivalences."""
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etglucose import ppo
 from etglucose.cgmetppo import (
@@ -15,7 +18,7 @@ from etglucose.cgmetppo import (
 from etglucose.env import EpisodeConfig, Observation, obs_vec
 from etglucose.neural import DEFAULT_HIDDEN, GaussianPolicy, Mlp, OptimizerState
 from etglucose.patients import NOMINAL_ADULT, build_patient
-from etglucose.plant import SensorConfig
+from etglucose.plant import PumpConfig, SensorConfig
 from etglucose.ppo import (
     HyperParams,
     PpoTrainer,
@@ -24,6 +27,7 @@ from etglucose.ppo import (
     compute_gae,
     decision,
     greedy_decide,
+    squash_rate,
 )
 from etglucose.seeding import RngBundle
 from per_step_oracle import PerStepPpo, per_step_gae, record_updates
@@ -163,8 +167,7 @@ class TestSmdpBuffer:
                                int(rng.integers(1, 9)), float(i == 31)),
                 rng.normal(size=2),
             )
-        stats, adv = smdp_update(buf, pol, vnet, OptimizerState(),
-                                 OptimizerState(), HyperParams(),
+        stats, adv = smdp_update(buf, pol, vnet, OptimizerState(), HyperParams(),
                                  np.random.default_rng(0))
         assert adv.shape == (32,)
         assert stats.minibatches == 10
@@ -197,6 +200,35 @@ class TestTriggerConfig:
         assert decision(np.array([0.5, 8.0]), tr.pump, tr.trigger)[1] == 25.0
         assert tr.method == "cgmetppo-variable"
         assert tr.policy.n_act == 2
+
+
+def as_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestClamp:
+    """The action clamps equal float(np.clip(a, 0.0, 1.0)) bit for bit."""
+
+    EDGES = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+             math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 1.0)
+
+    @staticmethod
+    def check(a: float) -> None:
+        pump, trig = PumpConfig(), TriggerConfig()
+        frac = float(np.clip(a, 0.0, 1.0))
+        for raw in (a, np.float64(a)):
+            assert as_bits(squash_rate(raw, pump)) == as_bits(frac * pump.u_max)
+            assert as_bits(trig.threshold(np.array([0.5, raw]))) == as_bits(
+                trig.eta_lo + (trig.eta_hi - trig.eta_lo) * frac)
+
+    @pytest.mark.parametrize("a", EDGES, ids=repr)
+    def test_edges(self, a):
+        self.check(a)
+
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @settings(max_examples=500, deadline=None)
+    def test_any_float(self, a):
+        self.check(a)
 
 
 def constant_policy(n_act: int, outputs) -> GaussianPolicy:

@@ -42,10 +42,18 @@ from etglucose.harness import (
     save_trainer,
     tune_pid,
 )
-from etglucose.neural import DivergedUpdateError, GaussianPolicy, HetPolicy
+from etglucose.neural import (
+    DivergedUpdateError,
+    GaussianPolicy,
+    HetPolicy,
+    load_checkpoint,
+    save_checkpoint,
+    unpack_opt,
+)
 from etglucose.patients import default_cohort
 from etglucose.scenario import default_eval_scenarios
 from etglucose.seeding import eval_noise_stream
+from reference_adam import PerArrayState, per_array_adam_step
 
 
 @pytest.fixture(scope="module")
@@ -397,6 +405,66 @@ class TestCheckpoints:
         for got, want in zip(vnet.params(), trainer.vnet.params()):
             assert np.array_equal(got, want)
         assert np.array_equal(policy.log_std, trainer.policy.log_std)
+
+    @pytest.mark.parametrize("method", ["ppo", "hetppo"])
+    def test_optimizer_arrays_are_the_two_state_ones(self, tmp_path, patient,
+                                                     monkeypatch, method):
+        # the one Adam state, split at the actor/critic boundary, writes the
+        # keys, shapes, step counts and bytes of one per-array state per net
+        trainer = build_trainer(tiny_cfg(method), patient, seed=1)
+        trainer.run_episode(0)
+        ref = build_trainer(tiny_cfg(method), patient, seed=1)
+        n_actor = len(ref.policy.params())
+        states = PerArrayState(lr=ref.hyper.lr), PerArrayState(lr=ref.hyper.lr)
+
+        def two_state_step(params, grads, opt):
+            per_array_adam_step(params[:n_actor], grads[:n_actor], states[0])
+            per_array_adam_step(params[n_actor:], grads[n_actor:], states[1])
+
+        monkeypatch.setattr(ppo, "adam_step", two_state_step)
+        ref.run_episode(0)
+        assert ref.opt.m is None and states[0].t == trainer.opt.t > 0
+        want = {k: a for k, a in harness.trainer_arrays(ref).items()
+                if not k.startswith("opt_")}
+        pin = want.pop("pin_events")
+        for prefix, st in zip(("opt_policy", "opt_value"), states):
+            want.update({f"{prefix}_t": np.asarray(st.t, dtype=np.int64),
+                         f"{prefix}_lr": np.asarray(st.lr),
+                         f"{prefix}_n": np.asarray(len(st.m), dtype=np.int64)})
+            for i, (m, v) in enumerate(zip(st.m, st.v)):
+                want.update({f"{prefix}_m{i}": m, f"{prefix}_v{i}": v})
+        want["pin_events"] = pin
+        got = harness.trainer_arrays(trainer)
+        assert list(got) == list(want)
+        for key, arr in want.items():
+            assert got[key].dtype == arr.dtype and got[key].shape == arr.shape, key
+            assert got[key].tobytes() == arr.tobytes(), key
+        save_trainer(trainer, tmp_path / "fused.npz")
+        save_checkpoint(tmp_path / "two.npz", method, want)
+        assert (tmp_path / "fused.npz").read_bytes() == (tmp_path / "two.npz").read_bytes()
+
+    @pytest.mark.parametrize("episodes", [0, 1])
+    def test_resume_reader_rebuilds_the_one_state(self, tmp_path, patient, episodes):
+        trainer = build_trainer(tiny_cfg("ppo"), patient, seed=2)
+        for ep in range(episodes):
+            trainer.run_episode(ep)
+        save_trainer(trainer, tmp_path / "ck.npz")
+        _, data = load_checkpoint(tmp_path / "ck.npz")
+        back = unpack_opt(data, ("opt_policy", "opt_value"))
+        assert (back.t, back.lr) == (trainer.opt.t, trainer.opt.lr)
+        if episodes:
+            assert back.m.tobytes() == trainer.opt.m.tobytes()
+            assert back.v.tobytes() == trainer.opt.v.tobytes()
+        else:
+            assert back.m is None and back.v is None and back.t == 0
+
+    def test_resume_reader_refuses_split_states(self, patient):
+        trainer = build_trainer(tiny_cfg("ppo"), patient, seed=2)
+        trainer.run_episode(0)
+        data = harness.trainer_arrays(trainer)
+        with pytest.raises(ValueError, match="step counts"):
+            unpack_opt({**data, "opt_value_t": data["opt_value_t"] - 1},
+                       ("opt_policy", "opt_value"))
 
     def test_hetppo_loads_event_head(self, tmp_path, patient):
         trainer = build_trainer(tiny_cfg("hetppo"), patient, seed=0)

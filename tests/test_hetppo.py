@@ -188,8 +188,7 @@ class TestHetObjective:
             buf.add(factored_row(rng.normal(size=2), e, rng.normal(), float(i % 2),
                                  i == 63, -0.5, -0.9 if e else 0.0),
                     rng.normal(size=2))
-        stats, adv = smdp_update(buf, pol, vnet, OptimizerState(),
-                                 OptimizerState(), HyperParams(),
+        stats, adv = smdp_update(buf, pol, vnet, OptimizerState(), HyperParams(),
                                  np.random.default_rng(2), het_policy_grads)
         assert adv.shape == (64,)
         assert stats.minibatches == 10

@@ -26,6 +26,7 @@ from etglucose.neural import (
     unpack_mlp,
     unpack_opt,
 )
+from reference_adam import PerArrayState, per_array_adam_step
 
 
 class TestMlpForward:
@@ -217,6 +218,53 @@ class TestAdam:
             adam_step([p], [np.array([1.0])], opt)
             assert opt.t == t
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fused_step_is_the_per_array_step(self, seed):
+        # one state over actor then critic against the old per-network,
+        # per-array states, from the lazy first step on
+        rng = np.random.default_rng(seed)
+        actor = (HetPolicy.create(2, rng) if seed else
+                 GaussianPolicy.create(2, 2, rng)).params()
+        critic = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng).params()
+        ref_actor = [p.copy() for p in actor]
+        ref_critic = [p.copy() for p in critic]
+        opt = OptimizerState()
+        ref_a, ref_c = PerArrayState(), PerArrayState()
+        for step in range(25):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape)
+                     for p in actor + critic]
+            grads[step % len(grads)][...] = 0.0
+            adam_step(actor + critic, grads, opt)
+            per_array_adam_step(ref_actor, grads[:len(actor)], ref_a)
+            per_array_adam_step(ref_critic, grads[len(actor):], ref_c)
+            assert opt.t == ref_a.t == ref_c.t == step + 1
+            for got, want in zip(actor + critic, ref_actor + ref_critic):
+                assert got.tobytes() == want.tobytes()
+            for got, want in ((opt.m, ref_a.m + ref_c.m), (opt.v, ref_a.v + ref_c.v)):
+                assert got.tobytes() == np.concatenate(want, axis=None).tobytes()
+
+    @pytest.mark.parametrize("warm", [0, 3])
+    def test_non_finite_critic_grad_moves_nothing(self, warm):
+        rng = np.random.default_rng(7)
+        params = (GaussianPolicy.create(2, 1, rng).params()
+                  + Mlp.create((2, 8, 1), rng).params())
+        opt = OptimizerState()
+        for _ in range(warm):
+            adam_step(params, [rng.normal(size=p.shape) for p in params], opt)
+        before = [p.copy() for p in params]
+        m, v = (None, None) if opt.m is None else (opt.m.copy(), opt.v.copy())
+        grads = [rng.normal(size=p.shape) for p in params]
+        grads[-2][0, 0] = float("nan")  # the critic's output weights
+        with pytest.raises(DivergedUpdateError):
+            adam_step(params, grads, opt)
+        assert opt.t == warm
+        for got, want in zip(params, before):
+            assert got.tobytes() == want.tobytes()
+        if warm:
+            assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+        else:
+            assert opt.m is None and opt.v is None
+
 
 class TestInit:
     def test_square_orthogonal_scaled(self):
@@ -286,7 +334,7 @@ class TestCheckpoints:
         net = Mlp.create((2, 8, 3), np.random.default_rng(50))
         opt = OptimizerState()
         adam_step(net.params(), [np.full_like(p, 0.1) for p in net.params()], opt)
-        arrays = {**pack_mlp("policy", net), **pack_opt("opt", opt)}
+        arrays = {**pack_mlp("policy", net), **pack_opt(opt, {"opt": net.params()})}
         path = tmp_path / "ck.npz"
         save_checkpoint(path, "ppo", arrays)
         method, data = load_checkpoint(path)
@@ -295,14 +343,15 @@ class TestCheckpoints:
         assert back.sizes == net.sizes
         for a, b in zip(back.params(), net.params()):
             assert np.array_equal(a, b)
-        opt_back = unpack_opt("opt", data)
+        opt_back = unpack_opt(data, ("opt",))
         assert opt_back.t == opt.t and opt_back.lr == opt.lr
-        for a, b in zip(opt_back.m + opt_back.v, opt.m + opt.v):
-            assert np.array_equal(a, b)
+        assert np.array_equal(opt_back.m, opt.m)
+        assert np.array_equal(opt_back.v, opt.v)
 
     def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
         net = Mlp.create((2, 8, 3), np.random.default_rng(51))
-        arrays = {**pack_mlp("policy", net), **pack_opt("opt", OptimizerState())}
+        arrays = {**pack_mlp("policy", net),
+                  **pack_opt(OptimizerState(), {"opt": net.params()})}
         paths = []
         for year in (2001, 2031):
             clock = time.mktime((year, 6, 1, 12, 0, 0, 0, 0, -1))

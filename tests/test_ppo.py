@@ -201,7 +201,7 @@ class TestPolicyGrads:
             "adv": np.zeros(32),
             "vtarget": rng.normal(size=32),
         }
-        update_networks(pol, vnet, OptimizerState(), OptimizerState(), data,
+        update_networks(pol, vnet, OptimizerState(), data,
                         HyperParams(epochs=1, minibatch=32),
                         np.random.default_rng(0))
         for before, after in zip(net_before, pol.net.params()):
@@ -297,8 +297,8 @@ class TestUpdateEngine:
             "adv": rng.normal(size=64),
             "vtarget": rng.normal(size=64),
         }
-        stats = update_networks(pol, vnet, OptimizerState(), OptimizerState(),
-                                data, HyperParams(epochs=3, minibatch=32),
+        stats = update_networks(pol, vnet, OptimizerState(), data,
+                                HyperParams(epochs=3, minibatch=32),
                                 np.random.default_rng(0))
         assert stats.minibatches == 3 * 2
         assert not stats.diverged
@@ -308,7 +308,7 @@ class TestUpdateEngine:
         rng = np.random.default_rng(1234)
         pol = GaussianPolicy.create(1, 1, rng)
         vnet = Mlp.create((1, *DEFAULT_HIDDEN, 1), rng)
-        opt_p, opt_v = OptimizerState(lr=3e-3), OptimizerState(lr=3e-3)
+        opt = OptimizerState(lr=3e-3)
         hyper = HyperParams(epochs=10, minibatch=128)
         x = np.zeros((256, 1))
         first_vl = last_vl = None
@@ -324,7 +324,7 @@ class TestUpdateEngine:
                 "obs": x, "act": a[:, None], "logp_old": logp, "adv": adv,
                 "vtarget": r,
             }
-            stats = update_networks(pol, vnet, opt_p, opt_v, data, hyper,
+            stats = update_networks(pol, vnet, opt, data, hyper,
                                     np.random.default_rng(it))
             if first_vl is None:
                 first_vl = stats.value_loss
@@ -332,6 +332,40 @@ class TestUpdateEngine:
         final_mean = float(pol.net.forward(np.zeros((1, 1)))[0, 0])
         assert abs(final_mean - 0.5) < 0.1
         assert last_vl < first_vl
+
+    def test_diverged_minibatch_moves_nothing(self, monkeypatch):
+        # finite actor gradients and a finite loss, one NaN critic gradient:
+        # the minibatch must not step the actor before the critic is checked
+        rng = np.random.default_rng(3)
+        pol = GaussianPolicy.create(2, 1, rng)
+        vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
+        data = {
+            "obs": rng.normal(size=(32, 2)),
+            "act": rng.normal(size=(32, 1)),
+            "logp_old": rng.normal(scale=0.1, size=32),
+            "adv": rng.normal(size=32),
+            "vtarget": rng.normal(size=32),
+        }
+        hyper = HyperParams(epochs=2, minibatch=16)
+        opt = OptimizerState()
+        update_networks(pol, vnet, opt, data, hyper, np.random.default_rng(0))
+        params = pol.params() + vnet.params()
+        before = [p.copy() for p in params]
+        m, v, t = opt.m.copy(), opt.v.copy(), opt.t
+        clean = ppo.value_grads
+
+        def nan_critic_grad(*args):
+            loss, grads = clean(*args)
+            grads[0][0, 0] = math.nan
+            return loss, grads
+
+        monkeypatch.setattr(ppo, "value_grads", nan_critic_grad)
+        stats = update_networks(pol, vnet, opt, data, hyper, np.random.default_rng(1))
+        assert stats.diverged and stats.minibatches == 0
+        assert opt.t == t
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+        for got, want in zip(params, before):
+            assert got.tobytes() == want.tobytes()
 
     def test_hyper_validation(self):
         with pytest.raises(ValueError):
@@ -421,7 +455,7 @@ class TestTrainer:
         for i in range(32):
             buf.add(step_row(rng.normal(size=2), rng.normal(size=1), float(i % 2),
                              i == 31, -0.7), rng.normal(size=2))
-        stats, adv = smdp_update(buf, pol, vnet, OptimizerState(),
-                                 OptimizerState(), HyperParams(), np.random.default_rng(1))
+        stats, adv = smdp_update(buf, pol, vnet, OptimizerState(), HyperParams(),
+                                 np.random.default_rng(1))
         assert adv.shape == (32,)
         assert stats.minibatches == 10  # 10 epochs x 1 minibatch
