@@ -24,35 +24,33 @@ from .ppo import (  # noqa: F401  (the SMDP core's names are re-exported)
     unit_clip,
 )
 
+# The range a sampled threshold is squashed into [mg/dL].
+ETA_LO = 15.0
+ETA_HI = 25.0
+
+
 @dataclass(frozen=True)
 class TriggerConfig:
     fixed_eta: float = 25.0  # mg/dL, the threshold of a one-wide action
-    eta_lo: float = 15.0  # bounds of a sampled threshold, mg/dL
-    eta_hi: float = 25.0
 
     def __post_init__(self):
-        for name in ("fixed_eta", "eta_lo", "eta_hi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if not self.eta_lo < self.eta_hi:
-            raise ValueError("need eta_lo < eta_hi")
+        if not 0.0 <= self.fixed_eta < math.inf:
+            raise ValueError("fixed_eta must be finite and non-negative")
 
     def threshold(self, a_raw: np.ndarray) -> float:
         """fixed_eta for a one-wide (rate-only) action, else a[1] squashed
-        into [eta_lo, eta_hi]; the policy's width is the threshold rule."""
+        into [ETA_LO, ETA_HI]; the policy's width is the threshold rule."""
         if len(a_raw) == 1:
             return self.fixed_eta
         frac = unit_clip(a_raw[1])
-        return self.eta_lo + (self.eta_hi - self.eta_lo) * frac
+        return ETA_LO + (ETA_HI - ETA_LO) * frac
 
 
 class CgmEtppoTrainer(Trainer):
     """Algorithm: rule-triggered insulin updates trained as an SMDP.
 
     The policy samples (rate, threshold), the threshold affinely squashed
-    into [eta_lo, eta_hi]; FixedCgmEtppoTrainer samples only the rate and
+    into [ETA_LO, ETA_HI]; FixedCgmEtppoTrainer samples only the rate and
     holds to fixed_eta. Reward per held step is R1 + R2; r1_only drops the
     holding bonus (used for the periodic-vs-triggered comparison).
     """
@@ -69,7 +67,7 @@ class CgmEtppoTrainer(Trainer):
     def step_reward(self, y: float, ell: int) -> float:
         if self.r1_only:
             return reward_r1(y)
-        return reward_r1(y) + reward_r2(y, ell, self.reward_cfg)
+        return reward_r1(y) + reward_r2(y, ell)
 
     def run_episode(self, episode_idx: int = 0) -> EpisodeStats:
         return self._smdp_episode(episode_idx)

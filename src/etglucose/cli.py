@@ -88,7 +88,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure: missing files, bad checkpoints
-        print(f"error: {exc}", file=sys.stderr)
+        # harness.naming_run notes which run and episode or scenario failed
+        notes = "".join(f" ({note})" for note in getattr(exc, "__notes__", ()))
+        print(f"error: {exc}{notes}", file=sys.stderr)
         if args.verbose:
             print(traceback.format_exc(), file=sys.stderr, end="")
         return 2

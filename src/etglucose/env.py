@@ -4,6 +4,7 @@ Time is discretized at a 3-minute control grid; each control step holds the
 commanded pump rate (zero-order hold) over three 1-minute RK4 substeps with
 the scenario's carbohydrate delivery rate sampled at each substep start.
 Episodes terminate at the horizon or when the CGM leaves (10, 600) mg/dL.
+These are the protocol's module constants; only the horizon is configured.
 
 rollout is the one episode loop: greedy evaluation of every controller
 (PID, the per-step and factored policies, the CGM-triggered policy) and
@@ -55,70 +56,54 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+# The episode protocol.
+STEP_MINUTES = 3.0  # control period
+ODE_DT = 1.0  # RK4 substep [min]
+SUBSTEPS = round(STEP_MINUTES / ODE_DT)  # RK4 substeps per control step
+HYPO_MGDL = 10.0  # terminate when y <= this
+HYPER_MGDL = 600.0  # or y >= this
+INIT_SPREAD = 0.1  # training reset: sd as a fraction of the basal value
+
+
 @dataclass(frozen=True)
 class EpisodeConfig:
     horizon: int = 960  # control steps (48 h at 3 min)
-    step_minutes: float = 3.0
-    ode_dt: float = 1.0
-    hypo_threshold: float = 10.0  # terminate when y <= this [mg/dL]
-    hyper_threshold: float = 600.0  # or y >= this [mg/dL]
-    init_spread: float = 0.1  # training reset: sd as fraction of the mean
+    substeps = SUBSTEPS  # a class constant, not a config key
 
     def __post_init__(self):
         if not is_int(self.horizon):
             raise ValueError("horizon must be an integer")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.hypo_threshold >= self.hyper_threshold:
-            raise ValueError("hypo threshold must lie below hyper threshold")
-        for name in ("step_minutes", "ode_dt"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if not 0.0 <= self.init_spread < math.inf:
-            raise ValueError("init_spread must be finite and non-negative")
-        n = self.step_minutes / self.ode_dt
-        if abs(n - round(n)) > 1e-12 or round(n) < 1:
-            raise ValueError("step_minutes must be an integer multiple of ode_dt")
-
-    @property
-    def substeps(self) -> int:
-        return int(round(self.step_minutes / self.ode_dt))
 
 
 @dataclass(frozen=True)
 class RewardConfig:
-    """Constants of the reward terms.
+    """eta_e, the per-update penalty of the factored-policy trainer."""
 
-    R1 pays 1 per step with CGM in [RANGE_LO, RANGE_HI], the range TIR
-    scores. R2, used by the trigger-based trainer, additionally pays
-    (ell - c)/C for an in-range step held ell steps after the last insulin
-    update. eta_e is the per-update penalty of the factored-policy trainer.
-    """
-
-    c: float = 5.0
-    C: float = 10.0
     eta_e: float = 0.1
 
     def __post_init__(self):
-        for name in ("c", "C", "eta_e"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
         # A finite eta_e also makes reward_het(y, 0) equal reward_r1(y).
-        if self.eta_e < 0:
-            raise ValueError("eta_e must be non-negative")
+        if not 0.0 <= self.eta_e < math.inf:
+            raise ValueError("eta_e must be finite and non-negative")
 
 
 def reward_r1(y: float) -> float:
-    """1 inside the target range (inclusive), else 0."""
+    """R1: 1 inside [RANGE_LO, RANGE_HI], the range TIR scores, else 0."""
     return 1.0 if RANGE_LO <= y <= RANGE_HI else 0.0
 
 
-def reward_r2(y: float, ell: float, cfg: RewardConfig = RewardConfig()) -> float:
+# R2, the trigger-based trainer's holding bonus, pays (ell - c)/C for an
+# in-range step held ell steps after the last insulin update.
+R2_OFFSET = 5.0  # c
+R2_SCALE = 10.0  # C
+
+
+def reward_r2(y: float, ell: float) -> float:
     """Holding bonus: (ell - c)/C while in range, else 0."""
     if RANGE_LO <= y <= RANGE_HI:
-        return (ell - cfg.c) / cfg.C
+        return (ell - R2_OFFSET) / R2_SCALE
     return 0.0
 
 
@@ -154,13 +139,6 @@ class ApEnv:
         self.cfg = episode_cfg
         self.sensor = sensor
         self.pump = pump
-        # Read once here: step runs on these locals, not on cfg.
-        self._substeps = episode_cfg.substeps
-        self._dt = episode_cfg.ode_dt
-        self._step_minutes = episode_cfg.step_minutes
-        self._horizon = episode_cfg.horizon
-        self._hypo = episode_cfg.hypo_threshold
-        self._hyper = episode_cfg.hyper_threshold
         self._scenario: MealScenario | None = None
         self._noise_rng: np.random.Generator | None = None
         # The latest CGM value, completed steps, and whether the episode
@@ -179,7 +157,7 @@ class ApEnv:
         """Start a new episode; returns the first observation.
 
         Training resets resample the glucose states g_p, g_t, g_sc from
-        N(mu, (spread*mu)^2) truncated at zero (in that draw order);
+        N(mu, (INIT_SPREAD*mu)^2) truncated at zero (in that draw order);
         evaluation resets use the basal state as-is.
         """
         self._scenario = scenario
@@ -188,10 +166,9 @@ class ApEnv:
         if training:
             if init_rng is None:
                 raise ValueError("training reset needs an init-state rng")
-            spread = self.cfg.init_spread
-            g_p = max(0.0, init_rng.normal(state.g_p, spread * state.g_p))
-            g_t = max(0.0, init_rng.normal(state.g_t, spread * state.g_t))
-            g_sc = max(0.0, init_rng.normal(state.g_sc, spread * state.g_sc))
+            g_p = max(0.0, init_rng.normal(state.g_p, INIT_SPREAD * state.g_p))
+            g_t = max(0.0, init_rng.normal(state.g_t, INIT_SPREAD * state.g_t))
+            g_sc = max(0.0, init_rng.normal(state.g_sc, INIT_SPREAD * state.g_sc))
             state = state._replace(g_p=g_p, g_t=g_t, g_sc=g_sc)
         self._state = state
         self._noise = 0.0
@@ -222,18 +199,17 @@ class ApEnv:
         patient = self.patient
         scenario = self._scenario
         t = self._t
-        dt = self._dt
-        for j in range(self._substeps):
-            d = meal_rate_at(t + j * dt, scenario)
-            state = rk4_step(state, u_cmd, d, dt, patient)
+        for j in range(SUBSTEPS):
+            d = meal_rate_at(t + j * ODE_DT, scenario)
+            state = rk4_step(state, u_cmd, d, ODE_DT, patient)
         self._state = state
-        self._t = t + self._step_minutes
+        self._t = t + STEP_MINUTES
         steps = self.steps = self.steps + 1
         y, self._noise = cgm_read(state, patient, self.sensor, self._noise, self._noise_rng)
         self.y = y
         self._u_prev = u_cmd
-        done = self.done = (steps >= self._horizon
-                             or not (self._hypo < y < self._hyper))
+        done = self.done = (steps >= self.cfg.horizon
+                             or not (HYPO_MGDL < y < HYPER_MGDL))
         self.y_trace.append(y)
         self.u_trace.append(u_cmd)
         self.event_trace.append(1 if event else 0)

@@ -25,14 +25,15 @@ from __future__ import annotations
 import dataclasses
 import logging
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .cgmetppo import CgmEtppoTrainer, FixedCgmEtppoTrainer
+from .cgmetppo import ETA_HI, ETA_LO, CgmEtppoTrainer, FixedCgmEtppoTrainer
 from .config import ConfigError, ExperimentConfig, MatrixConfig
-from .env import ApEnv, rollout
+from .env import HYPER_MGDL, STEP_MINUTES, ApEnv, rollout
 from .hetppo import HetppoTrainer, PinnedHetppoTrainer, event_decide
 from .metrics import aggregate, aurr, ecf, interval_averages, tir
 from .neural import (
@@ -55,9 +56,11 @@ log = logging.getLogger(__name__)
 
 TRACE_HEADER = "step,t_min,y,u,event,eta"
 METRICS_HEADER = "patient,method,seed,scenario,ecf,tir,aurr"
-# Histogram bins for the (interval-average CGM, threshold) counts.
-CGM_HIST_EDGES = np.arange(40.0, 401.0, 20.0)
-ETA_HIST_EDGES = np.arange(15.0, 26.0, 1.0)
+# Histogram bins for the (interval-average CGM, threshold) counts. An
+# interval averages CGM values that did not end the episode, all inside
+# (HYPO_MGDL, HYPER_MGDL), so every interval lands in a bin.
+CGM_HIST_EDGES = np.arange(0.0, HYPER_MGDL + 1.0, 20.0)
+ETA_HIST_EDGES = np.arange(ETA_LO, ETA_HI + 1.0, 1.0)
 
 
 def write_atomic(path: Path, write, binary: bool = False) -> None:
@@ -72,6 +75,16 @@ def write_atomic(path: Path, write, binary: bool = False) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def naming_run(cfg: ExperimentConfig, seed: int, where: str):
+    """Note the run and where in it on an exception, which keeps its type."""
+    try:
+        yield
+    except Exception as exc:
+        exc.add_note(f"in {cfg.method} on {cfg.patient}, seed {seed}, {where}")
+        raise
 
 
 def patient_slug(name: str) -> str:
@@ -164,16 +177,14 @@ def _roll(patient, scenario, noise_rng, cfg: ExperimentConfig, decide):
         bounds = rec.update_times + (rec.T,)
         for k, eta in enumerate(rec.thresholds):
             etas[bounds[k]:bounds[k + 1]] = [f"{eta:.6f}"] * (bounds[k + 1] - bounds[k])
-    dt = cfg.episode.step_minutes
     return rec, [
-        (h, h * dt, env.y_trace[h], env.u_trace[h], env.event_trace[h], etas[h])
+        (h, h * STEP_MINUTES, env.y_trace[h], env.u_trace[h], env.event_trace[h], etas[h])
         for h in range(rec.T)
     ]
 
 
 def roll_pid(patient, gains: PidGains, scenario, noise_rng, cfg: ExperimentConfig):
-    return _roll(patient, scenario, noise_rng, cfg,
-                 pid_decider(gains, cfg.episode.step_minutes, cfg.pump))
+    return _roll(patient, scenario, noise_rng, cfg, pid_decider(gains, cfg.pump))
 
 
 def roll_ppo(patient, policy: GaussianPolicy, scenario, noise_rng,
@@ -255,14 +266,15 @@ def run_train(cfg: ExperimentConfig, out_base: str | Path,
         train_log = ["episode,steps,K,ret,ecf,tir,aurr\n"]
         update_episode = []  # the episode each update ran in
         for ep in range(cfg.episodes):
-            s = trainer.run_episode(ep)
+            with naming_run(cfg, seed, f"episode {ep}"):
+                s = trainer.run_episode(ep)
+                if cfg.checkpoint_every and (ep + 1) % cfg.checkpoint_every == 0:
+                    save_trainer(trainer, rd / f"checkpoint_ep{ep + 1}.npz")
             update_episode += [ep] * (len(trainer.updates) - len(update_episode))
             train_log.append(
                 f"{s.episode},{s.steps},{s.K},{s.ret:.6f},"
                 f"{s.ecf:.6f},{s.tir:.6f},{s.aurr:.6f}\n"
             )
-            if cfg.checkpoint_every and (ep + 1) % cfg.checkpoint_every == 0:
-                save_trainer(trainer, rd / f"checkpoint_ep{ep + 1}.npz")
         write_atomic(rd / "train_log.csv", lambda fh: fh.writelines(train_log))
         updates = ["update,policy_objective,value_loss,entropy,"
                    "mean_ratio,clip_frac,minibatches,diverged\n"] + [
@@ -284,8 +296,9 @@ def run_train(cfg: ExperimentConfig, out_base: str | Path,
     return dirs
 
 
-def eval_records(cfg: ExperimentConfig, patient, rd: Path):
+def eval_records(cfg: ExperimentConfig, patient, out_base: str | Path, seed: int):
     """Greedy records + traces for the five fixed scenarios of one run."""
+    rd = run_dir(out_base, cfg, seed)
     if cfg.method == "pid":
         controller, roll = load_gains(rd / "gains.yaml"), roll_pid
     else:
@@ -305,8 +318,11 @@ def eval_records(cfg: ExperimentConfig, patient, rd: Path):
             )
         roll = (roll_hetppo if isinstance(controller, HetPolicy) else
                 roll_ppo if cfg.method in ("ppo", "hetppo") else roll_cgmetppo)
-    return [roll(patient, controller, sc, eval_noise_stream(i), cfg)
-            for i, sc in enumerate(default_eval_scenarios())]
+    rolled = []
+    for i, sc in enumerate(default_eval_scenarios()):
+        with naming_run(cfg, seed, f"evaluation scenario {i}"):
+            rolled.append(roll(patient, controller, sc, eval_noise_stream(i), cfg))
+    return rolled
 
 
 def run_eval(cfg: ExperimentConfig, out_base: str | Path) -> list[Path]:
@@ -315,7 +331,7 @@ def run_eval(cfg: ExperimentConfig, out_base: str | Path) -> list[Path]:
     paths = []
     for seed in cfg.seeds:
         rd = run_dir(out_base, cfg, seed)
-        rolled = eval_records(cfg, patient, rd)
+        rolled = eval_records(cfg, patient, out_base, seed)
         rows = []
         for i, (rec, trace) in enumerate(rolled):
             lines = [TRACE_HEADER + "\n"] + [

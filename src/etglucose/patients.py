@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .env import HYPO_MGDL
 from .plant import (
     PMOL_PER_UNIT,
     PatientParams,
@@ -144,7 +145,7 @@ def _envelope_ok(c: dict[str, float], pump: PumpConfig) -> bool:
         return False
     # Hypoglycemia must be reachable with sustained insulin inside the
     # pump range, with some margin.
-    if pump_rate_for_glucose(c, 10.0) > 0.95 * pump.u_max:
+    if pump_rate_for_glucose(c, HYPO_MGDL) > 0.95 * pump.u_max:
         return False
     # Neglecting insulin entirely should settle high but short of the
     # hyperglycemic termination bound; meals provide the rest.

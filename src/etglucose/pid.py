@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .env import ApEnv, EpisodeConfig, rollout
+from .env import STEP_MINUTES, ApEnv, EpisodeConfig, rollout
 from .metrics import EpisodeRecord, tir
 from .plant import PumpConfig, SensorConfig
 from .scenario import MealScenario
@@ -73,13 +73,13 @@ def pid_output(
     return u, _new_pid_state(PidState, (integral, error))
 
 
-def pid_decider(gains: PidGains, dt: float, pump: PumpConfig):
-    """decide(obs) for env.rollout: one PID evaluation per step."""
+def pid_decider(gains: PidGains, pump: PumpConfig):
+    """decide(obs) for env.rollout: one PID evaluation per control step."""
     state = PidState()
 
     def decide(obs):
         nonlocal state
-        u, state = pid_output(gains, state, obs.y, dt, pump)
+        u, state = pid_output(gains, state, obs.y, STEP_MINUTES, pump)
         return u, None
 
     return decide
@@ -101,8 +101,7 @@ def run_pid_episode(
     the target range (see env.rollout).
     """
     env = ApEnv(patient, episode_cfg, sensor, pump)
-    return rollout(env, env.reset(scenario, noise_rng),
-                   pid_decider(gains, episode_cfg.step_minutes, pump),
+    return rollout(env, env.reset(scenario, noise_rng), pid_decider(gains, pump),
                    max_misses=max_misses)
 
 

@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .env import (
+    STEP_MINUTES,
     ApEnv,
     EpisodeConfig,
     Observation,
@@ -419,9 +420,7 @@ class Trainer:
         self.opt = OptimizerState(lr=hyper.lr)  # one Adam state, actor then critic
         self.buffer = SmdpBuffer(hyper.buffer_size)
         self.updates: list[UpdateStats] = []
-        self.n_days = max(
-            1, math.ceil(episode_cfg.horizon * episode_cfg.step_minutes / 1440.0)
-        )
+        self.n_days = max(1, math.ceil(episode_cfg.horizon * STEP_MINUTES / 1440.0))
 
     def new_policy(self, rng: np.random.Generator):
         return GaussianPolicy.create(2, self.n_act, rng)

@@ -9,7 +9,7 @@ timed call cannot be skipped or left unfinished.
 """
 import numpy as np
 
-from etglucose.cgmetppo import CgmEtppoTrainer
+from etglucose.cgmetppo import ETA_HI, ETA_LO, CgmEtppoTrainer
 from etglucose.env import ApEnv, EpisodeConfig, Observation, obs_vec
 from etglucose.neural import (
     DEFAULT_HIDDEN,
@@ -118,11 +118,11 @@ def test_sample_decision(benchmark):
     tr = CgmEtppoTrainer(PATIENT, RngBundle.from_master(0))
     act, logp, rate, eta = benchmark(tr.sample_decision, obs_vec(OBS, tr.pump))
     assert act.shape == (2,) and 0.0 <= rate <= tr.pump.u_max
-    assert tr.trigger.eta_lo <= eta <= tr.trigger.eta_hi
+    assert ETA_LO <= eta <= ETA_HI
 
 
 def test_greedy_decide(benchmark):
     tr = CgmEtppoTrainer(PATIENT, RngBundle.from_master(0))
     rate, eta = benchmark(greedy_decide, tr.policy, OBS, tr.pump, tr.trigger)
     assert 0.0 <= rate <= tr.pump.u_max
-    assert tr.trigger.eta_lo <= eta <= tr.trigger.eta_hi
+    assert ETA_LO <= eta <= ETA_HI

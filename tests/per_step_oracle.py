@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from etglucose import ppo
-from etglucose.env import ApEnv, EpisodeConfig, RewardConfig, obs_vec, reward_r1
+from etglucose.env import (
+    STEP_MINUTES,
+    ApEnv,
+    EpisodeConfig,
+    RewardConfig,
+    obs_vec,
+    reward_r1,
+)
 from etglucose.metrics import EpisodeRecord, aurr, ecf, tir
 from etglucose.neural import DEFAULT_HIDDEN, GaussianPolicy, Mlp, OptimizerState
 from etglucose.plant import PumpConfig, SensorConfig
@@ -127,7 +134,7 @@ class PerStepPpo:
         self.updates = []
         self.snapshots = []
         self.n_days = max(
-            1, math.ceil(episode_cfg.horizon * episode_cfg.step_minutes / 1440.0)
+            1, math.ceil(episode_cfg.horizon * STEP_MINUTES / 1440.0)
         )
 
     def _update(self):

@@ -11,6 +11,7 @@ Run with -s to see one PASS line with the measured numbers per check.
 """
 import math
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -249,7 +250,8 @@ def test_06_meal_statistics():
     n = 10000
     freqs = []
     for spec in DEFAULT_MEAL_SPECS:
-        rng = np.random.default_rng(hash(spec.name) % 2**32)
+        # crc32, unlike the salted str hash, seeds alike in every process
+        rng = np.random.default_rng(zlib.crc32(spec.name.encode()))
         forced = MealSpec(spec.name, 1.0, spec.t_lb, spec.t_ub, spec.t_mu,
                           spec.t_sigma, spec.m_mu, spec.m_sigma)
         hits = 0

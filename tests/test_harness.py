@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 from etglucose import cli, harness, ppo
+from etglucose import env as env_module
 from etglucose.cgmetppo import CgmEtppoTrainer, FixedCgmEtppoTrainer
 from etglucose.config import (
     METHODS,
@@ -51,6 +52,7 @@ from etglucose.neural import (
     unpack_opt,
 )
 from etglucose.patients import default_cohort
+from etglucose.plant import PlantDivergedError
 from etglucose.scenario import default_eval_scenarios
 from etglucose.seeding import eval_noise_stream
 from reference_adam import PerArrayState, per_array_adam_step
@@ -59,6 +61,18 @@ from reference_adam import PerArrayState, per_array_adam_step
 @pytest.fixture(scope="module")
 def patient():
     return default_cohort()[0]
+
+
+# The episode protocol, R2's constants and the sampled-threshold range are
+# module constants, not config keys: a config that sets one is refused as
+# unknown, even at the value the constant holds (given here).
+PROTOCOL_CONSTANTS = {
+    ("episode", "step_minutes"): 3.0, ("episode", "ode_dt"): 1.0,
+    ("episode", "substeps"): 3, ("episode", "hypo_threshold"): 10.0,
+    ("episode", "hyper_threshold"): 600.0, ("episode", "init_spread"): 0.1,
+    ("reward", "c"): 5.0, ("reward", "C"): 10.0,
+    ("trigger", "eta_lo"): 15.0, ("trigger", "eta_hi"): 25.0,
+}
 
 
 def tiny_dict(method: str, **over) -> dict:
@@ -206,7 +220,17 @@ class TestConfig:
         else:
             raw.setdefault(section, {})[key] = value
         where = section or "config"
-        with pytest.raises(ConfigError, match=f"^{where}: {key} must"):
+        message = (rf"^{where}: unknown keys \['{key}'\]$"
+                   if (section, key) in PROTOCOL_CONSTANTS else f"^{where}: {key} must")
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("section,key,value", [
+        (*where, value) for where, value in PROTOCOL_CONSTANTS.items()])
+    def test_removed_key_refused(self, section, key, value):
+        raw = tiny_dict("cgmetppo-variable")
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=rf"^{section}: unknown keys \['{key}'\]$"):
             config_from_dict(raw)
 
     @pytest.mark.parametrize("value", [20.5, True, 64.0, "64"])
@@ -486,13 +510,13 @@ class TestCheckpoints:
         assert isinstance(policy, GaussianPolicy)
 
     def test_method_mismatch_rejected(self, tmp_path, patient):
-        ppo_cfg = tiny_cfg("ppo")
-        rd = run_dir(tmp_path, ppo_cfg, 0)
-        rd.mkdir(parents=True)
-        save_trainer(build_trainer(ppo_cfg, patient, seed=0), rd / "checkpoint.npz")
         other = tiny_cfg("cgmetppo-fixed")
+        rd = run_dir(tmp_path, other, 0)
+        rd.mkdir(parents=True)
+        save_trainer(build_trainer(tiny_cfg("ppo"), patient, seed=0),
+                     rd / "checkpoint.npz")
         with pytest.raises(ValueError, match="does not match"):
-            eval_records(other, patient, rd)
+            eval_records(other, patient, tmp_path, 0)
 
     @pytest.mark.parametrize("trained,evaluated", [(False, True), (True, False)])
     def test_pin_events_mismatch_rejected(self, tmp_path, patient, trained,
@@ -504,15 +528,15 @@ class TestCheckpoints:
         other = tiny_cfg("hetppo", pin_events=evaluated)
         with pytest.raises(ValueError, match=f"checkpoint pin_events {trained} "
                            f"does not match config pin_events {evaluated}"):
-            eval_records(other, patient, rd)
-        assert len(eval_records(cfg, patient, rd)) == 5
+            eval_records(other, patient, tmp_path, 0)
+        assert len(eval_records(cfg, patient, tmp_path, 0)) == 5
 
     def test_eval_without_checkpoint(self, tmp_path, patient):
         cfg = tiny_cfg("ppo")
         rd = run_dir(tmp_path, cfg, 0)
         rd.mkdir(parents=True)
         with pytest.raises(FileNotFoundError, match="train first"):
-            eval_records(cfg, patient, rd)
+            eval_records(cfg, patient, tmp_path, 0)
 
     def test_missing_gains(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="tune-pid"):
@@ -620,9 +644,8 @@ class TestTrainEval:
         for i in range(5):
             rows = read_rows(rd / f"eval_trace_scen{i}.csv")[1:]
             events += sum(1 for r in rows if r.split(",")[4] == "1")
-        # intervals whose average CGM exceeds the top bin edge drop out,
-        # so the histogram can only undercount the update intervals
-        assert 0 < total <= events
+        # the bins cover every interval average, so no interval drops out
+        assert total == events > 0
 
     def test_pid_tune_and_eval(self, tmp_path):
         cfg = tiny_cfg("pid", seeds=[0, 1])
@@ -952,12 +975,15 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_zero_ode_dt_exit_one(self, tmp_path, capsys):
+        # the substep is a module constant, so any ode_dt is refused
         cfg_path = write_yaml(tmp_path / "c.yaml",
                               tiny_dict("ppo", episode={"ode_dt": 0}))
         rc = cli.main(["train", "--config", cfg_path,
                        "--out-dir", str(tmp_path / "runs")])
         assert rc == 1
-        assert "config error: episode: ode_dt must" in capsys.readouterr().err
+        assert ("config error: episode: unknown keys ['ode_dt']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "runs").exists()
 
     def test_fractional_horizon_exit_one(self, tmp_path, capsys):
         # used to pass validation and fail in the first episode with exit 2
@@ -980,6 +1006,52 @@ class TestCli:
                        "--out-dir", str(tmp_path / "runs")])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @staticmethod
+    def diverge_at(monkeypatch, call: int) -> None:
+        """Make the plant step raise at its call-th call, as a diverged
+        plant does."""
+        calls = 0
+        step = env_module.rk4_step
+
+        def rk4_step(*args):
+            nonlocal calls
+            calls += 1
+            if calls == call:
+                raise PlantDivergedError("plant-diverged: non-finite state or input")
+            return step(*args)
+
+        monkeypatch.setattr(env_module, "rk4_step", rk4_step)
+
+    def test_training_failure_names_its_run(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict(
+            "cgmetppo-fixed", episodes=3, seeds=[2], episode={"horizon": 20}))
+        # 3 substeps per step: call 61 is the first of episode 1
+        self.diverge_at(monkeypatch, 3 * 20 + 1)
+        args = ["train", "--config", cfg_path, "--out-dir", str(tmp_path / "runs")]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == (
+            "error: plant-diverged: non-finite state or input "
+            "(in cgmetppo-fixed on adult#001, seed 2, episode 1)\n")
+        self.diverge_at(monkeypatch, 1)
+        assert cli.main(["-v"] + args) == 2
+        err = capsys.readouterr().err
+        assert "etglucose.plant.PlantDivergedError: plant-diverged" in err
+        assert "in cgmetppo-fixed on adult#001, seed 2, episode 0" in err
+
+    def test_evaluation_failure_names_its_run(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict(
+            "ppo", episodes=1, episode={"horizon": 20}))
+        out_dir = str(tmp_path / "runs")
+        assert cli.main(["train", "--config", cfg_path, "--out-dir", out_dir]) == 0
+        self.diverge_at(monkeypatch, 2 * 3 * 20 + 5)  # inside scenario 2
+        rc = cli.main(["eval", "--config", cfg_path, "--out-dir", out_dir])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: plant-diverged: non-finite state or input "
+            "(in ppo on adult#001, seed 0, evaluation scenario 2)\n")
+        assert not (tmp_path / "runs" / "ppo" / "adult-001" / "seed_0"
+                    / "metrics.csv").exists()
 
     def test_pin_events_mismatch_exit_two(self, tmp_path, capsys):
         out_dir = str(tmp_path / "runs")
@@ -1027,13 +1099,13 @@ class TestCli:
         assert not (tmp_path / "runs").exists()
 
     def test_negative_eta_lo_exit_one(self, tmp_path, capsys):
-        # used to exit 2 at the first decision after making seed_0/
+        # the sampled-threshold range is a module constant, not a config key
         cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict(
             "cgmetppo-variable", trigger={"eta_lo": -5.0, "eta_hi": 5.0}))
         rc = cli.main(["train", "--config", cfg_path,
                        "--out-dir", str(tmp_path / "runs")])
         assert rc == 1
-        assert ("config error: trigger: eta_lo must be non-negative"
+        assert ("config error: trigger: unknown keys ['eta_hi', 'eta_lo']"
                 in capsys.readouterr().err)
         assert not (tmp_path / "runs").exists()
 
