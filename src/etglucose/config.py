@@ -114,7 +114,7 @@ _NESTED = {
 def _build(cls, mapping: dict, context: str):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context}: expected a mapping, got {type(mapping).__name__}")
-    allowed = {f.name for f in fields(cls)}
+    allowed = {f.name for f in fields(cls) if f.init}
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")

@@ -152,20 +152,17 @@ class ApEnv:
         scenario: MealScenario,
         noise_rng: np.random.Generator,
         init_rng: np.random.Generator | None = None,
-        training: bool = False,
     ) -> Observation:
         """Start a new episode; returns the first observation.
 
-        Training resets resample the glucose states g_p, g_t, g_sc from
-        N(mu, (INIT_SPREAD*mu)^2) truncated at zero (in that draw order);
-        evaluation resets use the basal state as-is.
+        A training reset, one given init_rng, resamples the glucose states
+        g_p, g_t, g_sc from N(mu, (INIT_SPREAD*mu)^2) truncated at zero (in
+        that draw order); an evaluation reset uses the basal state as-is.
         """
         self._scenario = scenario
         self._noise_rng = noise_rng
         state = self.patient.basal
-        if training:
-            if init_rng is None:
-                raise ValueError("training reset needs an init-state rng")
+        if init_rng is not None:
             g_p = max(0.0, init_rng.normal(state.g_p, INIT_SPREAD * state.g_p))
             g_t = max(0.0, init_rng.normal(state.g_t, INIT_SPREAD * state.g_t))
             g_sc = max(0.0, init_rng.normal(state.g_sc, INIT_SPREAD * state.g_sc))

@@ -33,8 +33,9 @@ from .neural import (
 )
 from .plant import PumpConfig
 from .ppo import (
+    C_ENT,
+    CLIP_EPS,
     EpisodeStats,
-    HyperParams,
     PpoTrainer,
     Trainer,
     clipped_surrogate,
@@ -78,7 +79,6 @@ def het_policy_grads(
     act: np.ndarray,
     logp_old: np.ndarray,
     adv: np.ndarray,
-    hyper: HyperParams,
 ) -> tuple[float, list[np.ndarray], dict]:
     """Factored clipped surrogate and gradients of its negation.
 
@@ -91,16 +91,15 @@ def het_policy_grads(
     u_mean, logit = out[:, 0], out[:, 1]
     b = len(adv)
     e = act[:, 1]
-    eps = hyper.clip_eps
 
     # Event factor, every row.
     lp_e_new, ent_e = bernoulli_logprob_entropy(logit, e)
     ratio_e = np.exp(lp_e_new - logp_old[:, 1])
-    j_event, dlp_e = clipped_surrogate(ratio_e, adv, eps, b)
+    j_event, dlp_e = clipped_surrogate(ratio_e, adv, CLIP_EPS, b)
     p = sigmoid(logit)
     dlogit = dlp_e * (e - p)
     # d entropy(e) / d logit = -logit * p * (1 - p)
-    dlogit += hyper.c_ent * (-logit * p * (1.0 - p)) / b
+    dlogit += C_ENT * (-logit * p * (1.0 - p)) / b
 
     # Insulin factor, event rows only.
     idx = np.flatnonzero(e == 1.0)
@@ -116,22 +115,22 @@ def het_policy_grads(
         z = (act[idx, 0] - u_mean[idx]) / std
         lp_u_new = -0.5 * (z * z + math.log(2.0 * math.pi)) - policy.log_std[0]
         ratio_u = np.exp(lp_u_new - logp_old[idx, 0])
-        j_insulin, dlp_u = clipped_surrogate(ratio_u, adv[idx], eps, m)
+        j_insulin, dlp_u = clipped_surrogate(ratio_u, adv[idx], CLIP_EPS, m)
         dmean[idx] = dlp_u * z / std
         dlog_std[0] = float((dlp_u * (z * z - 1.0)).sum())
         mean_ratio_u = float(ratio_u.mean())
-        clip_u = float((np.abs(ratio_u - 1.0) > eps).sum())
-    dlog_std[0] += hyper.c_ent
+        clip_u = float((np.abs(ratio_u - 1.0) > CLIP_EPS).sum())
+    dlog_std[0] += C_ENT
 
     entropy = ent_u + float(ent_e.mean())
-    objective = j_event + j_insulin + hyper.c_ent * entropy
+    objective = j_event + j_insulin + C_ENT * entropy
 
     dout = np.stack([dmean, dlogit], axis=1)
     grads = policy.net.backward(acts, -dout)
     grads.append(-dlog_std)
     diag = {
         "mean_ratio": 0.5 * (float(ratio_e.mean()) + mean_ratio_u),
-        "clip_frac": (float((np.abs(ratio_e - 1.0) > eps).sum()) + clip_u)
+        "clip_frac": (float((np.abs(ratio_e - 1.0) > CLIP_EPS).sum()) + clip_u)
         / (b + max(m, 1)),
         "entropy": entropy,
     }

@@ -20,6 +20,10 @@ INIT_LOG_STD = math.log(0.5)  # normalized action space
 HIDDEN_GAIN = math.sqrt(2.0)
 POLICY_OUT_GAIN = 0.01
 VALUE_OUT_GAIN = 1.0
+# Adam's standard moment decays and denominator floor (Kingma & Ba 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class DivergedUpdateError(RuntimeError):
@@ -148,9 +152,6 @@ class OptimizerState:
     parameters, then the critic's, and are created lazily on the first step."""
 
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     t: int = 0
@@ -174,14 +175,14 @@ def adam_step(
         opt.m = np.zeros_like(g)
         opt.v = np.zeros_like(g)
     opt.t += 1
-    bc1 = 1.0 - opt.beta1**opt.t
-    bc2 = 1.0 - opt.beta2**opt.t
+    bc1 = 1.0 - ADAM_BETA1**opt.t
+    bc2 = 1.0 - ADAM_BETA2**opt.t
     m, v = opt.m, opt.v
-    m *= opt.beta1
-    m += (1.0 - opt.beta1) * g
-    v *= opt.beta2
-    v += (1.0 - opt.beta2) * (g * g)
-    step = opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (g * g)
+    step = opt.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     start = 0
     for p in params:
         stop = start + p.size

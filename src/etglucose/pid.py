@@ -53,20 +53,19 @@ def pid_output(
     gains: PidGains,
     state: PidState,
     y: float,
-    dt: float,
     pump: PumpConfig = PumpConfig(),
 ) -> tuple[float, PidState]:
-    """One controller evaluation; returns (clamped rate, next state).
+    """One controller evaluation over a STEP_MINUTES period; returns
+    (clamped rate, next state).
 
     The derivative term is zero on the first call of an episode. The
     candidate integral is used for this step's command but only kept
     when the command lands inside the pump range.
     """
-    if dt <= 0:
-        raise ValueError("controller period must be positive")
     error = y - gains.target
-    i_cand = state.integral + error * dt
-    deriv = 0.0 if state.prev_error is None else (error - state.prev_error) / dt
+    i_cand = state.integral + error * STEP_MINUTES
+    deriv = (0.0 if state.prev_error is None
+             else (error - state.prev_error) / STEP_MINUTES)
     u_raw = gains.kp * error + gains.ki * i_cand + gains.kd * deriv
     u = min(max(u_raw, pump.u_min), pump.u_max)
     integral = i_cand if u_raw == u else state.integral
@@ -79,7 +78,7 @@ def pid_decider(gains: PidGains, pump: PumpConfig):
 
     def decide(obs):
         nonlocal state
-        u, state = pid_output(gains, state, obs.y, STEP_MINUTES, pump)
+        u, state = pid_output(gains, state, obs.y, pump)
         return u, None
 
     return decide

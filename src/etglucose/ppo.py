@@ -54,28 +54,23 @@ from .seeding import RngBundle
 log = logging.getLogger(__name__)
 
 
+# PPO's standard learning constants (Schulman et al. 2017): discount,
+# GAE lambda, clip range and entropy bonus. Adam's are in neural.py.
+GAMMA = 0.99
+LAM = 0.95
+CLIP_EPS = 0.2
+C_ENT = 0.01
+
+
 @dataclass(frozen=True)
 class HyperParams:
-    gamma: float = 0.99
-    lam: float = 0.95
-    clip_eps: float = 0.2
-    c_ent: float = 0.01
+    """The batch shape of an update: rows per buffer, epochs, minibatch rows."""
+
     buffer_size: int = 512
-    lr: float = 3e-4
     epochs: int = 10
     minibatch: int = 128
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
-        if not 0.0 < self.clip_eps < math.inf:
-            raise ValueError("clip_eps must be positive and finite")
-        if not math.isfinite(self.c_ent):
-            raise ValueError("c_ent must be finite")
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError("lr must be positive and finite")
         for name in ("buffer_size", "epochs", "minibatch"):
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
@@ -155,26 +150,25 @@ def gaussian_policy_grads(
     act: np.ndarray,
     logp_old: np.ndarray,
     adv: np.ndarray,
-    hyper: HyperParams,
 ) -> tuple[float, list[np.ndarray], dict]:
-    """Objective J = L_clip + c_ent * entropy and gradients of -J."""
+    """Objective J = L_clip + C_ENT * entropy and gradients of -J."""
     mean, acts = policy.net.forward_cached(obs)
     std = np.exp(policy.log_std)
     z = (act - mean) / std
     logp_new, entropy = gaussian_logprob_entropy(mean, policy.log_std, act)
 
     ratio = np.exp(logp_new - logp_old)
-    j_clip, dlogp = clipped_surrogate(ratio, adv, hyper.clip_eps, len(adv))
-    objective = j_clip + hyper.c_ent * entropy
+    j_clip, dlogp = clipped_surrogate(ratio, adv, CLIP_EPS, len(adv))
+    objective = j_clip + C_ENT * entropy
 
     dmean = dlogp[:, None] * z / std
-    dlog_std = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0) + hyper.c_ent
+    dlog_std = (dlogp[:, None] * (z * z - 1.0)).sum(axis=0) + C_ENT
 
     grads = policy.net.backward(acts, -dmean)
     grads.append(-dlog_std)
     diag = {
         "mean_ratio": float(ratio.mean()),
-        "clip_frac": float((np.abs(ratio - 1.0) > hyper.clip_eps).mean()),
+        "clip_frac": float((np.abs(ratio - 1.0) > CLIP_EPS).mean()),
         "entropy": entropy,
     }
     return objective, grads, diag
@@ -236,7 +230,7 @@ def update_networks(
             try:
                 obj, pgrads, diag = policy_grads_fn(
                     policy, obs, data["act"][idx],
-                    data["logp_old"][idx], data["adv"][idx], hyper,
+                    data["logp_old"][idx], data["adv"][idx],
                 )
                 vl, vgrads = value_grads(vnet, obs, data["vtarget"][idx])
                 if not (math.isfinite(obj) and math.isfinite(vl)):
@@ -324,7 +318,7 @@ def smdp_update(
     """PPO update indexed by decision epochs; returns (stats, advantages)."""
     d = buffer.arrays()
     values = values_with_bootstrap(vnet, d["obs"], d["last_next_obs"])
-    adv = smdp_gae(d["R"], d["tau"], values, d["done"], hyper.gamma, hyper.lam)
+    adv = smdp_gae(d["R"], d["tau"], values, d["done"], GAMMA, LAM)
     data = {
         "obs": d["obs"],
         "act": d["act"],
@@ -417,7 +411,7 @@ class Trainer:
         # stream) is part of the seeding contract.
         self.policy = self.new_policy(rngs.net_init)
         self.vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rngs.net_init)
-        self.opt = OptimizerState(lr=hyper.lr)  # one Adam state, actor then critic
+        self.opt = OptimizerState()  # one Adam state, actor then critic
         self.buffer = SmdpBuffer(hyper.buffer_size)
         self.updates: list[UpdateStats] = []
         self.n_days = max(1, math.ceil(episode_cfg.horizon * STEP_MINUTES / 1440.0))
@@ -448,8 +442,7 @@ class Trainer:
         scenario = generate_episode_scenario(
             DEFAULT_MEAL_SPECS, self.rngs.scenario, self.n_days
         )
-        return self.env.reset(scenario, self.rngs.plant_noise,
-                              self.rngs.init_state, training=True)
+        return self.env.reset(scenario, self.rngs.plant_noise, self.rngs.init_state)
 
     def _smdp_episode(self, episode_idx: int) -> EpisodeStats:
         pump = self.pump
@@ -477,8 +470,7 @@ class Trainer:
             ret += res.reward
             self._maybe_update()
 
-        rec = rollout(self.env, obs, decide, self.step_reward,
-                      self.hyper.gamma, keep)
+        rec = rollout(self.env, obs, decide, self.step_reward, GAMMA, keep)
         return EpisodeStats(
             episode_idx, rec.T, rec.K, ret, ecf(rec), tir(rec), aurr(rec)
         )

@@ -30,6 +30,8 @@ from etglucose.metrics import EpisodeRecord, aurr, ecf, tir
 from etglucose.neural import DEFAULT_HIDDEN, GaussianPolicy, Mlp, OptimizerState
 from etglucose.plant import PumpConfig, SensorConfig
 from etglucose.ppo import (
+    GAMMA,
+    LAM,
     EpisodeStats,
     HyperParams,
     UpdateStats,
@@ -128,7 +130,7 @@ class PerStepPpo:
         self.env = ApEnv(patient, episode_cfg, sensor, pump)
         self.policy = GaussianPolicy.create(2, 1, rngs.net_init)
         self.vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rngs.net_init)
-        self.opt = OptimizerState(lr=hyper.lr)
+        self.opt = OptimizerState()
         self.rows = []  # (obs, act, reward, done, logp) per step
         self.last_next_obs = None
         self.updates = []
@@ -140,7 +142,7 @@ class PerStepPpo:
     def _update(self):
         obs, act, rew, done, logp = (np.asarray(c) for c in zip(*self.rows))
         values = values_with_bootstrap(self.vnet, obs, self.last_next_obs)
-        adv = per_step_gae(rew, values, done, self.hyper.gamma, self.hyper.lam)
+        adv = per_step_gae(rew, values, done, GAMMA, LAM)
         data = {
             "obs": obs, "act": act, "logp_old": logp,
             "adv": normalize_advantages(adv),
@@ -160,8 +162,7 @@ class PerStepPpo:
         scenario = generate_episode_scenario(
             DEFAULT_MEAL_SPECS, self.rngs.scenario, self.n_days
         )
-        obs = env.reset(scenario, self.rngs.plant_noise, self.rngs.init_state,
-                        training=True)
+        obs = env.reset(scenario, self.rngs.plant_noise, self.rngs.init_state)
         ep_ret = 0.0
         while not env.done:
             x = obs_vec(obs, self.pump)

@@ -140,7 +140,6 @@ def _fd_check(objective, params, grads, rel=1e-4, atol=1e-7):
 
 def test_03_gradients_match_finite_differences():
     rng = np.random.default_rng(99)
-    hyper = HyperParams(c_ent=0.01)
     total = 0
     for _ in range(32):  # per-step objective, scalar action
         pol = GaussianPolicy.create(2, 1, rng, hidden=(4,))
@@ -148,9 +147,9 @@ def test_03_gradients_match_finite_differences():
         act = rng.normal(scale=0.5, size=(8, 1))
         lp = rng.normal(scale=0.3, size=8)
         adv = rng.normal(size=8)
-        _, grads, _ = gaussian_policy_grads(pol, obs, act, lp, adv, hyper)
+        _, grads, _ = gaussian_policy_grads(pol, obs, act, lp, adv)
         total += _fd_check(
-            lambda: gaussian_policy_grads(pol, obs, act, lp, adv, hyper)[0],
+            lambda: gaussian_policy_grads(pol, obs, act, lp, adv)[0],
             pol.params(), grads)
     for _ in range(32):  # held-action objective, (rate, threshold) action
         pol = GaussianPolicy.create(2, 2, rng, hidden=(4,))
@@ -158,9 +157,9 @@ def test_03_gradients_match_finite_differences():
         act = rng.normal(scale=0.5, size=(8, 2))
         lp = rng.normal(scale=0.3, size=8)
         adv = rng.normal(size=8)
-        _, grads, _ = gaussian_policy_grads(pol, obs, act, lp, adv, hyper)
+        _, grads, _ = gaussian_policy_grads(pol, obs, act, lp, adv)
         total += _fd_check(
-            lambda: gaussian_policy_grads(pol, obs, act, lp, adv, hyper)[0],
+            lambda: gaussian_policy_grads(pol, obs, act, lp, adv)[0],
             pol.params(), grads)
     for _ in range(32):  # factored objective with non-event rows masked
         pol = HetPolicy.create(2, rng, hidden=(4,))
@@ -171,9 +170,9 @@ def test_03_gradients_match_finite_differences():
         lp = np.stack([rng.normal(scale=0.3, size=8),
                        -np.abs(rng.normal(scale=0.5, size=8))], axis=1)
         adv = rng.normal(size=8)
-        _, grads, _ = het_policy_grads(pol, obs, act, lp, adv, hyper)
+        _, grads, _ = het_policy_grads(pol, obs, act, lp, adv)
         total += _fd_check(
-            lambda: het_policy_grads(pol, obs, act, lp, adv, hyper)[0],
+            lambda: het_policy_grads(pol, obs, act, lp, adv)[0],
             pol.params(), grads, atol=1e-8)
     ok("gradient checks", f"3 objectives x 32 nets, {total} partials vs FD")
 

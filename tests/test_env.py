@@ -45,11 +45,6 @@ class TestReset:
         assert obs.u_prev == 0.0
         assert env.steps == 0 and not env.done
 
-    def test_training_reset_requires_init_rng(self, patient):
-        env = quiet_env(patient)
-        with pytest.raises(ValueError):
-            env.reset(NO_MEALS, np.random.default_rng(0), training=True)
-
     def test_training_reset_spread(self, patient):
         # g_sc is resampled with sd = 0.1 * mean, and with sigma = 0 the
         # first CGM reading exposes it directly: y = g_sc / v_g
@@ -57,7 +52,7 @@ class TestReset:
         noise = np.random.default_rng(0)
         init = np.random.default_rng(17)
         ys = np.array([
-            env.reset(NO_MEALS, noise, init_rng=init, training=True).y
+            env.reset(NO_MEALS, noise, init_rng=init).y
             for _ in range(10000)
         ])
         want_mu = patient.y_basal
@@ -73,7 +68,6 @@ class TestReset:
             NO_MEALS,
             np.random.default_rng(0),
             init_rng=np.random.default_rng(99),
-            training=True,
         )
         z3 = np.random.default_rng(99).standard_normal(3)[2]
         mu = patient.basal.g_sc
@@ -85,7 +79,7 @@ class TestReset:
         for _ in range(2):
             env = ApEnv(patient)
             env.reset(NO_MEALS, np.random.default_rng(4),
-                      init_rng=np.random.default_rng(5), training=True)
+                      init_rng=np.random.default_rng(5))
             trace = [env.step(0.03)[0].y for _ in range(20)]
             ys.append(trace)
         assert ys[0] == ys[1]

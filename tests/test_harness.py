@@ -5,6 +5,7 @@ these tests exercise plumbing and reproducibility, not control quality.
 """
 import builtins
 import math
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,15 +64,30 @@ def patient():
     return default_cohort()[0]
 
 
-# The episode protocol, R2's constants and the sampled-threshold range are
-# module constants, not config keys: a config that sets one is refused as
-# unknown, even at the value the constant holds (given here).
+# The episode protocol, R2's constants, the sampled-threshold range and the
+# learner's constants are module constants, not config keys: a config that
+# sets one is refused as unknown, even at the value the constant holds (given
+# here). So is a field the code derives from others: the sensor's innovation.
 PROTOCOL_CONSTANTS = {
     ("episode", "step_minutes"): 3.0, ("episode", "ode_dt"): 1.0,
     ("episode", "substeps"): 3, ("episode", "hypo_threshold"): 10.0,
     ("episode", "hyper_threshold"): 600.0, ("episode", "init_spread"): 0.1,
     ("reward", "c"): 5.0, ("reward", "C"): 10.0,
     ("trigger", "eta_lo"): 15.0, ("trigger", "eta_hi"): 25.0,
+    ("hyper", "gamma"): 0.99, ("hyper", "lam"): 0.95,
+    ("hyper", "clip_eps"): 0.2, ("hyper", "c_ent"): 0.01, ("hyper", "lr"): 3e-4,
+    ("sensor", "innovation"): 1.0,
+}
+
+# Every value a config may set, as (section, key); None is the top level.
+SETTABLE_KEYS = {
+    (None, "method"), (None, "patient"), (None, "episodes"), (None, "seeds"),
+    (None, "r1_only"), (None, "pin_events"), (None, "checkpoint_every"),
+    (None, "cohort_file"),
+    ("hyper", "buffer_size"), ("hyper", "epochs"), ("hyper", "minibatch"),
+    ("trigger", "fixed_eta"), ("episode", "horizon"), ("reward", "eta_e"),
+    ("sensor", "phi"), ("sensor", "sigma"), ("pump", "u_min"), ("pump", "u_max"),
+    ("pid_grid", "kp"), ("pid_grid", "ki"), ("pid_grid", "kd"),
 }
 
 
@@ -186,7 +202,7 @@ class TestConfig:
 
     def test_nested_value_error_becomes_config_error(self):
         bad = tiny_dict("ppo")
-        bad["hyper"]["gamma"] = 1.5
+        bad["hyper"]["epochs"] = 0
         with pytest.raises(ConfigError, match="hyper"):
             config_from_dict(bad)
 
@@ -232,6 +248,30 @@ class TestConfig:
         raw.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError, match=rf"^{section}: unknown keys \['{key}'\]$"):
             config_from_dict(raw)
+
+    def test_settable_keys_are_pinned(self):
+        # a candidate is every field of the config dataclasses; it is
+        # settable unless a config that sets it is refused as an unknown key
+        sections = {f.name: f.default_factory for f in fields(ExperimentConfig)
+                    if is_dataclass(f.default_factory)}
+        candidates = [(None, f.name) for f in fields(ExperimentConfig)
+                      if f.name not in sections]
+        candidates += [(s, f.name) for s, cls in sections.items()
+                       for f in fields(cls)]
+        settable = set()
+        for section, key in candidates:
+            raw = tiny_dict("cgmetppo-fixed")
+            if section is None:
+                raw[key] = 1.0
+            else:
+                raw.setdefault(section, {})[key] = 1.0
+            try:
+                config_from_dict(raw)
+            except ConfigError as exc:
+                if "unknown keys" in str(exc):
+                    continue
+            settable.add((section, key))
+        assert settable == SETTABLE_KEYS
 
     @pytest.mark.parametrize("value", [20.5, True, 64.0, "64"])
     @pytest.mark.parametrize("section,key", [
@@ -439,7 +479,7 @@ class TestCheckpoints:
         trainer.run_episode(0)
         ref = build_trainer(tiny_cfg(method), patient, seed=1)
         n_actor = len(ref.policy.params())
-        states = PerArrayState(lr=ref.hyper.lr), PerArrayState(lr=ref.hyper.lr)
+        states = PerArrayState(lr=ref.opt.lr), PerArrayState(lr=ref.opt.lr)
 
         def two_state_step(params, grads, opt):
             per_array_adam_step(params[:n_actor], grads[:n_actor], states[0])

@@ -24,6 +24,8 @@ from etglucose.neural import (
 from etglucose.patients import NOMINAL_ADULT, build_patient
 from etglucose.plant import PumpConfig
 from etglucose.ppo import (
+    C_ENT,
+    CLIP_EPS,
     HyperParams,
     SmdpBuffer,
     SmdpExperience,
@@ -115,8 +117,7 @@ class TestHetObjective:
 
     def test_matches_finite_differences(self):
         pol, obs, act, logp_old, adv = self._instance()
-        hyper = HyperParams(c_ent=0.01)
-        _, grads, _ = het_policy_grads(pol, obs, act, logp_old, adv, hyper)
+        _, grads, _ = het_policy_grads(pol, obs, act, logp_old, adv)
         eps = 1e-6
         for p, g in zip(pol.params(), grads):
             it = np.nditer(p, flags=["multi_index"])
@@ -124,17 +125,16 @@ class TestHetObjective:
                 idx = it.multi_index
                 keep = p[idx]
                 p[idx] = keep + eps
-                hi, _, _ = het_policy_grads(pol, obs, act, logp_old, adv, hyper)
+                hi, _, _ = het_policy_grads(pol, obs, act, logp_old, adv)
                 p[idx] = keep - eps
-                lo, _, _ = het_policy_grads(pol, obs, act, logp_old, adv, hyper)
+                lo, _, _ = het_policy_grads(pol, obs, act, logp_old, adv)
                 p[idx] = keep
                 fd = (hi - lo) / (2.0 * eps)
                 assert -g[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_non_event_insulin_slots_are_masked(self):
         pol, obs, act, logp_old, adv = self._instance()
-        hyper = HyperParams()
-        base_obj, base_grads, _ = het_policy_grads(pol, obs, act, logp_old, adv, hyper)
+        base_obj, base_grads, _ = het_policy_grads(pol, obs, act, logp_old, adv)
         # scribble on the insulin slots of non-event rows
         rng = np.random.default_rng(9)
         non = np.flatnonzero(act[:, 1] == 0.0)
@@ -142,7 +142,7 @@ class TestHetObjective:
         act2[non, 0] = rng.normal(size=len(non)) * 10.0
         lp2 = logp_old.copy()
         lp2[non, 0] = rng.normal(size=len(non))
-        obj, grads, _ = het_policy_grads(pol, obs, act2, lp2, adv, hyper)
+        obj, grads, _ = het_policy_grads(pol, obs, act2, lp2, adv)
         assert obj == base_obj
         for a, b in zip(grads, base_grads):
             assert np.array_equal(a, b)
@@ -150,32 +150,30 @@ class TestHetObjective:
     def test_no_events_zero_insulin_gradient(self):
         pol, obs, act, logp_old, adv = self._instance(n_events=0)
         assert not np.any(act[:, 1])
-        hyper = HyperParams(c_ent=0.02)
-        obj, grads, _ = het_policy_grads(pol, obs, act, logp_old, adv, hyper)
+        obj, grads, _ = het_policy_grads(pol, obs, act, logp_old, adv)
         # log_std gradient carries only the entropy bonus
-        assert grads[-1][0] == pytest.approx(-hyper.c_ent, abs=1e-15)
+        assert grads[-1][0] == pytest.approx(-C_ENT, abs=1e-15)
         # and the objective has no insulin surrogate term
         lp_e_new, ent_e = bernoulli_logprob_entropy(
             pol.heads(obs)[1], act[:, 1]
         )
-        j_bern = clipped_surrogate(lp_e_new, logp_old[:, 1], adv, hyper.clip_eps)
+        j_bern = clipped_surrogate(lp_e_new, logp_old[:, 1], adv, CLIP_EPS)
         ent_u = 0.5 * (math.log(2 * math.pi) + 1.0) + float(pol.log_std[0])
-        want = j_bern + hyper.c_ent * (ent_u + float(ent_e.mean()))
+        want = j_bern + C_ENT * (ent_u + float(ent_e.mean()))
         assert obj == pytest.approx(want, abs=1e-12)
 
     def test_all_events_decomposes_into_both_factors(self):
         pol, obs, act, logp_old, adv = self._instance(n=8, n_events=8)
-        hyper = HyperParams()
-        obj, _, _ = het_policy_grads(pol, obs, act, logp_old, adv, hyper)
+        obj, _, _ = het_policy_grads(pol, obs, act, logp_old, adv)
         u_mean, logit = pol.heads(obs)
         lp_u_new, _ = gaussian_logprob_entropy(
             u_mean[:, None], pol.log_std, act[:, :1]
         )
         lp_e_new, ent_e = bernoulli_logprob_entropy(logit, act[:, 1])
-        j_gauss = clipped_surrogate(lp_u_new, logp_old[:, 0], adv, hyper.clip_eps)
-        j_bern = clipped_surrogate(lp_e_new, logp_old[:, 1], adv, hyper.clip_eps)
+        j_gauss = clipped_surrogate(lp_u_new, logp_old[:, 0], adv, CLIP_EPS)
+        j_bern = clipped_surrogate(lp_e_new, logp_old[:, 1], adv, CLIP_EPS)
         ent_u = 0.5 * (math.log(2 * math.pi) + 1.0) + float(pol.log_std[0])
-        want = j_bern + j_gauss + hyper.c_ent * (ent_u + float(ent_e.mean()))
+        want = j_bern + j_gauss + C_ENT * (ent_u + float(ent_e.mean()))
         assert obj == pytest.approx(want, abs=1e-12)
 
     def test_update_runs_from_buffer(self):

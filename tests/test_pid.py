@@ -85,16 +85,16 @@ class ScriptedEnv:
 
 class TestPidOutput:
     def test_zero_error_zero_command(self):
-        u, _ = pid_output(PidGains(kp=0.0013), PidState(), 112.5, 3.0)
+        u, _ = pid_output(PidGains(kp=0.0013), PidState(), 112.5)
         assert u == 0.0
 
     def test_proportional_response(self):
         # +100 mg/dL above target at kp = 0.0013 asks for 0.13 U/min
-        u, _ = pid_output(PidGains(kp=0.0013), PidState(), 212.5, 3.0)
+        u, _ = pid_output(PidGains(kp=0.0013), PidState(), 212.5)
         assert u == pytest.approx(0.13)
 
     def test_below_target_clamps_to_zero(self):
-        u, _ = pid_output(PidGains(kp=0.0013), PidState(), 50.0, 3.0)
+        u, _ = pid_output(PidGains(kp=0.0013), PidState(), 50.0)
         assert u == 0.0
 
     def test_default_target(self):
@@ -102,41 +102,41 @@ class TestPidOutput:
 
     def test_derivative_zero_on_first_call(self):
         gains = PidGains(kp=0.0, ki=0.0, kd=1.0)
-        u, state = pid_output(gains, PidState(), 140.0, 3.0)
+        u, state = pid_output(gains, PidState(), 140.0)
         assert u == 0.0  # no previous error to difference against
         # second call differences the errors: (33.5 - 27.5)/3 = 2, clamped
-        u2, _ = pid_output(gains, state, 146.0, 3.0)
+        u2, _ = pid_output(gains, state, 146.0)
         assert u2 == 0.15
 
     def test_derivative_tracks_slope(self):
         gains = PidGains(kp=0.0, ki=0.0, kd=0.01)
-        _, state = pid_output(gains, PidState(), 140.0, 3.0)
-        u, _ = pid_output(gains, state, 143.0, 3.0)  # +1 mg/dL per min
+        _, state = pid_output(gains, PidState(), 140.0)
+        u, _ = pid_output(gains, state, 143.0)  # +1 mg/dL per min
         assert u == pytest.approx(0.01)
 
     def test_integral_accumulates(self):
         gains = PidGains(kp=0.0, ki=1e-4)
         state = PidState()
-        u1, state = pid_output(gains, state, 122.5, 3.0)  # e = 10
+        u1, state = pid_output(gains, state, 122.5)  # e = 10
         assert u1 == pytest.approx(1e-4 * 30.0)
-        u2, state = pid_output(gains, state, 122.5, 3.0)
+        u2, state = pid_output(gains, state, 122.5)
         assert u2 == pytest.approx(1e-4 * 60.0)
 
     def test_antiwindup_freezes_integral_when_saturated(self):
         gains = PidGains(kp=0.0, ki=1e-3)
         state = PidState()
         # wind the integral a little inside the actuation range
-        u, state = pid_output(gains, state, 122.5, 3.0)  # e = 10
+        u, state = pid_output(gains, state, 122.5)  # e = 10
         assert u == pytest.approx(0.03)
         assert state.integral == pytest.approx(30.0)
         # a large persistent error saturates the pump; the integral must
         # not keep absorbing it
         for _ in range(10):
-            u, state = pid_output(gains, state, 412.5, 3.0)  # e = 300
+            u, state = pid_output(gains, state, 412.5)  # e = 300
             assert u == 0.15
             assert state.integral == pytest.approx(30.0)
         # back inside the range the command resumes from where it left off
-        u, state = pid_output(gains, state, 122.5, 3.0)
+        u, state = pid_output(gains, state, 122.5)
         assert u == pytest.approx(1e-3 * 60.0)
         assert state.integral == pytest.approx(60.0)
 
@@ -144,12 +144,8 @@ class TestPidOutput:
         gains = PidGains(kp=0.0, ki=1e-3)
         state = PidState()
         for _ in range(5):
-            _, state = pid_output(gains, state, 62.5, 3.0)  # e = -50
+            _, state = pid_output(gains, state, 62.5)  # e = -50
         assert state.integral == 0.0  # command clamped at u_min from step one
-
-    def test_invalid_period_rejected(self):
-        with pytest.raises(ValueError):
-            pid_output(PidGains(kp=1.0), PidState(), 100.0, 0.0)
 
     @given(
         kp=st.floats(1e-5, 1e-2),
@@ -158,7 +154,7 @@ class TestPidOutput:
     @settings(max_examples=200, deadline=None)
     def test_memoryless_mode_is_clamped_affine(self, kp, y):
         # with ki = kd = 0 the controller is u = clip(kp * (y - target))
-        u, _ = pid_output(PidGains(kp=kp), PidState(), y, 3.0)
+        u, _ = pid_output(PidGains(kp=kp), PidState(), y)
         want = min(max(kp * (y - 112.5), 0.0), 0.15)
         assert u == pytest.approx(want, abs=1e-15)
 
@@ -173,7 +169,7 @@ class TestPidOutput:
         gains = PidGains(kp=kp, ki=ki, kd=kd)
         state = PidState()
         for y in ys:
-            u, state = pid_output(gains, state, y, 3.0)
+            u, state = pid_output(gains, state, y)
             assert 0.0 <= u <= 0.15
 
 
