@@ -10,11 +10,11 @@ __version__ = "0.1.0"
 
 from .cgmetppo import CgmEtppoTrainer, TriggerConfig
 from .config import ConfigError, ExperimentConfig, load_config
-from .env import ApEnv, EpisodeConfig, RewardConfig
+from .env import ApEnv, EpisodeConfig
 from .hetppo import HetppoTrainer
 from .metrics import EpisodeRecord, aurr, ecf, tir
 from .patients import build_patient, default_cohort, generate_cohort
-from .pid import PidGains, grid_search_pid
+from .pid import PidGains, PidGrid, grid_search_pid
 from .plant import PatientParams, PatientState, PumpConfig, SensorConfig
 from .ppo import HyperParams, PpoTrainer
 from .scenario import MealScenario, default_eval_scenarios
@@ -33,9 +33,9 @@ __all__ = [
     "PatientParams",
     "PatientState",
     "PidGains",
+    "PidGrid",
     "PpoTrainer",
     "PumpConfig",
-    "RewardConfig",
     "RngBundle",
     "SensorConfig",
     "TriggerConfig",

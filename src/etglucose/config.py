@@ -1,21 +1,21 @@
 """Experiment configuration: YAML files mapped onto the module dataclasses.
 
 One file describes one run (method, patient, budget, seeds, and the
-nested module settings). A matrix file adds lists of methods and
-patients to sweep. Every key is checked; unknown keys and out-of-range
-values raise ConfigError, which the CLI turns into exit code 1.
+nested module settings). Each nested section is the settings type of the
+module that reads it. A matrix file adds lists of methods and patients
+to sweep. Every key is checked; unknown keys and out-of-range values
+raise ConfigError, which the CLI turns into exit code 1.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from .cgmetppo import TriggerConfig
-from .env import EpisodeConfig, RewardConfig, is_int
-from .pid import DEFAULT_KD_GRID, DEFAULT_KI_GRID, DEFAULT_KP_GRID
+from .env import EpisodeConfig, is_int
+from .pid import PidGrid
 from .plant import PumpConfig, SensorConfig
 from .ppo import HyperParams
 
@@ -27,21 +27,6 @@ SWITCH_READERS = {"r1_only": ("cgmetppo-fixed", "cgmetppo-variable"),
 
 class ConfigError(Exception):
     """Invalid or inconsistent experiment configuration."""
-
-
-@dataclass(frozen=True)
-class PidGrid:
-    kp: tuple[float, ...] = DEFAULT_KP_GRID
-    ki: tuple[float, ...] = DEFAULT_KI_GRID
-    kd: tuple[float, ...] = DEFAULT_KD_GRID
-
-    def __post_init__(self):
-        for name in ("kp", "ki", "kd"):
-            vals = getattr(self, name)
-            if len(vals) == 0:
-                raise ValueError(f"pid grid {name} must be non-empty")
-            if not all(0.0 <= v < math.inf for v in vals):
-                raise ValueError(f"{name} must hold finite non-negative gains")
 
 
 @dataclass(frozen=True)
@@ -57,7 +42,6 @@ class ExperimentConfig:
     hyper: HyperParams = field(default_factory=HyperParams)
     trigger: TriggerConfig = field(default_factory=TriggerConfig)
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)
-    reward: RewardConfig = field(default_factory=RewardConfig)
     sensor: SensorConfig = field(default_factory=SensorConfig)
     pump: PumpConfig = field(default_factory=PumpConfig)
     pid_grid: PidGrid = field(default_factory=PidGrid)
@@ -72,6 +56,10 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be true or false")
             if getattr(self, name) and self.method not in readers:
                 raise ValueError(f"{name} must be false for method {self.method!r}")
+        if not isinstance(self.patient, str):
+            raise ValueError("patient must be a patient name")
+        if not (self.cohort_file is None or isinstance(self.cohort_file, str)):
+            raise ValueError("cohort_file must be a file path or null")
         if not is_int(self.episodes):
             raise ValueError("episodes must be an integer")
         if self.episodes < 1:
@@ -100,15 +88,9 @@ class MatrixConfig:
         return list(self.runs)
 
 
-_NESTED = {
-    "hyper": HyperParams,
-    "trigger": TriggerConfig,
-    "episode": EpisodeConfig,
-    "reward": RewardConfig,
-    "sensor": SensorConfig,
-    "pump": PumpConfig,
-    "pid_grid": PidGrid,
-}
+# The nested sections: each field a default_factory builds, by its type.
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
+             if f.default_factory is not MISSING}
 
 
 def _build(cls, mapping: dict, context: str):
@@ -139,7 +121,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("trigger: 'scheme' is not a config key; the scheme "
                           "follows from method (cgmetppo-fixed or cgmetppo-variable)")
     prepared = dict(raw)
-    for key, cls in _NESTED.items():
+    for key, cls in _SECTIONS.items():
         if key in prepared:
             prepared[key] = _build(cls, prepared[key], key)
     return _build(ExperimentConfig, prepared, "config")

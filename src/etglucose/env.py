@@ -77,18 +77,6 @@ class EpisodeConfig:
             raise ValueError("horizon must be positive")
 
 
-@dataclass(frozen=True)
-class RewardConfig:
-    """eta_e, the per-update penalty of the factored-policy trainer."""
-
-    eta_e: float = 0.1
-
-    def __post_init__(self):
-        # A finite eta_e also makes reward_het(y, 0) equal reward_r1(y).
-        if not 0.0 <= self.eta_e < math.inf:
-            raise ValueError("eta_e must be finite and non-negative")
-
-
 def reward_r1(y: float) -> float:
     """R1: 1 inside [RANGE_LO, RANGE_HI], the range TIR scores, else 0."""
     return 1.0 if RANGE_LO <= y <= RANGE_HI else 0.0
@@ -98,6 +86,8 @@ def reward_r1(y: float) -> float:
 # in-range step held ell steps after the last insulin update.
 R2_OFFSET = 5.0  # c
 R2_SCALE = 10.0  # C
+# The factored-policy trainer's charge per insulin update.
+ETA_E = 0.1  # eta_e
 
 
 def reward_r2(y: float, ell: float) -> float:
@@ -107,9 +97,9 @@ def reward_r2(y: float, ell: float) -> float:
     return 0.0
 
 
-def reward_het(y: float, e: int, cfg: RewardConfig = RewardConfig()) -> float:
+def reward_het(y: float, e: int) -> float:
     """In-range reward minus the update penalty eta_e * e."""
-    return reward_r1(y) - cfg.eta_e * e
+    return reward_r1(y) - ETA_E * e
 
 
 # Observation normalization for the networks.

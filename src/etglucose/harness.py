@@ -113,8 +113,7 @@ def resolve_patient(cfg: ExperimentConfig):
 def build_trainer(cfg: ExperimentConfig, patient, seed: int):
     rngs = RngBundle.from_master(seed)
     common = dict(
-        hyper=cfg.hyper, episode_cfg=cfg.episode, reward_cfg=cfg.reward,
-        sensor=cfg.sensor, pump=cfg.pump,
+        hyper=cfg.hyper, episode_cfg=cfg.episode, sensor=cfg.sensor, pump=cfg.pump,
     )
     if cfg.method == "ppo":
         return PpoTrainer(patient, rngs, **common)
@@ -218,11 +217,8 @@ def tune_pid(cfg: ExperimentConfig, out_base: str | Path,
     """
     patient = resolve_patient(cfg)
     scenarios = default_eval_scenarios()
-    gains, score = grid_search_pid(
-        patient, scenarios,
-        kp_grid=cfg.pid_grid.kp, ki_grid=cfg.pid_grid.ki, kd_grid=cfg.pid_grid.kd,
-        episode_cfg=cfg.episode, sensor=cfg.sensor, pump=cfg.pump,
-    )
+    gains, score = grid_search_pid(patient, scenarios, cfg.pid_grid,
+                                   cfg.episode, cfg.sensor, cfg.pump)
     # pid reads neither switch, so a config that sets one still tunes.
     pid_cfg = dataclasses.replace(cfg, method="pid", r1_only=False, pin_events=False)
     payload = {

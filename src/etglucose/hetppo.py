@@ -3,8 +3,8 @@
 Each step the policy emits a factored action (e, u): a Bernoulli event
 flag from a logit head and, only when e = 1, a fresh Gaussian insulin
 command from a mean head sharing the same trunk. Between events the last
-commanded value is held. The per-step reward subtracts a fixed charge
-eta_e for every event, so the agent trades regulation quality against
+commanded value is held. The per-step reward subtracts a fixed charge,
+env.ETA_E, for every event, so the agent trades regulation quality against
 communication.
 
 The clipped-surrogate objective factors the same way: a Bernoulli ratio
@@ -160,7 +160,7 @@ class HetppoTrainer(Trainer):
         return np.asarray([u_raw, float(e)]), np.asarray([lp_u, lp_e]), rate, None
 
     def step_reward(self, y: float, ell: int) -> float:
-        return reward_het(y, ell == 0, self.reward_cfg)
+        return reward_het(y, ell == 0)
 
     def _maybe_update(self) -> None:
         super()._maybe_update(het_policy_grads)

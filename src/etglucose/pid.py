@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,11 +43,25 @@ class PidState(NamedTuple):
 _new_pid_state = tuple.__new__  # PidState from a 2-tuple, without NamedTuple's call
 
 
-# U/min per (mg/dL) and friends; chosen so the strongest kp alone maps a
-# +75 mg/dL excursion to the pump ceiling.
-DEFAULT_KP_GRID = (0.0001, 0.0005, 0.0009, 0.0013, 0.0017)
-DEFAULT_KI_GRID = (0.0, 1e-5, 1e-4)
-DEFAULT_KD_GRID = (0.0, 0.001, 0.01)
+@dataclass(frozen=True)
+class PidGrid:
+    """The gains grid_search_pid tries: every (kp, ki, kd) of the lists.
+
+    U/min per (mg/dL) and friends; the defaults are chosen so the strongest
+    kp alone maps a +75 mg/dL excursion to the pump ceiling.
+    """
+
+    kp: tuple[float, ...] = (0.0001, 0.0005, 0.0009, 0.0013, 0.0017)
+    ki: tuple[float, ...] = (0.0, 1e-5, 1e-4)
+    kd: tuple[float, ...] = (0.0, 0.001, 0.01)
+
+    def __post_init__(self):
+        for name in ("kp", "ki", "kd"):
+            vals = getattr(self, name)
+            if len(vals) == 0:
+                raise ValueError(f"pid grid {name} must be non-empty")
+            if not all(0.0 <= v < math.inf for v in vals):
+                raise ValueError(f"{name} must hold finite non-negative gains")
 
 
 def pid_output(
@@ -107,9 +122,7 @@ def run_pid_episode(
 def grid_search_pid(
     patient,
     scenarios: list[MealScenario],
-    kp_grid=DEFAULT_KP_GRID,
-    ki_grid=DEFAULT_KI_GRID,
-    kd_grid=DEFAULT_KD_GRID,
+    grid: PidGrid = PidGrid(),
     episode_cfg: EpisodeConfig = EpisodeConfig(),
     sensor: SensorConfig = SensorConfig(),
     pump: PumpConfig = PumpConfig(),
@@ -138,18 +151,13 @@ def grid_search_pid(
 
     A gain whose optimum is the first or last value of a grid with two or
     more values is logged as a warning: the search may be capped by its
-    own grid. An optimum of 0 on a grid with no negative value is not,
-    because 0 is the gain's physical bound.
+    own grid. An optimum of 0 is not, because 0 is the gain's physical
+    bound.
     """
-    grids = (("kp", kp_grid), ("ki", ki_grid), ("kd", kd_grid))
-    for gain, grid in grids:
-        if len(grid) == 0:
-            raise ValueError(f"grid search needs at least one {gain} value; "
-                             f"the {gain} grid is empty")
     if not scenarios:
         raise ValueError("grid search needs at least one scenario")
     candidates = [PidGains(kp=kp, ki=ki, kd=kd)
-                  for kp, ki, kd in itertools.product(kp_grid, ki_grid, kd_grid)]
+                  for kp, ki, kd in itertools.product(grid.kp, grid.ki, grid.kd)]
     n = len(scenarios)
     horizon = episode_cfg.horizon
     episodes = steps = 0
@@ -199,12 +207,12 @@ def grid_search_pid(
     log.info("grid search for %s: best %s mean TIR %.2f "
              "(ran %d of %d episodes, %d steps)",
              name, best_gains, best_score, episodes, len(candidates) * n, steps)
-    for gain, grid in grids:
-        value = getattr(best_gains, gain)
-        if value == 0.0 == min(grid):
+    for gain in ("kp", "ki", "kd"):
+        value, values = getattr(best_gains, gain), getattr(grid, gain)
+        if value == 0.0:
             continue  # 0 bounds the gain itself, not only its grid
-        if len(grid) >= 2 and value in (grid[0], grid[-1]):
-            edge = "lower" if value == grid[0] else "upper"
+        if len(values) >= 2 and value in (values[0], values[-1]):
+            edge = "lower" if value == values[0] else "upper"
             log.warning("grid search for %s: %s optimum %g is on the %s edge "
                         "of its grid", name, gain, value, edge)
     return best_gains, best_score

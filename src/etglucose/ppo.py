@@ -31,7 +31,6 @@ from .env import (
     ApEnv,
     EpisodeConfig,
     Observation,
-    RewardConfig,
     is_int,
     obs_vec,
     reward_r1,
@@ -220,8 +219,7 @@ def update_networks(
     stats.
     """
     n = len(data["adv"])
-    stats = UpdateStats()
-    sums = {"obj": 0.0, "vl": 0.0, "ent": 0.0, "ratio": 0.0, "clip": 0.0}
+    rows = []  # per minibatch: objective, value loss, entropy, ratio, clip
     for _ in range(hyper.epochs):
         perm = shuffle_rng.permutation(n)
         for start in range(0, n, hyper.minibatch):
@@ -238,21 +236,13 @@ def update_networks(
                 adam_step(policy.params() + vnet.params(), pgrads + vgrads, opt)
             except DivergedUpdateError as exc:
                 log.error("update aborted: %s", exc)
-                stats.diverged = True
-                return stats
-            stats.minibatches += 1
-            sums["obj"] += obj
-            sums["vl"] += vl
-            sums["ent"] += diag["entropy"]
-            sums["ratio"] += diag["mean_ratio"]
-            sums["clip"] += diag["clip_frac"]
-    if stats.minibatches:
-        stats.policy_objective = sums["obj"] / stats.minibatches
-        stats.value_loss = sums["vl"] / stats.minibatches
-        stats.entropy = sums["ent"] / stats.minibatches
-        stats.mean_ratio = sums["ratio"] / stats.minibatches
-        stats.clip_frac = sums["clip"] / stats.minibatches
-    return stats
+                return UpdateStats(minibatches=len(rows), diverged=True)
+            rows.append((obj, vl, diag["entropy"], diag["mean_ratio"],
+                         diag["clip_frac"]))
+    # sum(col, 0.0) adds left to right, the order the pinned updates.csv has;
+    # with no rows, zip yields no column and the stats keep their defaults
+    return UpdateStats(*(sum(col, 0.0) / len(rows) for col in zip(*rows)),
+                       minibatches=len(rows))
 
 
 class SmdpExperience(NamedTuple):
@@ -398,13 +388,11 @@ class Trainer:
         rngs: RngBundle,
         hyper: HyperParams = HyperParams(),
         episode_cfg: EpisodeConfig = EpisodeConfig(),
-        reward_cfg: RewardConfig = RewardConfig(),
         sensor: SensorConfig = SensorConfig(),
         pump: PumpConfig = PumpConfig(),
     ):
         self.rngs = rngs
         self.hyper = hyper
-        self.reward_cfg = reward_cfg
         self.pump = pump
         self.env = ApEnv(patient, episode_cfg, sensor, pump)
         # Net creation order (actor, then critic, both from the net-init

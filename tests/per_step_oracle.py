@@ -22,7 +22,6 @@ from etglucose.env import (
     STEP_MINUTES,
     ApEnv,
     EpisodeConfig,
-    RewardConfig,
     obs_vec,
     reward_r1,
 )
@@ -121,11 +120,10 @@ class PerStepPpo:
     """A fresh Gaussian action every step, rewarded by the in-range indicator."""
 
     def __init__(self, patient, rngs, hyper=HyperParams(),
-                 episode_cfg=EpisodeConfig(), reward_cfg=RewardConfig(),
-                 sensor=SensorConfig(), pump=PumpConfig()):
+                 episode_cfg=EpisodeConfig(), sensor=SensorConfig(),
+                 pump=PumpConfig()):
         self.rngs = rngs
         self.hyper = hyper
-        self.reward_cfg = reward_cfg
         self.pump = pump
         self.env = ApEnv(patient, episode_cfg, sensor, pump)
         self.policy = GaussianPolicy.create(2, 1, rngs.net_init)

@@ -7,8 +7,8 @@ from etglucose.env import (
     ApEnv,
     EpisodeConfig,
     EpisodeFinishedError,
+    ETA_E,
     Observation,
-    RewardConfig,
     hold_until_trigger,
     obs_vec,
     reward_het,
@@ -154,30 +154,27 @@ class TestRewards:
         assert reward_r2(100.0, 15) == pytest.approx(1.0)
         assert reward_r2(200.0, 15) == 0.0
 
-    def test_update_penalty(self):
-        cfg = RewardConfig(eta_e=0.5)
-        assert reward_het(100.0, 1, cfg) == pytest.approx(0.5)
-        assert reward_het(100.0, 0, cfg) == reward_r1(100.0)
-        zero = RewardConfig(eta_e=0.0)
+    def test_update_penalty(self, monkeypatch):
+        assert ETA_E == 0.1
+        assert reward_het(100.0, 1) == pytest.approx(0.9)
+        monkeypatch.setattr(env_module, "ETA_E", 0.5)
+        assert reward_het(100.0, 1) == pytest.approx(0.5)
+        assert reward_het(100.0, 0) == reward_r1(100.0)
+        monkeypatch.setattr(env_module, "ETA_E", 0.0)
         for y in (50.0, 100.0, 200.0):
             for e in (0, 1):
-                assert reward_het(y, e, zero) == reward_r1(y)
+                assert reward_het(y, e) == reward_r1(y)
 
-    def test_no_event_reward_is_r1_for_every_valid_charge(self):
+    def test_no_event_reward_is_r1_for_every_valid_charge(self, monkeypatch):
         # the pinned-event trainer is trained with R1 on this equality
-        for eta_e in (0.0, 0.1, 1e300):
-            cfg = RewardConfig(eta_e=eta_e)
+        for eta_e in (0.0, ETA_E, 1e300):
+            monkeypatch.setattr(env_module, "ETA_E", eta_e)
             for y in (50.0, 100.0, 200.0):
-                r = reward_het(y, 0, cfg)
+                r = reward_het(y, 0)
                 assert r == reward_r1(y)
                 assert str(r) == str(reward_r1(y))
-        for bad in (float("inf"), float("nan")):
-            with pytest.raises(ValueError):
-                RewardConfig(eta_e=bad)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RewardConfig(eta_e=-0.1)
         with pytest.raises(ValueError):
             EpisodeConfig(horizon=0)
 

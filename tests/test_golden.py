@@ -4,9 +4,11 @@ The CSV digests were recorded before the trainers were merged onto one
 SMDP core. Every digest hashes a file's raw bytes, so a checkpoint's
 array headers and memory order count as much as its values: any change
 to a training or evaluation path that alters a single byte of an output
-file fails here. Each variant trains 2 episodes of 240 steps with a
-buffer of 8, so every one runs at least two optimizer updates, then
-evaluates greedily on the five fixed scenarios.
+file fails here. Each learning variant trains 2 episodes of 240 steps
+with a buffer of 8, so every one runs at least two optimizer updates,
+then evaluates greedily on the five fixed scenarios. The pid variant
+grid-searches a small grid over the same 240-step episodes instead and
+evaluates the gains it found.
 """
 import hashlib
 
@@ -22,6 +24,8 @@ VARIANTS = {
     "cgmetppo-fixed": {"method": "cgmetppo-fixed"},
     "cgmetppo-fixed-r1": {"method": "cgmetppo-fixed", "r1_only": True},
     "cgmetppo-variable": {"method": "cgmetppo-variable"},
+    "pid": {"method": "pid", "pid_grid": {"kp": [0.0009, 0.0017],
+                                          "ki": [0.0, 1e-4], "kd": [0.0, 0.01]}},
 }
 
 FILES = (
@@ -29,6 +33,7 @@ FILES = (
     *(f"eval_trace_scen{i}.csv" for i in range(5)),
     "checkpoint.npz", "checkpoint_ep1.npz", "checkpoint_ep2.npz",
 )
+PID_FILES = ("gains.yaml", "metrics.csv", *(f"eval_trace_scen{i}.csv" for i in range(5)))
 
 GOLDEN: dict[str, dict[str, str]] = {
     "ppo": {
@@ -110,6 +115,15 @@ GOLDEN: dict[str, dict[str, str]] = {
         "checkpoint_ep2.npz": "94229e42c5457f66ee625fc5f4570f70e1ac6a5d3ccab9e2b5bed73d2bf59c6e",
         "hist.csv": "aad8a433c25a351061e4902f8052456f6f8c922f9cf5a330dc4c34fb22d4382d",
     },
+    "pid": {
+        "gains.yaml": "13bcf992fe99493f8bd3301115cb1825027e1a81cde167e87d4a6e215cdd825f",
+        "metrics.csv": "c674f35a4adef26d5c8072999e57315b23a10446ba127a48d3aae299b33bc131",
+        "eval_trace_scen0.csv": "974b7f3e59ffd70af8f792490af2e95bdfe6d0305062dd206dcc3d5fef9c5152",
+        "eval_trace_scen1.csv": "63eb1f0bd89487b63116398bfabd305e96d9c6b450619e29d5ff2c4add6759db",
+        "eval_trace_scen2.csv": "9187ab4e60401303c5764540a59d9cfc857ff4887fc33d0dbda7f822d9562f5f",
+        "eval_trace_scen3.csv": "90391af6a2d5a85d2c9f7d092a484d0756a98c66e9af6137a582a4dc36341ac4",
+        "eval_trace_scen4.csv": "06af3aba1b8fa0641f47e8c6d52a967da7060c4205f78d3be265c06daae46478",
+    },
 }
 
 
@@ -126,7 +140,10 @@ def train_and_eval(out, variant: str):
 
 
 def file_digests(cfg, rd) -> dict[str, str]:
-    names = FILES + (("hist.csv",) if cfg.method == "cgmetppo-variable" else ())
+    if cfg.method == "pid":
+        names = PID_FILES
+    else:
+        names = FILES + (("hist.csv",) if cfg.method == "cgmetppo-variable" else ())
     return {name: hashlib.sha256((rd / name).read_bytes()).hexdigest()
             for name in names}
 
@@ -134,5 +151,6 @@ def file_digests(cfg, rd) -> dict[str, str]:
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_outputs_match_golden_digests(tmp_path, variant):
     cfg, rd = train_and_eval(tmp_path, variant)
-    assert len((rd / "updates.csv").read_text().splitlines()) - 1 >= 2
+    if cfg.method != "pid":
+        assert len((rd / "updates.csv").read_text().splitlines()) - 1 >= 2
     assert file_digests(cfg, rd) == GOLDEN[variant]

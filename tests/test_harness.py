@@ -64,20 +64,31 @@ def patient():
     return default_cohort()[0]
 
 
-# The episode protocol, R2's constants, the sampled-threshold range and the
-# learner's constants are module constants, not config keys: a config that
-# sets one is refused as unknown, even at the value the constant holds (given
-# here). So is a field the code derives from others: the sensor's innovation.
+# The episode protocol, R2's constants, the event charge, the sampled-threshold
+# range and the learner's constants are module constants, not config keys: a
+# config that sets one is refused as unknown, even at the value the constant
+# holds (given here). So is a field the code derives from others: the sensor's
+# innovation.
 PROTOCOL_CONSTANTS = {
     ("episode", "step_minutes"): 3.0, ("episode", "ode_dt"): 1.0,
     ("episode", "substeps"): 3, ("episode", "hypo_threshold"): 10.0,
     ("episode", "hyper_threshold"): 600.0, ("episode", "init_spread"): 0.1,
-    ("reward", "c"): 5.0, ("reward", "C"): 10.0,
+    ("reward", "c"): 5.0, ("reward", "C"): 10.0, ("reward", "eta_e"): 0.1,
     ("trigger", "eta_lo"): 15.0, ("trigger", "eta_hi"): 25.0,
     ("hyper", "gamma"): 0.99, ("hyper", "lam"): 0.95,
     ("hyper", "clip_eps"): 0.2, ("hyper", "c_ent"): 0.01, ("hyper", "lr"): 3e-4,
     ("sensor", "innovation"): 1.0,
 }
+# Sections whose every key became a constant: the section itself is unknown.
+REMOVED_SECTIONS = ("reward",)
+
+
+def refusal(section: str, key: str) -> str:
+    """The message refusing a config that sets a removed key."""
+    if section in REMOVED_SECTIONS:
+        return rf"^config: unknown keys \['{section}'\]$"
+    return rf"^{section}: unknown keys \['{key}'\]$"
+
 
 # Every value a config may set, as (section, key); None is the top level.
 SETTABLE_KEYS = {
@@ -85,7 +96,7 @@ SETTABLE_KEYS = {
     (None, "r1_only"), (None, "pin_events"), (None, "checkpoint_every"),
     (None, "cohort_file"),
     ("hyper", "buffer_size"), ("hyper", "epochs"), ("hyper", "minibatch"),
-    ("trigger", "fixed_eta"), ("episode", "horizon"), ("reward", "eta_e"),
+    ("trigger", "fixed_eta"), ("episode", "horizon"),
     ("sensor", "phi"), ("sensor", "sigma"), ("pump", "u_min"), ("pump", "u_max"),
     ("pid_grid", "kp"), ("pid_grid", "ki"), ("pid_grid", "kd"),
 }
@@ -235,9 +246,8 @@ class TestConfig:
             raw[key] = value
         else:
             raw.setdefault(section, {})[key] = value
-        where = section or "config"
-        message = (rf"^{where}: unknown keys \['{key}'\]$"
-                   if (section, key) in PROTOCOL_CONSTANTS else f"^{where}: {key} must")
+        message = (refusal(section, key) if (section, key) in PROTOCOL_CONSTANTS
+                   else f"^{section or 'config'}: {key} must")
         with pytest.raises(ConfigError, match=message):
             config_from_dict(raw)
 
@@ -246,7 +256,7 @@ class TestConfig:
     def test_removed_key_refused(self, section, key, value):
         raw = tiny_dict("cgmetppo-variable")
         raw.setdefault(section, {})[key] = value
-        with pytest.raises(ConfigError, match=rf"^{section}: unknown keys \['{key}'\]$"):
+        with pytest.raises(ConfigError, match=refusal(section, key)):
             config_from_dict(raw)
 
     def test_settable_keys_are_pinned(self):
@@ -310,7 +320,7 @@ class TestConfig:
             config_from_dict(tiny_dict("ppo", hyper=[1, 2]))
 
     @pytest.mark.parametrize("section", [
-        "hyper", "trigger", "episode", "reward", "sensor", "pump", "pid_grid",
+        "hyper", "trigger", "episode", "sensor", "pump", "pid_grid",
     ])
     def test_empty_section_rejected(self, section):
         # an empty YAML section loads as None, which used to stand in for
@@ -1152,8 +1162,8 @@ class TestCli:
     @pytest.mark.parametrize("command,payload,message", [
         ("train", tiny_dict("cgmetppo-fixed", trigger=None),
          "trigger: expected a mapping, got NoneType"),
-        ("train", tiny_dict("hetppo", reward=None),
-         "reward: expected a mapping, got NoneType"),
+        ("train", tiny_dict("hetppo", reward={"eta_e": 0.1}),
+         "config: unknown keys ['reward']"),
         ("train", tiny_dict("ppo", pin_events=True),
          "config: pin_events must be false for method 'ppo'"),
         ("train", tiny_dict("hetppo", r1_only=True),
@@ -1169,6 +1179,12 @@ class TestCli:
          "config: pin_events must be false for method 'ppo'"),
         ("matrix", matrix_dict(["cgmetppo-fixed", "pid"], r1_only=True),
          "config: r1_only must be false for method 'pid'"),
+        # a top-level value of the wrong type is a config error, not a
+        # failure of the cohort loader or of the patient lookup
+        ("train", tiny_dict("ppo", cohort_file=5),
+         "config: cohort_file must be a file path or null"),
+        ("train", tiny_dict("ppo", patient=["adult#001"]),
+         "config: patient must be a patient name"),
     ])
     def test_refused_config_exit_one(self, tmp_path, capsys, command, payload,
                                      message):

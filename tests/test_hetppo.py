@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from etglucose.env import EpisodeConfig, Observation, RewardConfig
+from etglucose import env as env_module
+from etglucose.env import EpisodeConfig, Observation
 from etglucose.hetppo import (
     HetppoTrainer,
     PinnedHetppoTrainer,
@@ -270,14 +271,14 @@ class TestTrainer:
         assert [int(e) for e in d["act"][:, 1]] == tr.env.event_trace
         assert 0 < sum(tr.env.event_trace) < tr.env.steps
 
-    def test_event_charge_lowers_return(self, patient):
+    def test_event_charge_lowers_return(self, patient, monkeypatch):
         # same seed, eta_e = 0 vs eta_e large: identical trajectories until
         # the first update, so the return difference is eta_e * K
         outs = []
         for eta_e in (0.0, 0.5):
+            monkeypatch.setattr(env_module, "ETA_E", eta_e)
             tr = HetppoTrainer(patient, RngBundle.from_master(8),
                                hyper=HyperParams(buffer_size=8192),
-                               reward_cfg=RewardConfig(eta_e=eta_e),
                                episode_cfg=EpisodeConfig(horizon=400))
             stats = tr.run_episode(0)
             outs.append(stats)

@@ -13,6 +13,7 @@ from etglucose.metrics import EpisodeRecord, aurr, ecf, tir
 from etglucose.patients import NOMINAL_ADULT, build_patient
 from etglucose.pid import (
     PidGains,
+    PidGrid,
     PidState,
     TARGET_MGDL,
     grid_search_pid,
@@ -39,9 +40,9 @@ def exhaustive(candidates, score, n):
     return best, best_score
 
 
-def grid(kp_grid, ki_grid, kd_grid):
+def grid(g: PidGrid):
     return [PidGains(kp=kp, ki=ki, kd=kd)
-            for kp, ki, kd in itertools.product(kp_grid, ki_grid, kd_grid)]
+            for kp, ki, kd in itertools.product(g.kp, g.ki, g.kd)]
 
 
 def counting(calls):
@@ -246,7 +247,7 @@ class TestGridSearch:
     def test_grid_of_one_returns_it(self, patient):
         scen = [default_eval_scenarios()[0]]
         gains, score = grid_search_pid(
-            patient, scen, kp_grid=(0.0013,), ki_grid=(0.0,), kd_grid=(0.01,),
+            patient, scen, PidGrid((0.0013,), (0.0,), (0.01,)),
             episode_cfg=EpisodeConfig(horizon=240),
         )
         assert gains == PidGains(kp=0.0013, ki=0.0, kd=0.01)
@@ -254,24 +255,21 @@ class TestGridSearch:
 
     def test_search_is_deterministic(self, patient):
         scen = default_eval_scenarios()[:2]
-        out1 = grid_search_pid(patient, scen, kp_grid=(0.0009, 0.0013),
-                               ki_grid=(0.0,), kd_grid=(0.0, 0.01),
-                               episode_cfg=EpisodeConfig(horizon=240))
-        out2 = grid_search_pid(patient, scen, kp_grid=(0.0009, 0.0013),
-                               ki_grid=(0.0,), kd_grid=(0.0, 0.01),
-                               episode_cfg=EpisodeConfig(horizon=240))
+        g = PidGrid((0.0009, 0.0013), (0.0,), (0.0, 0.01))
+        out1 = grid_search_pid(patient, scen, g, EpisodeConfig(horizon=240))
+        out2 = grid_search_pid(patient, scen, g, EpisodeConfig(horizon=240))
         assert out1 == out2
 
     def test_winner_beats_or_ties_all_candidates(self, patient):
         scen = [default_eval_scenarios()[0]]
         kp_grid = (0.0001, 0.0013)
         gains, score = grid_search_pid(
-            patient, scen, kp_grid=kp_grid, ki_grid=(0.0,), kd_grid=(0.0,),
+            patient, scen, PidGrid(kp_grid, (0.0,), (0.0,)),
             episode_cfg=EpisodeConfig(horizon=240),
         )
         for kp in kp_grid:
             _, cand = grid_search_pid(
-                patient, scen, kp_grid=(kp,), ki_grid=(0.0,), kd_grid=(0.0,),
+                patient, scen, PidGrid((kp,), (0.0,), (0.0,)),
                 episode_cfg=EpisodeConfig(horizon=240),
             )
             assert score >= cand
@@ -280,8 +278,8 @@ class TestGridSearch:
         scen = [default_eval_scenarios()[0]]
         with caplog.at_level(logging.WARNING, logger="etglucose.pid"):
             gains, _ = grid_search_pid(
-                patient, scen, kp_grid=(0.0001, 0.0013), ki_grid=(0.0,),
-                kd_grid=(0.0,), episode_cfg=EpisodeConfig(horizon=240),
+                patient, scen, PidGrid((0.0001, 0.0013), (0.0,), (0.0,)),
+                episode_cfg=EpisodeConfig(horizon=240),
             )
         warnings = [r.getMessage() for r in caplog.records
                     if r.levelno == logging.WARNING]
@@ -296,8 +294,8 @@ class TestGridSearch:
         scen = [default_eval_scenarios()[0]]
         with caplog.at_level(logging.WARNING, logger="etglucose.pid"):
             gains, _ = grid_search_pid(
-                patient, scen, kp_grid=(0.0009,), ki_grid=(0.0, 1e-4),
-                kd_grid=(0.0,), episode_cfg=EpisodeConfig(horizon=240),
+                patient, scen, PidGrid((0.0009,), (0.0, 1e-4), (0.0,)),
+                episode_cfg=EpisodeConfig(horizon=240),
             )
         assert gains.ki == 0.0
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
@@ -306,24 +304,23 @@ class TestGridSearch:
         scen = [default_eval_scenarios()[0]]
         cfg = EpisodeConfig(horizon=240)
         scored = sorted(
-            (grid_search_pid(patient, scen, kp_grid=(kp,), ki_grid=(0.0,),
-                             kd_grid=(0.0,), episode_cfg=cfg)[1], kp)
+            (grid_search_pid(patient, scen, PidGrid((kp,), (0.0,), (0.0,)),
+                             episode_cfg=cfg)[1], kp)
             for kp in (0.0001, 0.0009, 0.0017)
         )
         (_, worst), (_, mid), (_, best) = scored
         with caplog.at_level(logging.WARNING, logger="etglucose.pid"):
             gains, _ = grid_search_pid(
-                patient, scen, kp_grid=(worst, best, mid), ki_grid=(0.0,),
-                kd_grid=(0.0,), episode_cfg=cfg,
+                patient, scen, PidGrid((worst, best, mid), (0.0,), (0.0,)),
+                episode_cfg=cfg,
             )
         assert gains.kp == best
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
     @pytest.mark.parametrize("gain", ["kp", "ki", "kd"])
-    def test_empty_grid_rejected(self, patient, gain):
-        with pytest.raises(ValueError, match=f"{gain} grid is empty"):
-            grid_search_pid(patient, default_eval_scenarios(),
-                            **{f"{gain}_grid": ()})
+    def test_empty_grid_rejected(self, gain):
+        with pytest.raises(ValueError, match=f"^pid grid {gain} must be non-empty$"):
+            PidGrid(**{gain: ()})
 
     def test_empty_scenario_list_rejected(self, patient):
         with pytest.raises(ValueError, match="scenario"):
@@ -337,8 +334,8 @@ class TestGridSearch:
     @settings(max_examples=1000, deadline=None)
     def test_matches_exhaustive_oracle(self, sizes, n, data):
         # TIRs on a coarse lattice make equal means, and so ties, common
-        grids = [tuple(float(v) for v in range(k)) for k in sizes]
-        candidates = grid(*grids)
+        pgrid = PidGrid(*(tuple(float(v) for v in range(k)) for k in sizes))
+        candidates = grid(pgrid)
         flat = data.draw(st.lists(st.integers(0, 8), min_size=len(candidates) * n,
                                   max_size=len(candidates) * n))
         table = {gains: [12.5 * k for k in flat[j * n:(j + 1) * n]]
@@ -355,7 +352,7 @@ class TestGridSearch:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pid, "run_pid_episode", fake_episode)
-            got = grid_search_pid(None, list(range(n)), *grids)
+            got = grid_search_pid(None, list(range(n)), pgrid)
         want = exhaustive(candidates, lambda g, i: table[g][i], n)
         assert got == want
         assert len(calls) == len(set(calls))
@@ -372,8 +369,8 @@ class TestGridSearch:
                                                         data):
         # per-step in-range flags; a list shorter than the horizon is an
         # episode that terminates early
-        grids = [tuple(float(v) for v in range(k)) for k in sizes]
-        candidates = grid(*grids)
+        pgrid = PidGrid(*(tuple(float(v) for v in range(k)) for k in sizes))
+        candidates = grid(pgrid)
         steps = st.lists(st.booleans(), min_size=1, max_size=horizon)
         table = {(j, i): data.draw(steps)
                  for j in range(len(candidates)) for i in range(n)}
@@ -389,7 +386,7 @@ class TestGridSearch:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pid, "run_pid_episode", fake_episode)
-            got = grid_search_pid(None, list(range(n)), *grids,
+            got = grid_search_pid(None, list(range(n)), pgrid,
                                   episode_cfg=EpisodeConfig(horizon=horizon))
         want = exhaustive(
             candidates, lambda g, i: 100.0 * sum(table[index[g], i]) / horizon, n)
@@ -424,17 +421,16 @@ class TestGridSearch:
     def test_matches_exhaustive_on_the_plant(self, patient, monkeypatch):
         scen = default_eval_scenarios()[:3]
         cfg = EpisodeConfig(horizon=240)
-        kp_grid, ki_grid, kd_grid = (0.0001, 0.0009, 0.0017), (0.0,), (0.0, 0.01)
+        g = PidGrid((0.0001, 0.0009, 0.0017), (0.0,), (0.0, 0.01))
         want = exhaustive(
-            grid(kp_grid, ki_grid, kd_grid),
+            grid(g),
             lambda g, i: tir(run_pid_episode(patient, g, scen[i],
                                              eval_noise_stream(i), cfg)),
             len(scen),
         )
         calls = []
         monkeypatch.setattr(pid, "run_pid_episode", counting(calls))
-        got = grid_search_pid(patient, scen, kp_grid, ki_grid, kd_grid,
-                              episode_cfg=cfg)
+        got = grid_search_pid(patient, scen, g, cfg)
         assert got == want
         assert len(calls) < 6 * 3
 
@@ -442,16 +438,15 @@ class TestGridSearch:
         # one step from the basal steady state stays in range for any gains
         scen = default_eval_scenarios()[:3]
         cfg = EpisodeConfig(horizon=1)
-        kp_grid, ki_grid, kd_grid = (0.0001, 0.0009, 0.0017), (0.0,), (0.0, 0.01)
+        g = PidGrid((0.0001, 0.0009, 0.0017), (0.0,), (0.0, 0.01))
         assert all(
-            tir(run_pid_episode(patient, g, sc, eval_noise_stream(i), cfg)) == 100.0
-            for g in grid(kp_grid, ki_grid, kd_grid) for i, sc in enumerate(scen)
+            tir(run_pid_episode(patient, gains, sc, eval_noise_stream(i), cfg)) == 100.0
+            for gains in grid(g) for i, sc in enumerate(scen)
         )
         calls = []
         monkeypatch.setattr(pid, "run_pid_episode", counting(calls))
         with caplog.at_level(logging.INFO, logger="etglucose.pid"):
-            gains, score = grid_search_pid(patient, scen, kp_grid, ki_grid,
-                                           kd_grid, episode_cfg=cfg)
+            gains, score = grid_search_pid(patient, scen, g, cfg)
         screens = [c for c in calls if c[1] is scen[0]]
         assert len(screens) == 6
         assert score == 100.0
