@@ -9,6 +9,7 @@ raise ConfigError, which the CLI turns into exit code 1.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
+from numbers import Real
 from pathlib import Path
 
 import yaml
@@ -96,14 +97,22 @@ _SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
 def _build(cls, mapping: dict, context: str):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context}: expected a mapping, got {type(mapping).__name__}")
-    allowed = {f.name for f in fields(cls) if f.init}
-    unknown = set(mapping) - allowed
+    defaults = {f.name: f.default for f in fields(cls) if f.init}
+    unknown = set(mapping) - set(defaults)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for key, value in mapping.items():
-        if isinstance(value, list):
+        default, values = defaults[key], (value,)
+        # A tuple default takes a list, and a float default only real numbers.
+        if isinstance(default, tuple):
+            if not isinstance(value, list):
+                raise ConfigError(f"{context}: {key} must be a list")
+            default, values = default[0], value
             value = tuple(value)
+        if isinstance(default, float) and not all(
+                isinstance(v, Real) and not isinstance(v, bool) for v in values):
+            raise ConfigError(f"{context}: {key} must be a number")
         kwargs[key] = value
     try:
         return cls(**kwargs)

@@ -84,13 +84,6 @@ def pump_rate_for_glucose(c: dict[str, float], y: float) -> float:
     return i_p * _insulin_denominator(c) * c["bw"] / PMOL_PER_UNIT
 
 
-def equilibrium_glucose(c: dict[str, float], u: float) -> float:
-    """Equilibrium CGM level under constant pump rate u and no meals."""
-    i_p = PMOL_PER_UNIT * u / c["bw"] / _insulin_denominator(c)
-    g_p = (c["k_p1"] - c["u_ii"] - c["k_p3"] * i_p) / (c["k_p2"] + c["k_x"] * i_p)
-    return g_p / c["v_g"]
-
-
 def steady_state(c: dict[str, float], u_basal: float) -> PatientState:
     """Closed-form equilibrium of the plant under (u_basal, d = 0)."""
     r = PMOL_PER_UNIT * u_basal / c["bw"]
@@ -107,6 +100,11 @@ def steady_state(c: dict[str, float], u_basal: float) -> PatientState:
         i_sc1=i_sc1, i_sc2=i_sc2,
         g_sc=g_p,
     )
+
+
+def equilibrium_glucose(c: dict[str, float], u: float) -> float:
+    """Equilibrium CGM level under constant pump rate u and no meals."""
+    return steady_state(c, u).g_p / c["v_g"]
 
 
 def build_patient(name: str, c: dict[str, float]) -> PatientParams:

@@ -82,7 +82,7 @@ def pid_output(
     deriv = (0.0 if state.prev_error is None
              else (error - state.prev_error) / STEP_MINUTES)
     u_raw = gains.kp * error + gains.ki * i_cand + gains.kd * deriv
-    u = min(max(u_raw, pump.u_min), pump.u_max)
+    u = min(max(u_raw, 0.0), pump.u_max)
     integral = i_cand if u_raw == u else state.integral
     return u, _new_pid_state(PidState, (integral, error))
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 import linecache
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from math import isfinite
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,7 +80,8 @@ class PatientParams:
     u_basal: float  # basal pump rate [U/min]
     y_basal: float  # basal CGM level [mg/dL]
     basal: PatientState
-    # The constants of _COEFFS, built once from the fields above.
+    # The folded constants of _COEFFS and the fields the dynamics read,
+    # built once from the fields above.
     coeffs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,16 +108,13 @@ class SensorConfig:
 
 @dataclass(frozen=True)
 class PumpConfig:
-    """Pump actuation limits [U/min]."""
+    """Pump ceiling [U/min]; the floor is 0."""
 
-    u_min: float = 0.0
     u_max: float = 0.15
 
     def __post_init__(self):
         if not 0.0 < self.u_max < math.inf:
             raise ValueError("u_max must be finite and positive")
-        if not 0.0 <= self.u_min <= self.u_max:
-            raise ValueError("u_min must lie in [0, u_max]")
 
 
 # 1 U of insulin = 6000 pmol.
@@ -125,40 +123,25 @@ PMOL_PER_UNIT = 6000.0
 _new_state = tuple.__new__  # PatientState from a 13-tuple, without _make's checks
 
 
-# The plant model, written once. _coeffs, _derivs and rk4_step are
-# generated from these four tables when the module is imported (see
+# The plant model, written once. _coeffs, rhs and rk4_step are generated
+# from these four tables when the module is imported (see
 # _generated_source), so the scalar step and rhs cannot drift apart.
 #
-# _COEFFS: the per-patient constants the dynamics read, each as an
-# expression of the PatientParams p. Only parameter-only subexpressions
+# _COEFFS: the per-patient constants folded from PatientParams fields,
+# each as an expression of the PatientParams p; a field the tables name
+# directly is read from p as it is. Only parameter-only subexpressions
 # that Python evaluates before any state term are folded in, so every
 # derivative rounds exactly as it would with the parameters written
 # inline. That includes the unary minus of -k * x, which Python evaluates
 # as (-k) * x.
 _COEFFS = (
     ("neg_k_gri", "-p.k_gri"),
-    ("k_gri", "p.k_gri"),
-    ("k_empt", "p.k_empt"),
-    ("k_abs", "p.k_abs"),
     ("fk_abs", "p.f_abs * p.k_abs"),
-    ("bw", "p.bw"),
-    ("k_p1", "p.k_p1"),
-    ("k_p2", "p.k_p2"),
-    ("k_p3", "p.k_p3"),
-    ("u_ii", "p.u_ii"),
-    ("k_1", "p.k_1"),
-    ("k_2", "p.k_2"),
-    ("k_x", "p.k_x"),
     ("neg_m_24", "-(p.m_2 + p.m_4)"),
-    ("m_1", "p.m_1"),
-    ("m_2", "p.m_2"),
     ("m_13", "p.m_1 + p.m_3"),
-    ("k_a1", "p.k_a1"),
-    ("k_a2", "p.k_a2"),
     ("neg_p_2u", "-p.p_2u"),
     ("neg_k_i", "-p.k_i"),
     ("neg_k_da1", "-(p.k_d + p.k_a1)"),
-    ("k_d", "p.k_d"),
     ("neg_k_sc", "-p.k_sc"),
 )
 # Terms of the inputs alone, the same at every RK4 stage: the pump rate as
@@ -200,18 +183,33 @@ _RK4_STEP_DOC = """Advance the plant by dt minutes under constant (u, d).
     x + dt/6 * (k1 + 2 * (k2 + k3) + k4), so the result is bit-identical
     to the generic integrator over rhs followed by the clamp.
     """
+_RHS_DOC = """Time derivative of the plant state.
+
+    u is the pump rate [U/min] and d the carbohydrate delivery rate
+    [mg/min], both held constant over the evaluation (zero-order hold).
+    Generated from plant._DYNAMICS, with the same header as rk4_step.
+    """
 _GENERATED_FILE = "<etglucose.plant: generated from _DYNAMICS>"
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
 def _generated_source() -> str:
-    """Python source of _coeffs, _derivs and rk4_step, built from the tables."""
+    """Python source of _coeffs, rhs and rk4_step, built from the tables."""
     fields = tuple(name for name, _ in _DYNAMICS)
     if fields != PatientState._fields:
         raise RuntimeError("_DYNAMICS must list the PatientState fields in order")
-    unpack_coeffs = f"({', '.join(name for name, _ in _COEFFS)})"
+    # The folded constants, then each field the tables name, in field order.
+    named = set(_IDENTIFIER.findall(
+        " ".join(expr for _, expr in (*_INPUT_TERMS, *_SHARED_TERMS, *_DYNAMICS))))
+    coeffs = _COEFFS + tuple((f.name, f"p.{f.name}")
+                             for f in dataclass_fields(PatientParams) if f.name in named)
+    header = [
+        f"    ({', '.join(name for name, _ in coeffs)}) = params.coeffs",
+        f"    ({', '.join(fields)}) = state",
+        *[f"    {name} = {expr}" for name, expr in _INPUT_TERMS],
+    ]
 
-    def evaluate(x: dict, k: str, first: bool) -> list[str]:
+    def evaluate(x: dict, k: str) -> list[str]:
         """One evaluation of the dynamics at the state named by x.
 
         The probe sums every state and input, so any non-finite value, or
@@ -224,7 +222,6 @@ def _generated_source() -> str:
         return [
             f"if not isfinite({probe} + u + d):",
             '    raise PlantDivergedError("plant-diverged: non-finite state or input")',
-            *([f"{name} = {expr}" for name, expr in _INPUT_TERMS] if first else []),
             *[f"{name} = {at(expr)}" for name, expr in _SHARED_TERMS],
             *[f"{k}{f} = {at(expr)}" for f, expr in _DYNAMICS],
         ]
@@ -235,25 +232,24 @@ def _generated_source() -> str:
     plain = {f: f for f in fields}
     src = [
         "def _coeffs(p):",
-        '    """The constants of _COEFFS for one PatientParams, in table order."""',
+        '    """PatientParams.coeffs: the _COEFFS constants, then the fields read."""',
         "    return (",
-        *[f"        {expr},  # {name}" for name, expr in _COEFFS],
+        *[f"        {expr},  # {name}" for name, expr in coeffs],
         "    )",
         "",
         "",
-        f"def _derivs({', '.join(fields)}, u, d, c):",
-        '    """The time derivative of the state; c is PatientParams.coeffs."""',
-        f"    {unpack_coeffs} = c",
-        *body(evaluate(plain, "f_", True)),
+        "def rhs(state, u, d, params):",
+        f'    """{_RHS_DOC}"""',
+        *header,
+        *body(evaluate(plain, "f_")),
         f"    return ({', '.join(f'f_{f}' for f in fields)})",
         "",
         "",
         "def rk4_step(state, u, d, dt, params):",
         f'    """{_RK4_STEP_DOC}"""',
-        f"    {unpack_coeffs} = params.coeffs",
-        f"    ({', '.join(fields)}) = state",
+        *header,
         "    # k1 = f(x)",
-        *body(evaluate(plain, "k1_", True)),
+        *body(evaluate(plain, "k1_")),
         "    h = 0.5 * dt",
     ]
     for stage, step in ((2, "h"), (3, "h"), (4, "dt")):
@@ -261,7 +257,7 @@ def _generated_source() -> str:
         src += [
             f"    # k{stage} = f(x + {step} * k{stage - 1})",
             *[f"    {x[f]} = {f} + {step} * k{stage - 1}_{f}" for f in fields],
-            *body(evaluate(x, f"k{stage}_", False)),
+            *body(evaluate(x, f"k{stage}_")),
         ]
     src += [
         "    sixth = dt / 6.0",
@@ -290,19 +286,9 @@ def _compile_generated() -> dict:
 
 _generated = _compile_generated()
 _coeffs = _generated["_coeffs"]
-_derivs = _generated["_derivs"]
+rhs = _generated["rhs"]
 rk4_step = _generated["rk4_step"]
 del _generated
-
-
-def rhs(state: Sequence[float], u: float, d: float, params: PatientParams) -> tuple:
-    """Time derivative of the plant state.
-
-    u is the pump rate [U/min] and d the carbohydrate delivery rate
-    [mg/min], both held constant over the evaluation (zero-order hold).
-    A thin wrapper over _derivs, generated from the same table as rk4_step.
-    """
-    return _derivs(*state, u, d, params.coeffs)
 
 
 def cgm_read(
@@ -326,7 +312,7 @@ def cgm_read(
 
 
 def pump_command(u: float, pump: PumpConfig) -> float:
-    """Clamp a requested rate to the pump's actuation range."""
+    """Clamp a requested rate to the pump's actuation range [0, u_max]."""
     if not math.isfinite(u):
         raise ValueError("invalid-command: pump rate must be finite")
-    return min(max(u, pump.u_min), pump.u_max)
+    return min(max(u, 0.0), pump.u_max)

@@ -20,7 +20,7 @@ from etglucose.neural import (
 )
 from etglucose.patients import default_cohort
 from etglucose.pid import PidGains, run_pid_episode
-from etglucose.plant import rk4_step
+from etglucose.plant import rhs, rk4_step
 from etglucose.ppo import HyperParams, greedy_decide, smdp_gae, update_networks
 from etglucose.scenario import default_eval_scenarios
 from etglucose.seeding import RngBundle, eval_noise_stream
@@ -32,12 +32,19 @@ N_ROWS = HyperParams().buffer_size  # one update's worth of decisions
 OBS = Observation(140.0, 0.02)
 
 
+# mid-meal: every compartment non-zero, so no branch is skipped
+MEAL_STATE = PATIENT.basal._replace(q_sto1=20000.0, q_sto2=5000.0, q_gut=3000.0,
+                                    g_p=PATIENT.basal.g_p * 1.3)
+
+
+def test_rhs(benchmark):
+    out = benchmark(rhs, MEAL_STATE, 0.05, 5000.0, PATIENT)
+    assert len(out) == len(MEAL_STATE) and out[3] < 0.0 < out[0]
+
+
 def test_rk4_step(benchmark):
-    # mid-meal: every compartment non-zero, so no branch is skipped
-    state = PATIENT.basal._replace(q_sto1=20000.0, q_sto2=5000.0, q_gut=3000.0,
-                                   g_p=PATIENT.basal.g_p * 1.3)
-    out = benchmark(rk4_step, state, 0.05, 5000.0, 1.0, PATIENT)
-    assert out != state and min(out) > 0.0
+    out = benchmark(rk4_step, MEAL_STATE, 0.05, 5000.0, 1.0, PATIENT)
+    assert out != MEAL_STATE and min(out) > 0.0
 
 
 def test_env_step(benchmark):

@@ -65,10 +65,10 @@ def patient():
 
 
 # The episode protocol, R2's constants, the event charge, the sampled-threshold
-# range and the learner's constants are module constants, not config keys: a
-# config that sets one is refused as unknown, even at the value the constant
-# holds (given here). So is a field the code derives from others: the sensor's
-# innovation.
+# range, the learner's constants and the pump's floor are module constants, not
+# config keys: a config that sets one is refused as unknown, even at the value
+# the constant holds (given here). So is a field the code derives from others:
+# the sensor's innovation.
 PROTOCOL_CONSTANTS = {
     ("episode", "step_minutes"): 3.0, ("episode", "ode_dt"): 1.0,
     ("episode", "substeps"): 3, ("episode", "hypo_threshold"): 10.0,
@@ -77,7 +77,7 @@ PROTOCOL_CONSTANTS = {
     ("trigger", "eta_lo"): 15.0, ("trigger", "eta_hi"): 25.0,
     ("hyper", "gamma"): 0.99, ("hyper", "lam"): 0.95,
     ("hyper", "clip_eps"): 0.2, ("hyper", "c_ent"): 0.01, ("hyper", "lr"): 3e-4,
-    ("sensor", "innovation"): 1.0,
+    ("sensor", "innovation"): 1.0, ("pump", "u_min"): 0.0,
 }
 # Sections whose every key became a constant: the section itself is unknown.
 REMOVED_SECTIONS = ("reward",)
@@ -97,7 +97,7 @@ SETTABLE_KEYS = {
     (None, "cohort_file"),
     ("hyper", "buffer_size"), ("hyper", "epochs"), ("hyper", "minibatch"),
     ("trigger", "fixed_eta"), ("episode", "horizon"),
-    ("sensor", "phi"), ("sensor", "sigma"), ("pump", "u_min"), ("pump", "u_max"),
+    ("sensor", "phi"), ("sensor", "sigma"), ("pump", "u_max"),
     ("pid_grid", "kp"), ("pid_grid", "ki"), ("pid_grid", "kd"),
 }
 
@@ -239,6 +239,10 @@ class TestConfig:
         # a boolean key takes true or false, not any truthy or falsy value
         (None, "pin_events", "false"), (None, "r1_only", "no"),
         (None, "pin_events", 1), (None, "r1_only", None),
+        # nor does a number, alone or in a list, and it takes no other type
+        ("pid_grid", "kp", [True]), ("sensor", "sigma", True),
+        ("pump", "u_max", True), ("trigger", "fixed_eta", True),
+        ("sensor", "sigma", "5"), ("pid_grid", "ki", [0.0, None]),
     ])
     def test_out_of_range_value_rejected(self, section, key, value):
         raw = tiny_dict("cgmetppo-fixed")
@@ -1185,6 +1189,10 @@ class TestCli:
          "config: cohort_file must be a file path or null"),
         ("train", tiny_dict("ppo", patient=["adult#001"]),
          "config: patient must be a patient name"),
+        # a scalar where a list is wanted names its key
+        ("train", tiny_dict("ppo", seeds=5), "config: seeds must be a list"),
+        ("train", tiny_dict("pid", pid_grid={"kp": 0.001}),
+         "pid_grid: kp must be a list"),
     ])
     def test_refused_config_exit_one(self, tmp_path, capsys, command, payload,
                                      message):

@@ -146,7 +146,7 @@ class TestPidOutput:
         state = PidState()
         for _ in range(5):
             _, state = pid_output(gains, state, 62.5)  # e = -50
-        assert state.integral == 0.0  # command clamped at u_min from step one
+        assert state.integral == 0.0  # command clamped at 0 from step one
 
     @given(
         kp=st.floats(1e-5, 1e-2),

@@ -211,13 +211,18 @@ class TestGeneratedSource:
 
     def test_getsource_shows_every_derivative_of_the_table(self):
         step = inspect.getsource(rk4_step)
-        derivs = inspect.getsource(plant._derivs)
+        derivs = inspect.getsource(plant.rhs)
         for name, expr in plant._DYNAMICS:
             assert f"    k1_{name} = {expr}\n" in step
             assert f"    f_{name} = {expr}\n" in derivs
         assert step.count("raise PlantDivergedError") == 4
         assert step.count("r_iu = PMOL_PER_UNIT * u / bw") == 1
         assert step.count("= params.coeffs") == 1
+
+    def test_coeffs_table_lists_only_folded_constants(self):
+        # a field the dynamics read as it is comes from PatientParams itself
+        assert all(expr != f"p.{name}" for name, expr in plant._COEFFS)
+        assert len(plant._COEFFS) < len(COHORT[0].coeffs)
 
 
 class TestPerPatientCoefficients:
@@ -438,6 +443,11 @@ class TestCohort:
         again = default_cohort()
         assert len(again) == 10 and again[0].name == "adult#001"
         assert again == COHORT and again is not COHORT
+
+    def test_packaged_cohort_is_the_generated_one(self):
+        # data/adults.ini is what generate_cohort() builds: dataclass
+        # equality compares every field, the basal state included
+        assert default_cohort() == generate_cohort()
 
     def test_generation_is_deterministic(self):
         a = generate_cohort(n=3)
