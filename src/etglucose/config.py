@@ -21,9 +21,6 @@ from .plant import PumpConfig, SensorConfig
 from .ppo import HyperParams
 
 METHODS = ("pid", "ppo", "hetppo", "cgmetppo-fixed", "cgmetppo-variable")
-# The methods that read each switch; any other method would ignore it.
-SWITCH_READERS = {"r1_only": ("cgmetppo-fixed", "cgmetppo-variable"),
-                  "pin_events": ("hetppo",)}
 
 
 class ConfigError(Exception):
@@ -36,8 +33,7 @@ class ExperimentConfig:
     patient: str = "adult#001"
     episodes: int = 2000
     seeds: tuple[int, ...] = (0, 1, 2, 3)
-    r1_only: bool = False  # drop the holding bonus from the SMDP reward
-    pin_events: bool = False  # hetppo only: remove the event head
+    r1_only: bool = False  # cgmetppo only: drop the SMDP reward's holding bonus
     checkpoint_every: int = 0  # 0 keeps only the final checkpoint
     cohort_file: str | None = None  # None selects the packaged cohort
     hyper: HyperParams = field(default_factory=HyperParams)
@@ -52,11 +48,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        for name, readers in SWITCH_READERS.items():
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false")
-            if getattr(self, name) and self.method not in readers:
-                raise ValueError(f"{name} must be false for method {self.method!r}")
+        if not isinstance(self.r1_only, bool):
+            raise ValueError("r1_only must be true or false")
+        # Only the SMDP trainers read it; any other method would ignore it.
+        if self.r1_only and self.method not in ("cgmetppo-fixed", "cgmetppo-variable"):
+            raise ValueError(f"r1_only must be false for method {self.method!r}")
         if not isinstance(self.patient, str):
             raise ValueError("patient must be a patient name")
         if not (self.cohort_file is None or isinstance(self.cohort_file, str)):

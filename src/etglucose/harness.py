@@ -34,7 +34,7 @@ import yaml
 from .cgmetppo import ETA_HI, ETA_LO, CgmEtppoTrainer, FixedCgmEtppoTrainer
 from .config import ConfigError, ExperimentConfig, MatrixConfig
 from .env import HYPER_MGDL, STEP_MINUTES, ApEnv, rollout
-from .hetppo import HetppoTrainer, PinnedHetppoTrainer, event_decide
+from .hetppo import HetppoTrainer, event_decide
 from .metrics import aggregate, aurr, ecf, interval_averages, tir
 from .neural import (
     GaussianPolicy,
@@ -118,8 +118,7 @@ def build_trainer(cfg: ExperimentConfig, patient, seed: int):
     if cfg.method == "ppo":
         return PpoTrainer(patient, rngs, **common)
     if cfg.method == "hetppo":
-        cls = PinnedHetppoTrainer if cfg.pin_events else HetppoTrainer
-        return cls(patient, rngs, **common)
+        return HetppoTrainer(patient, rngs, **common)
     cls = FixedCgmEtppoTrainer if cfg.method == "cgmetppo-fixed" else CgmEtppoTrainer
     return cls(patient, rngs, trigger=cfg.trigger, r1_only=cfg.r1_only, **common)
 
@@ -134,9 +133,8 @@ def trainer_arrays(trainer) -> dict[str, np.ndarray]:
     arrays.update(pack_mlp("value", trainer.vnet))
     arrays.update(pack_opt(trainer.opt, {"opt_policy": trainer.policy.params(),
                                          "opt_value": trainer.vnet.params()}))
-    arrays["pin_events"] = np.asarray(
-        int(getattr(trainer, "pin_events", False)), dtype=np.int64
-    )
+    # A fixed 0, kept so the checkpoint format stays as it was.
+    arrays["pin_events"] = np.asarray(0, dtype=np.int64)
     return arrays
 
 
@@ -148,16 +146,20 @@ def save_trainer(trainer, path: Path) -> None:
 
 
 def load_policy(path: Path) -> tuple[str, object, Mlp, bool]:
-    """Rebuild (method, policy, value net, pin_events) from a checkpoint."""
+    """Rebuild (method, policy, value net, pin_events) from a checkpoint.
+
+    pin_events is always False: a checkpoint with pin_events 1 came from a
+    hetppo run without its event head, which is a ppo run, and is refused.
+    """
     method, data = load_checkpoint(path)
-    net = unpack_mlp("policy", data)
-    log_std = np.array(data["policy_log_std"], dtype=float)
-    pin = bool(int(data.get("pin_events", 0)))
-    if method == "hetppo" and not pin:
-        policy: object = HetPolicy(net, log_std)
-    else:
-        policy = GaussianPolicy(net, log_std)
-    return method, policy, unpack_mlp("value", data), pin
+    if int(data.get("pin_events", 0)):
+        raise ValueError(f"{path}: checkpoint of a pinned hetppo run "
+                         "(pin_events 1), which is per-step PPO; retrain "
+                         "it with method: ppo")
+    policy_cls = HetPolicy if method == "hetppo" else GaussianPolicy
+    policy = policy_cls(unpack_mlp("policy", data),
+                        np.array(data["policy_log_std"], dtype=float))
+    return method, policy, unpack_mlp("value", data), False
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +221,8 @@ def tune_pid(cfg: ExperimentConfig, out_base: str | Path,
     scenarios = default_eval_scenarios()
     gains, score = grid_search_pid(patient, scenarios, cfg.pid_grid,
                                    cfg.episode, cfg.sensor, cfg.pump)
-    # pid reads neither switch, so a config that sets one still tunes.
-    pid_cfg = dataclasses.replace(cfg, method="pid", r1_only=False, pin_events=False)
+    # pid does not read r1_only, so a config that sets it still tunes.
+    pid_cfg = dataclasses.replace(cfg, method="pid", r1_only=False)
     payload = {
         "kp": gains.kp, "ki": gains.ki, "kd": gains.kd, "target": gains.target,
         "mean_tir": round(score, 6),
@@ -301,19 +303,14 @@ def eval_records(cfg: ExperimentConfig, patient, out_base: str | Path, seed: int
         path = rd / "checkpoint.npz"
         if not path.exists():
             raise FileNotFoundError(f"no checkpoint at {path}; train first")
-        method, controller, _vnet, pin = load_policy(path)
+        method, controller, _vnet, _pin = load_policy(path)
         if method != cfg.method:
             raise ValueError(
                 f"checkpoint method {method!r} does not match config "
                 f"method {cfg.method!r}"
             )
-        if pin != cfg.pin_events:
-            raise ValueError(
-                f"checkpoint pin_events {pin} does not match config "
-                f"pin_events {cfg.pin_events}"
-            )
-        roll = (roll_hetppo if isinstance(controller, HetPolicy) else
-                roll_ppo if cfg.method in ("ppo", "hetppo") else roll_cgmetppo)
+        roll = (roll_hetppo if method == "hetppo" else
+                roll_ppo if method == "ppo" else roll_cgmetppo)
     rolled = []
     for i, sc in enumerate(default_eval_scenarios()):
         with naming_run(cfg, seed, f"evaluation scenario {i}"):

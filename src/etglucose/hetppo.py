@@ -13,10 +13,6 @@ only, both driven by the same advantage estimates.
 
 The trainer runs on the shared SMDP loop of ppo.py: each decision holds
 one step (threshold 0), and a non-event decision keeps the last command.
-With pin_events the event head is removed outright: every step is an
-event, no Bernoulli is drawn, and no event charge applies. That mode is
-plain per-step PPO, so PinnedHetppoTrainer is a PpoTrainer under this
-method's name.
 """
 from __future__ import annotations
 
@@ -36,7 +32,6 @@ from .ppo import (
     C_ENT,
     CLIP_EPS,
     EpisodeStats,
-    PpoTrainer,
     Trainer,
     clipped_surrogate,
     squash_rate,
@@ -167,10 +162,3 @@ class HetppoTrainer(Trainer):
 
     def run_episode(self, episode_idx: int = 0) -> EpisodeStats:
         return self._smdp_episode(episode_idx)
-
-
-class PinnedHetppoTrainer(PpoTrainer):
-    """hetppo with pin_events: no event head, so plain per-step PPO."""
-
-    method = "hetppo"
-    pin_events = True

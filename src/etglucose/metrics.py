@@ -93,16 +93,13 @@ class AggregateResult:
     n_seeds: int  # 1 makes every std 0 by construction
 
 
-def aggregate(
-    per_seed_runs: list[list[dict[str, float]]],
-    metric_names: tuple[str, ...] = ("ecf", "tir", "aurr"),
-) -> AggregateResult:
+def aggregate(per_seed_runs: list[list[dict[str, float]]]) -> AggregateResult:
     """Scenario means per seed, then mean and population std over seeds."""
     if not per_seed_runs or any(not runs for runs in per_seed_runs):
         raise ValueError("aggregate needs at least one run per seed")
     means: dict[str, float] = {}
     stds: dict[str, float] = {}
-    for name in metric_names:
+    for name in ("ecf", "tir", "aurr"):
         seed_means = np.array([
             np.mean([run[name] for run in runs]) for runs in per_seed_runs
         ])

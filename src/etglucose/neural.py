@@ -204,10 +204,9 @@ class GaussianPolicy:
         n_act: int,
         rng: np.random.Generator,
         hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-        init_log_std: float = INIT_LOG_STD,
     ) -> "GaussianPolicy":
         net = Mlp.create((n_obs, *hidden, n_act), rng, out_gain=POLICY_OUT_GAIN)
-        return cls(net, np.full(n_act, init_log_std))
+        return cls(net, np.full(n_act, INIT_LOG_STD))
 
     @property
     def n_act(self) -> int:
@@ -237,10 +236,9 @@ class HetPolicy:
         n_obs: int,
         rng: np.random.Generator,
         hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-        init_log_std: float = INIT_LOG_STD,
     ) -> "HetPolicy":
         net = Mlp.create((n_obs, *hidden, 2), rng, out_gain=POLICY_OUT_GAIN)
-        return cls(net, np.full(1, init_log_std))
+        return cls(net, np.full(1, INIT_LOG_STD))
 
     def params(self) -> list[np.ndarray]:
         return self.net.params() + [self.log_std]

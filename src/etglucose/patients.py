@@ -15,10 +15,7 @@ from __future__ import annotations
 import configparser
 import functools
 import importlib.resources
-import math
 from pathlib import Path
-
-import numpy as np
 
 from .env import HYPO_MGDL
 from .plant import (
@@ -61,6 +58,7 @@ NOMINAL_ADULT: dict[str, float] = {
 PERTURB_FRACTION = 0.15
 DEFAULT_COHORT_SEED = 7130
 DEFAULT_COHORT_SIZE = 10
+STEADY_STATE_TOL = 1e-9  # max |rhs| at a stored basal point
 
 # Constants perturbed per patient, in fixed draw order.
 _PERTURBED_KEYS = tuple(sorted(NOMINAL_ADULT))
@@ -121,14 +119,14 @@ def build_patient(name: str, c: dict[str, float]) -> PatientParams:
     return params
 
 
-def check_steady_state(params: PatientParams, tol: float = 1e-9) -> None:
+def check_steady_state(params: PatientParams) -> None:
     """Verify the stored basal point really is an equilibrium."""
     derivs = rhs(params.basal, params.u_basal, 0.0, params)
     worst = max(abs(v) for v in derivs)
-    if worst > tol:
+    if worst > STEADY_STATE_TOL:
         raise ValueError(
             f"basal state of {params.name} fails steady-state check: "
-            f"max |rhs| = {worst:.3e} > {tol:.1e}"
+            f"max |rhs| = {worst:.3e} > {STEADY_STATE_TOL:.1e}"
         )
 
 
@@ -156,10 +154,10 @@ def _envelope_ok(c: dict[str, float], pump: PumpConfig) -> bool:
 def generate_cohort(
     n: int = DEFAULT_COHORT_SIZE,
     seed: int = DEFAULT_COHORT_SEED,
-    pump: PumpConfig | None = None,
 ) -> list[PatientParams]:
-    """Generate n validated synthetic adults, deterministically from seed."""
-    pump = pump or PumpConfig()
+    """Generate n validated synthetic adults, deterministically from seed,
+    inside the default pump's envelope."""
+    pump = PumpConfig()
     rng = named_stream(seed, "cohort")
     cohort = []
     for idx in range(1, n + 1):

@@ -32,6 +32,7 @@ RATE_G_PER_MIN = 5.0
 RATE_MG_PER_MIN = 5000.0
 
 MINUTES_PER_DAY = 1440
+MAX_TRIES = 10_000  # rejection draws per truncated-normal sample
 
 
 @dataclass(frozen=True)
@@ -102,14 +103,13 @@ def sample_truncated_normal(
     lb: float,
     ub: float,
     rng: np.random.Generator,
-    max_tries: int = 10_000,
 ) -> int:
     """Sample N(mu, sigma^2) conditioned on [lb, ub], rounded to the minute.
 
-    Rejection sampling; if no draw lands inside after max_tries the mean
+    Rejection sampling; if no draw lands inside after MAX_TRIES the mean
     clamped into the interval is used and a warning is logged.
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         x = mu + sigma * rng.standard_normal()
         if lb <= x <= ub:
             break

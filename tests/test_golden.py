@@ -9,18 +9,44 @@ with a buffer of 8, so every one runs at least two optimizer updates,
 then evaluates greedily on the five fixed scenarios. The pid variant
 grid-searches a small grid over the same 240-step episodes instead and
 evaluates the gains it found.
+
+The bytes depend on the numeric kernels the process runs: the core type
+numpy's bundled OpenBLAS picks and whether numpy dispatches to its
+AVX-512 (X86_V4) loops, both chosen from the CPU at load time. So the
+pins are kept per numeric platform, keyed by those two values, and a
+platform with no recorded set fails with a message naming its key.
 """
+import ctypes
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
+import etglucose
 from etglucose.config import config_from_dict
 from etglucose.harness import run_dir, run_eval, run_train
+
+
+def numeric_platform() -> tuple[str, bool]:
+    """(OpenBLAS core name, X86_V4 dispatch) of this process's numpy."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas*"))
+    if not libs:
+        return "no bundled OpenBLAS", bool(__cpu_features__.get("X86_V4"))
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode(), bool(__cpu_features__.get("X86_V4"))
+
 
 VARIANTS = {
     "ppo": {"method": "ppo"},
     "hetppo": {"method": "hetppo"},
-    "hetppo-pinned": {"method": "hetppo", "pin_events": True},
     "cgmetppo-fixed": {"method": "cgmetppo-fixed"},
     "cgmetppo-fixed-r1": {"method": "cgmetppo-fixed", "r1_only": True},
     "cgmetppo-variable": {"method": "cgmetppo-variable"},
@@ -35,7 +61,8 @@ FILES = (
 )
 PID_FILES = ("gains.yaml", "metrics.csv", *(f"eval_trace_scen{i}.csv" for i in range(5)))
 
-GOLDEN: dict[str, dict[str, str]] = {
+# Recorded on OpenBLAS's SkylakeX kernels with numpy's X86_V4 loops.
+SKYLAKEX_AVX512: dict[str, dict[str, str]] = {
     "ppo": {
         "train_log.csv": "1ba0ec5b54e36c8d6e7d3a046a40b8fb3e58185041c271d44efda29e427d8cf1",
         "updates.csv": "cc774310548c8e4726e7619a977116af36c357bf13a8b82f6e50792c4ea21f0f",
@@ -61,19 +88,6 @@ GOLDEN: dict[str, dict[str, str]] = {
         "checkpoint.npz": "92cb4ee8951b3b8288c1b7a4363bcc26531107cee749fe28e8512f76efaac2d3",
         "checkpoint_ep1.npz": "3d3f1042abccebe93010250dc2bb4da8a6b567b28b44e8df99cf5939d08be0b2",
         "checkpoint_ep2.npz": "92cb4ee8951b3b8288c1b7a4363bcc26531107cee749fe28e8512f76efaac2d3",
-    },
-    "hetppo-pinned": {
-        "train_log.csv": "1ba0ec5b54e36c8d6e7d3a046a40b8fb3e58185041c271d44efda29e427d8cf1",
-        "updates.csv": "cc774310548c8e4726e7619a977116af36c357bf13a8b82f6e50792c4ea21f0f",
-        "metrics.csv": "9e1218b299545cc5227f8581ee77be94a5590e7b3ca134619bdd9655b7d28a75",
-        "eval_trace_scen0.csv": "ed09c832885adac3d6f2be36b1b3c68ca13e8ec5822aac53a3ed7245cd6fc3b1",
-        "eval_trace_scen1.csv": "ac21afafea09ca1942b9ee7b8ede12b44db017fda0afcadf757a00fbcc1eab94",
-        "eval_trace_scen2.csv": "7fbddeb6b2808bc9f86d193edb5daf72e1f6c552d339bd518fecb78396df46ca",
-        "eval_trace_scen3.csv": "ca798822421ba6595aee89db380171d0fbfd9a9a9b729c8b579767f63a9db2e1",
-        "eval_trace_scen4.csv": "fe5ede66d11c129a7d15d60863fb12e5dd4a140369ff2390007fe64263746bba",
-        "checkpoint.npz": "f439ca5a00e0ce879e437ececcefa874b33902f3d76acd6491aa8ca32c5ef40c",
-        "checkpoint_ep1.npz": "a5945abffd012359f39d3c711307690beeda943e90b1360c070cb73fbd7f0e9c",
-        "checkpoint_ep2.npz": "f439ca5a00e0ce879e437ececcefa874b33902f3d76acd6491aa8ca32c5ef40c",
     },
     "cgmetppo-fixed": {
         "train_log.csv": "393b121048c7a4df2f813d57f61476a5e966a4beaa7b742deef8e44c914f33e7",
@@ -126,6 +140,55 @@ GOLDEN: dict[str, dict[str, str]] = {
     },
 }
 
+# The same runs on OpenBLAS's Haswell kernels without numpy's X86_V4 loops:
+# only the checkpoints differ from the set above. Forcing the Zen core type
+# selects these same kernels (its core name reads Haswell) and gives these
+# same bytes.
+HASWELL_CHECKPOINTS: dict[str, dict[str, str]] = {
+    "ppo": {
+        "checkpoint.npz": "29a55bcba3d3997c22f4dca21c07663a51f72685b87d91b326391f840ed59370",
+        "checkpoint_ep1.npz": "8b3ec8d061e97b08363285aa385e407c28aae8a59bb9c4f94ed13c860386ecf1",
+        "checkpoint_ep2.npz": "29a55bcba3d3997c22f4dca21c07663a51f72685b87d91b326391f840ed59370",
+    },
+    "hetppo": {
+        "checkpoint.npz": "7f9c4d19b3cdb3700d38ecf4135521d5be4e9eec9d9542703c0c6f5f1664f30d",
+        "checkpoint_ep1.npz": "2e1792c3d04e91300b5e7b4b7623c3ab6a800d12b170c466aa6c1da840a80381",
+        "checkpoint_ep2.npz": "7f9c4d19b3cdb3700d38ecf4135521d5be4e9eec9d9542703c0c6f5f1664f30d",
+    },
+    "cgmetppo-fixed": {
+        "checkpoint.npz": "49c3b0a78fd55c8aa5fc2d74929a310c65072c052f7d6705cee4a74bd9817782",
+        "checkpoint_ep1.npz": "e434cfcbbca57c2540ca1f7f96a53a00517f9a8dcda2cedb028c9afd208af599",
+        "checkpoint_ep2.npz": "49c3b0a78fd55c8aa5fc2d74929a310c65072c052f7d6705cee4a74bd9817782",
+    },
+    "cgmetppo-fixed-r1": {
+        "checkpoint.npz": "1dc7fecbbf50a2972229747dbfec881313c6ba412bc5843217b466368c15045f",
+        "checkpoint_ep1.npz": "e434cfcbbca57c2540ca1f7f96a53a00517f9a8dcda2cedb028c9afd208af599",
+        "checkpoint_ep2.npz": "1dc7fecbbf50a2972229747dbfec881313c6ba412bc5843217b466368c15045f",
+    },
+    "cgmetppo-variable": {
+        "checkpoint.npz": "d7c8d53d009f849bb0ed11d546c6e23e2b243996f33f7873eccad9ca118ae436",
+        "checkpoint_ep1.npz": "8cfef3408e82556961340f07523feebf029deb092672093baceaf930e942d8fc",
+        "checkpoint_ep2.npz": "d7c8d53d009f849bb0ed11d546c6e23e2b243996f33f7873eccad9ca118ae436",
+    },
+}
+
+# The environment that makes an AVX-512 host run the Haswell set's kernels.
+HASWELL_ENV = {"OPENBLAS_CORETYPE": "Haswell",
+               "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+GOLDEN_SETS = {
+    ("SkylakeX", True): SKYLAKEX_AVX512,
+    ("Haswell", False): {variant: {**pins, **HASWELL_CHECKPOINTS.get(variant, {})}
+                         for variant, pins in SKYLAKEX_AVX512.items()},
+}
+
+
+def golden_set(platform: tuple[str, bool]) -> dict[str, dict[str, str]]:
+    if platform not in GOLDEN_SETS:
+        pytest.fail(f"no golden pins recorded for numeric platform {platform}; "
+                    f"recorded: {sorted(GOLDEN_SETS)}")
+    return GOLDEN_SETS[platform]
+
 
 def train_and_eval(out, variant: str):
     """Train and evaluate one variant; returns (config, run directory)."""
@@ -150,7 +213,25 @@ def file_digests(cfg, rd) -> dict[str, str]:
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_outputs_match_golden_digests(tmp_path, variant):
+    golden = golden_set(numeric_platform())
     cfg, rd = train_and_eval(tmp_path, variant)
     if cfg.method != "pid":
         assert len((rd / "updates.csv").read_text().splitlines()) - 1 >= 2
-    assert file_digests(cfg, rd) == GOLDEN[variant]
+    assert file_digests(cfg, rd) == golden[variant]
+
+
+def test_haswell_set_holds_in_a_child_process(tmp_path):
+    # Whatever this host's own platform, a child process under HASWELL_ENV
+    # reruns one learning variant, so the Haswell set is checked here too.
+    child = ("import json, sys; import test_golden as g; "
+             "cfg, rd = g.train_and_eval(sys.argv[1], 'hetppo'); "
+             "print(json.dumps([g.numeric_platform(), g.file_digests(cfg, rd)]))")
+    path = os.pathsep.join([str(Path(etglucose.__file__).parents[1]),
+                            str(Path(__file__).parent)])
+    done = subprocess.run([sys.executable, "-c", child, str(tmp_path)],
+                          env={**os.environ, **HASWELL_ENV, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    platform, digests = json.loads(done.stdout)
+    assert tuple(platform) == ("Haswell", False)
+    assert digests == GOLDEN_SETS["Haswell", False]["hetppo"]

@@ -5,6 +5,7 @@ these tests exercise plumbing and reproducibility, not control quality.
 """
 import builtins
 import math
+import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from etglucose.config import (
     load_matrix_config,
 )
 from etglucose.env import ApEnv, obs_vec
-from etglucose.hetppo import HetppoTrainer, PinnedHetppoTrainer
+from etglucose.hetppo import HetppoTrainer
 from etglucose.harness import (
     METRICS_HEADER,
     TRACE_HEADER,
@@ -68,8 +69,9 @@ def patient():
 # range, the learner's constants and the pump's floor are module constants, not
 # config keys: a config that sets one is refused as unknown, even at the value
 # the constant holds (given here). So is a field the code derives from others:
-# the sensor's innovation.
-PROTOCOL_CONSTANTS = {
+# the sensor's innovation. So is pin_events, which made hetppo per-step PPO
+# under its own name: method ppo is that run.
+REMOVED_KEYS = {
     ("episode", "step_minutes"): 3.0, ("episode", "ode_dt"): 1.0,
     ("episode", "substeps"): 3, ("episode", "hypo_threshold"): 10.0,
     ("episode", "hyper_threshold"): 600.0, ("episode", "init_spread"): 0.1,
@@ -78,6 +80,7 @@ PROTOCOL_CONSTANTS = {
     ("hyper", "gamma"): 0.99, ("hyper", "lam"): 0.95,
     ("hyper", "clip_eps"): 0.2, ("hyper", "c_ent"): 0.01, ("hyper", "lr"): 3e-4,
     ("sensor", "innovation"): 1.0, ("pump", "u_min"): 0.0,
+    (None, "pin_events"): True,
 }
 # Sections whose every key became a constant: the section itself is unknown.
 REMOVED_SECTIONS = ("reward",)
@@ -87,19 +90,23 @@ def refusal(section: str, key: str) -> str:
     """The message refusing a config that sets a removed key."""
     if section in REMOVED_SECTIONS:
         return rf"^config: unknown keys \['{section}'\]$"
-    return rf"^{section}: unknown keys \['{key}'\]$"
+    return rf"^{section or 'config'}: unknown keys \['{key}'\]$"
 
 
 # Every value a config may set, as (section, key); None is the top level.
 SETTABLE_KEYS = {
     (None, "method"), (None, "patient"), (None, "episodes"), (None, "seeds"),
-    (None, "r1_only"), (None, "pin_events"), (None, "checkpoint_every"),
-    (None, "cohort_file"),
+    (None, "r1_only"), (None, "checkpoint_every"), (None, "cohort_file"),
     ("hyper", "buffer_size"), ("hyper", "epochs"), ("hyper", "minibatch"),
     ("trigger", "fixed_eta"), ("episode", "horizon"),
     ("sensor", "phi"), ("sensor", "sigma"), ("pump", "u_max"),
     ("pid_grid", "kp"), ("pid_grid", "ki"), ("pid_grid", "kd"),
 }
+
+
+def set_key(raw: dict, section: str | None, key: str, value) -> None:
+    """Set key in raw's section, or at its top level when section is None."""
+    (raw if section is None else raw.setdefault(section, {}))[key] = value
 
 
 def tiny_dict(method: str, **over) -> dict:
@@ -127,6 +134,15 @@ def matrix_dict(methods: list, **over) -> dict:
     del payload["method"], payload["patient"]
     payload.update(over, matrix={"methods": methods, "patients": ["adult#001"]})
     return payload
+
+
+def write_pinned_checkpoint(path: Path, patient) -> Path:
+    """Write the checkpoint a pinned hetppo run wrote before pin_events was
+    removed: a ppo trainer's arrays, pin_events 1, under the hetppo name."""
+    arrays = harness.trainer_arrays(build_trainer(tiny_cfg("ppo"), patient, 0))
+    arrays["pin_events"] = np.asarray(1, dtype=np.int64)
+    save_checkpoint(path, "hetppo", arrays)
+    return path
 
 
 def write_yaml(path, payload) -> str:
@@ -246,20 +262,17 @@ class TestConfig:
     ])
     def test_out_of_range_value_rejected(self, section, key, value):
         raw = tiny_dict("cgmetppo-fixed")
-        if section is None:
-            raw[key] = value
-        else:
-            raw.setdefault(section, {})[key] = value
-        message = (refusal(section, key) if (section, key) in PROTOCOL_CONSTANTS
+        set_key(raw, section, key, value)
+        message = (refusal(section, key) if (section, key) in REMOVED_KEYS
                    else f"^{section or 'config'}: {key} must")
         with pytest.raises(ConfigError, match=message):
             config_from_dict(raw)
 
     @pytest.mark.parametrize("section,key,value", [
-        (*where, value) for where, value in PROTOCOL_CONSTANTS.items()])
+        (*where, value) for where, value in REMOVED_KEYS.items()])
     def test_removed_key_refused(self, section, key, value):
         raw = tiny_dict("cgmetppo-variable")
-        raw.setdefault(section, {})[key] = value
+        set_key(raw, section, key, value)
         with pytest.raises(ConfigError, match=refusal(section, key)):
             config_from_dict(raw)
 
@@ -275,10 +288,7 @@ class TestConfig:
         settable = set()
         for section, key in candidates:
             raw = tiny_dict("cgmetppo-fixed")
-            if section is None:
-                raw[key] = 1.0
-            else:
-                raw.setdefault(section, {})[key] = 1.0
+            set_key(raw, section, key, 1.0)
             try:
                 config_from_dict(raw)
             except ConfigError as exc:
@@ -297,10 +307,7 @@ class TestConfig:
         raw = tiny_dict("cgmetppo-fixed")
         if key == "seeds":
             value = [0, value]
-        if section is None:
-            raw[key] = value
-        else:
-            raw.setdefault(section, {})[key] = value
+        set_key(raw, section, key, value)
         where = section or "config"
         with pytest.raises(ConfigError, match=f"^{where}: {key} must be (an )?integers?$"):
             config_from_dict(raw)
@@ -335,7 +342,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("switch,readers", [
-        ("pin_events", ("hetppo",)),
+        ("pin_events", ()),  # read by no method, so not a key any more
         ("r1_only", ("cgmetppo-fixed", "cgmetppo-variable")),
     ])
     def test_switch_only_for_the_methods_that_read_it(self, method, switch,
@@ -344,8 +351,9 @@ class TestConfig:
         if method in readers:
             assert getattr(config_from_dict(raw), switch) is True
         else:
-            with pytest.raises(ConfigError, match=f"^config: {switch} must be "
-                               f"false for method '{method}'$"):
+            message = (f"^config: {switch} must be false for method '{method}'$"
+                       if readers else refusal(None, switch))
+            with pytest.raises(ConfigError, match=message):
                 config_from_dict(raw)
 
     def test_bad_seeds(self):
@@ -383,14 +391,14 @@ class TestConfig:
             load_matrix_config(write_yaml(tmp_path / "m.yaml", payload))
 
     def test_matrix_checks_every_run_with_its_own_method(self, tmp_path):
-        # the shared settings suit hetppo, the first run, but not ppo
-        payload = matrix_dict(["hetppo", "ppo"], pin_events=True)
+        # the shared settings suit cgmetppo-fixed, the first run, but not ppo
+        payload = matrix_dict(["cgmetppo-fixed", "ppo"], r1_only=True)
         with pytest.raises(ConfigError,
-                           match="^config: pin_events must be false for method 'ppo'$"):
+                           match="^config: r1_only must be false for method 'ppo'$"):
             load_matrix_config(write_yaml(tmp_path / "m.yaml", payload))
-        payload["matrix"]["methods"] = ["hetppo"]
+        payload["matrix"]["methods"] = ["cgmetppo-fixed"]
         runs = load_matrix_config(write_yaml(tmp_path / "m.yaml", payload)).runs
-        assert [(c.method, c.pin_events) for c in runs] == [("hetppo", True)]
+        assert [(c.method, c.r1_only) for c in runs] == [("cgmetppo-fixed", True)]
 
     def test_matrix_patient_must_be_a_name(self, tmp_path):
         payload = {"matrix": {"methods": ["pid"], "patients": [["adult#001"]]}}
@@ -553,15 +561,13 @@ class TestCheckpoints:
         assert isinstance(policy, HetPolicy)
         assert not pin
 
-    def test_pinned_hetppo_loads_plain_gaussian(self, tmp_path, patient):
-        cfg = tiny_cfg("hetppo", pin_events=True)
-        trainer = build_trainer(cfg, patient, seed=0)
-        path = tmp_path / "ck.npz"
-        save_trainer(trainer, path)
-        method, policy, _, pin = load_policy(path)
-        assert method == "hetppo"
-        assert pin
-        assert isinstance(policy, GaussianPolicy)
+    def test_pinned_hetppo_checkpoint_refused(self, tmp_path, patient):
+        # a hetppo run without its event head, as an older version wrote it:
+        # ppo's arrays with pin_events 1 under the hetppo name
+        path = write_pinned_checkpoint(tmp_path / "ck.npz", patient)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: checkpoint "
+                           r"of a pinned hetppo run .*retrain it with method: ppo$"):
+            load_policy(path)
 
     def test_method_mismatch_rejected(self, tmp_path, patient):
         other = tiny_cfg("cgmetppo-fixed")
@@ -571,19 +577,6 @@ class TestCheckpoints:
                      rd / "checkpoint.npz")
         with pytest.raises(ValueError, match="does not match"):
             eval_records(other, patient, tmp_path, 0)
-
-    @pytest.mark.parametrize("trained,evaluated", [(False, True), (True, False)])
-    def test_pin_events_mismatch_rejected(self, tmp_path, patient, trained,
-                                          evaluated):
-        cfg = tiny_cfg("hetppo", pin_events=trained)
-        rd = run_dir(tmp_path, cfg, 0)
-        rd.mkdir(parents=True)
-        save_trainer(build_trainer(cfg, patient, seed=0), rd / "checkpoint.npz")
-        other = tiny_cfg("hetppo", pin_events=evaluated)
-        with pytest.raises(ValueError, match=f"checkpoint pin_events {trained} "
-                           f"does not match config pin_events {evaluated}"):
-            eval_records(other, patient, tmp_path, 0)
-        assert len(eval_records(cfg, patient, tmp_path, 0)) == 5
 
     def test_eval_without_checkpoint(self, tmp_path, patient):
         cfg = tiny_cfg("ppo")
@@ -715,8 +708,8 @@ class TestTrainEval:
         assert all(float(r["aurr"]) == 0.0 for r in rows)
 
     def test_pid_tunes_from_a_config_with_a_switch(self, tmp_path):
-        # pid reads neither switch; the gains still land in pid's run directory
-        gains, _ = tune_pid(tiny_cfg("hetppo", pin_events=True), tmp_path)
+        # pid does not read r1_only; the gains still land in pid's run directory
+        gains, _ = tune_pid(tiny_cfg("cgmetppo-fixed", r1_only=True), tmp_path)
         assert load_gains(run_dir(tmp_path, tiny_cfg("pid"), 0)
                           / "gains.yaml") == gains
 
@@ -882,7 +875,7 @@ class TestEpisodeEntryPoints:
         ("pid", {}, None, "roll_pid"),
         ("ppo", {}, ppo.PpoTrainer, "roll_ppo"),
         ("hetppo", {}, HetppoTrainer, "roll_hetppo"),
-        ("hetppo", {"pin_events": True}, PinnedHetppoTrainer, "roll_ppo"),
+        ("cgmetppo-fixed", {"r1_only": True}, FixedCgmEtppoTrainer, "roll_cgmetppo"),
         ("cgmetppo-fixed", {}, FixedCgmEtppoTrainer, "roll_cgmetppo"),
         ("cgmetppo-variable", {}, CgmEtppoTrainer, "roll_cgmetppo"),
     ])
@@ -909,8 +902,7 @@ class TestEpisodeEntryPoints:
         for cls in (ppo.PpoTrainer, HetppoTrainer, CgmEtppoTrainer):
             assert "run_episode" in cls.__dict__, cls
         # subclasses inherit it, so a wrapper on the parent counts them once
-        for cls in (PinnedHetppoTrainer, FixedCgmEtppoTrainer):
-            assert "run_episode" not in cls.__dict__, cls
+        assert "run_episode" not in FixedCgmEtppoTrainer.__dict__
 
 
 class TestExportAndMatrix:
@@ -1107,18 +1099,17 @@ class TestCli:
         assert not (tmp_path / "runs" / "ppo" / "adult-001" / "seed_0"
                     / "metrics.csv").exists()
 
-    def test_pin_events_mismatch_exit_two(self, tmp_path, capsys):
-        out_dir = str(tmp_path / "runs")
-        trained = write_yaml(tmp_path / "a.yaml", tiny_dict(
-            "hetppo", episodes=1, episode={"horizon": 20}))
-        pinned = write_yaml(tmp_path / "b.yaml", tiny_dict(
-            "hetppo", episodes=1, episode={"horizon": 20}, pin_events=True))
-        assert cli.main(["train", "--config", trained, "--out-dir", out_dir]) == 0
-        rc = cli.main(["eval", "--config", pinned, "--out-dir", out_dir])
-        assert rc == 2
-        assert ("checkpoint pin_events False does not match config "
-                "pin_events True") in capsys.readouterr().err
+    def test_pinned_checkpoint_exit_two(self, tmp_path, capsys, patient):
+        cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict("hetppo"))
         rd = tmp_path / "runs" / "hetppo" / "adult-001" / "seed_0"
+        rd.mkdir(parents=True)
+        path = write_pinned_checkpoint(rd / "checkpoint.npz", patient)
+        rc = cli.main(["eval", "--config", cfg_path,
+                       "--out-dir", str(tmp_path / "runs")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: checkpoint of a pinned hetppo run" in err
+        assert "retrain it with method: ppo" in err
         assert not (rd / "metrics.csv").exists()
 
     def test_runtime_error_traceback_only_when_verbose(self, tmp_path, capsys):
@@ -1168,8 +1159,8 @@ class TestCli:
          "trigger: expected a mapping, got NoneType"),
         ("train", tiny_dict("hetppo", reward={"eta_e": 0.1}),
          "config: unknown keys ['reward']"),
-        ("train", tiny_dict("ppo", pin_events=True),
-         "config: pin_events must be false for method 'ppo'"),
+        ("train", tiny_dict("hetppo", pin_events=True),
+         "config: unknown keys ['pin_events']"),
         ("train", tiny_dict("hetppo", r1_only=True),
          "config: r1_only must be false for method 'hetppo'"),
         ("matrix", matrix_dict(["pid"], hyper=None),
@@ -1178,9 +1169,9 @@ class TestCli:
          "a matrix file has no top-level method or patient"),
         ("matrix", matrix_dict(["pid"], patient="adult#009"),
          "a matrix file has no top-level method or patient"),
-        # the first run is valid; the sweep must not start it
         ("matrix", matrix_dict(["hetppo", "ppo"], pin_events=True),
-         "config: pin_events must be false for method 'ppo'"),
+         "config: unknown keys ['pin_events']"),
+        # the first run is valid; the sweep must not start it
         ("matrix", matrix_dict(["cgmetppo-fixed", "pid"], r1_only=True),
          "config: r1_only must be false for method 'pid'"),
         # a top-level value of the wrong type is a config error, not a

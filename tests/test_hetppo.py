@@ -8,7 +8,6 @@ from etglucose import env as env_module
 from etglucose.env import EpisodeConfig, Observation
 from etglucose.hetppo import (
     HetppoTrainer,
-    PinnedHetppoTrainer,
     event_decide,
     factored_sample,
     het_policy_grads,
@@ -30,16 +29,10 @@ from etglucose.ppo import (
     HyperParams,
     SmdpBuffer,
     SmdpExperience,
-    greedy_decide,
     smdp_update,
 )
 from etglucose.seeding import RngBundle
-from per_step_oracle import (
-    PerStepPpo,
-    clipped_surrogate,
-    record_episodes,
-    record_updates,
-)
+from per_step_oracle import clipped_surrogate, record_episodes
 
 
 def factored_row(obs, e, u_raw, reward, done, logp_e, logp_u) -> SmdpExperience:
@@ -242,12 +235,11 @@ class TestTrainer:
         assert np.all(d["logp_old"][off, 0] == 0.0)
         assert np.all(d["act"][~off, 0] != 0.0)
 
-    @pytest.mark.parametrize("cls", [HetppoTrainer, PinnedHetppoTrainer])
-    def test_per_step_records_carry_no_thresholds(self, patient, monkeypatch, cls):
+    def test_per_step_records_carry_no_thresholds(self, patient, monkeypatch):
         records = record_episodes(monkeypatch)
-        tr = cls(patient, RngBundle.from_master(4),
-                 hyper=HyperParams(buffer_size=4096),
-                 episode_cfg=EpisodeConfig(horizon=100))
+        tr = HetppoTrainer(patient, RngBundle.from_master(4),
+                           hyper=HyperParams(buffer_size=4096),
+                           episode_cfg=EpisodeConfig(horizon=100))
         stats = tr.run_episode(0)
         assert len(records) == 1 and records[0].T == stats.steps
         assert records[0].thresholds is None
@@ -286,31 +278,6 @@ class TestTrainer:
         assert base.K == charged.K and base.steps == charged.steps
         assert charged.ret == pytest.approx(base.ret - 0.5 * charged.K)
 
-    def test_pinned_events_reproduce_plain_ppo(self, patient, monkeypatch):
-        seed = 7
-        hyper = HyperParams(buffer_size=256)
-        ref = PerStepPpo(patient, RngBundle.from_master(seed), hyper=hyper)
-        pin = PinnedHetppoTrainer(patient, RngBundle.from_master(seed),
-                                  hyper=hyper)
-        snaps = record_updates(monkeypatch, pin)
-        stats_ref = ref.train(2)
-        stats_pin = [pin.run_episode(i) for i in range(2)]
-        assert [(s.steps, s.ret, s.tir) for s in stats_ref] == \
-               [(s.steps, s.ret, s.tir) for s in stats_pin]
-        assert len(ref.snapshots) == len(snaps[pin]) > 0
-        for a, b in zip(ref.snapshots, snaps[pin]):
-            assert np.array_equal(a.advantages, b.advantages)
-            for pa, pb in zip(a.params, b.params):
-                assert np.array_equal(pa, pb)
-
-    def test_pinned_events_every_step_transmits(self, patient):
-        tr = PinnedHetppoTrainer(patient, RngBundle.from_master(9),
-                                 hyper=HyperParams(buffer_size=4096),
-                                 episode_cfg=EpisodeConfig(horizon=100))
-        stats = tr.run_episode(0)
-        assert stats.K == stats.steps
-        assert all(tr.env.event_trace)
-
     def test_smoke_training_with_updates(self, patient):
         tr = HetppoTrainer(patient, RngBundle.from_master(10),
                            hyper=HyperParams(buffer_size=128),
@@ -337,12 +304,3 @@ class TestGreedy:
         obs = Observation(120.0, 0.0)
         pump = PumpConfig()
         assert event_decide(doctored_policy(1.5, 0.0), obs, pump) == (pump.u_max, None)
-
-    def test_pinned_mode_always_transmits(self, patient):
-        tr = PinnedHetppoTrainer(patient, RngBundle.from_master(0))
-        rate, eta = greedy_decide(tr.policy, Observation(120.0, 0.0), tr.pump)
-        assert eta is None
-        mean = tr.policy.net.forward(
-            np.array([[120.0 / 600.0, 0.0]])
-        )[0, 0]
-        assert rate == pytest.approx(min(max(mean, 0.0), 1.0) * 0.15)

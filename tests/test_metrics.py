@@ -212,23 +212,22 @@ class TestIntervalAnalysis:
 
 class TestAggregate:
     def test_two_seed_example(self):
-        out = aggregate([[{"ecf": 90.0}], [{"ecf": 100.0}]],
-                        metric_names=("ecf",))
+        out = aggregate([[{"ecf": 90.0, "tir": 90.0, "aurr": 90.0}],
+                         [{"ecf": 100.0, "tir": 100.0, "aurr": 100.0}]])
         assert out.mean["ecf"] == pytest.approx(95.0)
         assert out.std["ecf"] == pytest.approx(5.0)
         assert out.n_seeds == 2
 
     def test_scenario_means_taken_first(self):
         # seed A: scenarios 80 and 100 -> 90; seed B: 100 -> mean (90+100)/2
-        out = aggregate(
-            [[{"tir": 80.0}, {"tir": 100.0}], [{"tir": 100.0}]],
-            metric_names=("tir",),
-        )
+        row = {"ecf": 100.0, "aurr": 100.0}
+        out = aggregate([[{**row, "tir": 80.0}, {**row, "tir": 100.0}],
+                         [{**row, "tir": 100.0}]])
         assert out.mean["tir"] == pytest.approx(95.0)
 
     def test_identical_seeds_zero_std(self):
-        out = aggregate([[{"aurr": 97.0}], [{"aurr": 97.0}], [{"aurr": 97.0}]],
-                        metric_names=("aurr",))
+        row = {"ecf": 100.0, "tir": 90.0, "aurr": 97.0}
+        out = aggregate([[row], [row], [row]])
         assert out.std["aurr"] == 0.0
         assert out.n_seeds == 3
 

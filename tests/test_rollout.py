@@ -17,7 +17,7 @@ from etglucose import harness
 from etglucose.cgmetppo import CgmEtppoTrainer, FixedCgmEtppoTrainer
 from etglucose.config import ExperimentConfig
 from etglucose.env import ApEnv, EpisodeConfig, rollout
-from etglucose.hetppo import HetppoTrainer, PinnedHetppoTrainer
+from etglucose.hetppo import HetppoTrainer
 from etglucose.neural import GaussianPolicy, HetPolicy
 from etglucose.patients import default_cohort
 from etglucose.pid import PidGains, run_pid_episode
@@ -145,8 +145,8 @@ def test_every_plant_step_comes_from_the_hold(monkeypatch):
             PATIENT, HetPolicy.create(2, rng), scenario, eval_noise_stream(0),
             cfg),
     }
-    for cls in (PpoTrainer, HetppoTrainer, PinnedHetppoTrainer,
-                CgmEtppoTrainer, FixedCgmEtppoTrainer):
+    for cls in (PpoTrainer, HetppoTrainer, CgmEtppoTrainer,
+                FixedCgmEtppoTrainer):
         trainer = cls(PATIENT, RngBundle.from_master(0), hyper=hyper,
                       episode_cfg=episode)
         runs[cls.__name__] = lambda tr=trainer: tr.run_episode(0)
