@@ -35,7 +35,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3)
     r1_only: bool = False  # cgmetppo only: drop the SMDP reward's holding bonus
     checkpoint_every: int = 0  # 0 keeps only the final checkpoint
-    cohort_file: str | None = None  # None selects the packaged cohort
+    cohort_file: str | None = None  # None selects default_cohort()
     hyper: HyperParams = field(default_factory=HyperParams)
     trigger: TriggerConfig = field(default_factory=TriggerConfig)
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)

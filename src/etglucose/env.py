@@ -162,7 +162,6 @@ class ApEnv:
         self._t = 0.0
         self.steps = 0
         self.done = False
-        self._u_prev = 0.0
         y, self._noise = cgm_read(state, self.patient, self.sensor, self._noise, noise_rng)
         self.y = y
         # Per-episode trace. y_trace holds y_0 .. y_T; the other lists hold
@@ -170,7 +169,7 @@ class ApEnv:
         self.y_trace: list[float] = [y]
         self.u_trace: list[float] = []
         self.event_trace: list[int] = []
-        return Observation(y, self._u_prev)
+        return Observation(y, 0.0)
 
     def step(self, u: float, event: bool = False) -> tuple[Observation, bool]:
         """Apply u for one control period; returns (observation, done).
@@ -194,7 +193,6 @@ class ApEnv:
         steps = self.steps = self.steps + 1
         y, self._noise = cgm_read(state, patient, self.sensor, self._noise, self._noise_rng)
         self.y = y
-        self._u_prev = u_cmd
         done = self.done = (steps >= self.cfg.horizon
                              or not (HYPO_MGDL < y < HYPER_MGDL))
         self.y_trace.append(y)

@@ -26,6 +26,7 @@ import dataclasses
 import logging
 import os
 from contextlib import contextmanager
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from .cgmetppo import ETA_HI, ETA_LO, CgmEtppoTrainer, FixedCgmEtppoTrainer
 from .config import ConfigError, ExperimentConfig, MatrixConfig
 from .env import HYPER_MGDL, STEP_MINUTES, ApEnv, rollout
 from .hetppo import HetppoTrainer, event_decide
-from .metrics import aggregate, aurr, ecf, interval_averages, tir
+from .metrics import METRICS, aggregate, aurr, ecf, interval_averages, tir
 from .neural import (
     GaussianPolicy,
     HetPolicy,
@@ -241,6 +242,12 @@ def load_gains(path: Path) -> PidGains:
         raise FileNotFoundError(f"no tuned gains at {path}; run tune-pid or train")
     with open(path) as fh:
         raw = yaml.safe_load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: gains must be a mapping")
+    for key in ("kp", "ki", "kd", "target"):
+        value = raw.get(key)
+        if not isinstance(value, Real) or isinstance(value, bool):
+            raise ValueError(f"{path}: {key} must be a number, got {value!r}")
     return PidGains(kp=raw["kp"], ki=raw["ki"], kd=raw["kd"], target=raw["target"])
 
 
@@ -337,7 +344,7 @@ def run_eval(cfg: ExperimentConfig, out_base: str | Path) -> list[Path]:
                          "aurr": aurr(rec)})
         mean_row = {
             "scenario": "mean",
-            **{m: float(np.mean([r[m] for r in rows])) for m in ("ecf", "tir", "aurr")},
+            **{m: float(np.mean([r[m] for r in rows])) for m in METRICS},
         }
         path = rd / "metrics.csv"
         lines = [METRICS_HEADER] + [
@@ -430,13 +437,13 @@ def run_matrix(matrix: MatrixConfig, out_base: str | Path) -> Path:
         per_seed = []
         for seed in cfg.seeds:
             rows = _read_csv(run_dir(out_base, cfg, seed) / "metrics.csv",
-                             ("scenario", "ecf", "tir", "aurr"))
+                             ("scenario",) + METRICS)
             per_seed.append([
-                {m: float(r[m]) for m in ("ecf", "tir", "aurr")}
+                {m: float(r[m]) for m in METRICS}
                 for r in rows if r["scenario"] != "mean"
             ])
         agg = aggregate(per_seed)
-        for m in ("ecf", "tir", "aurr"):
+        for m in METRICS:
             summary_rows.append(
                 f"{cfg.patient},{cfg.method},{m},{agg.mean[m]:.6f},"
                 f"{agg.std[m]:.6f},{agg.n_seeds}"

@@ -18,6 +18,7 @@ import numpy as np
 
 RANGE_LO = 70.0
 RANGE_HI = 180.0
+METRICS = ("ecf", "tir", "aurr")  # each names its function below
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def aggregate(per_seed_runs: list[list[dict[str, float]]]) -> AggregateResult:
         raise ValueError("aggregate needs at least one run per seed")
     means: dict[str, float] = {}
     stds: dict[str, float] = {}
-    for name in ("ecf", "tir", "aurr"):
+    for name in METRICS:
         seed_means = np.array([
             np.mean([run[name] for run in runs]) for runs in per_seed_runs
         ])

@@ -1,4 +1,4 @@
-"""Synthetic patient cohort: nominal calibration, generation, file I/O.
+"""Synthetic patient cohort: nominal calibration, generation, cohort files.
 
 Patients are generated by multiplicative +/-15% perturbation of a
 hand-calibrated nominal adult. For each draw the basal operating point is
@@ -8,13 +8,12 @@ collapses the insulin subsystem to one linear relation), then verified by
 evaluating the full right-hand side. Draws that land outside the sane
 operating envelope (basal rate too close to the pump limits, hypoglycemia
 unreachable, zero-insulin equilibrium implausible) are rejected and
-redrawn, so every shipped patient is controllable by construction.
+redrawn, so every generated patient is controllable by construction.
 """
 from __future__ import annotations
 
 import configparser
 import functools
-import importlib.resources
 from pathlib import Path
 
 from .env import HYPO_MGDL
@@ -162,9 +161,10 @@ def generate_cohort(
     cohort = []
     for idx in range(1, n + 1):
         for _ in range(1000):
-            factors = 1.0 + rng.uniform(
+            # tolist: the fields are Python floats, not numpy scalars
+            factors = (1.0 + rng.uniform(
                 -PERTURB_FRACTION, PERTURB_FRACTION, size=len(_PERTURBED_KEYS)
-            )
+            )).tolist()
             c = {
                 k: NOMINAL_ADULT[k] * f
                 for k, f in zip(_PERTURBED_KEYS, factors)
@@ -203,19 +203,17 @@ def load_cohort(path: str | Path) -> list[PatientParams]:
 
 
 @functools.cache
-def _packaged_cohort() -> tuple[PatientParams, ...]:
-    ref = importlib.resources.files("etglucose").joinpath("data/adults.ini")
-    with importlib.resources.as_file(ref) as path:
-        return tuple(load_cohort(path))
+def _default_cohort() -> tuple[PatientParams, ...]:
+    return tuple(generate_cohort())
 
 
 def default_cohort() -> list[PatientParams]:
-    """The cohort shipped with the package.
+    """The default cohort: generate_cohort() at its default size and seed.
 
-    The file is parsed and verified once per process; each call returns a
+    It is generated and verified once per process; each call returns a
     fresh list of the same frozen patients.
     """
-    return list(_packaged_cohort())
+    return list(_default_cohort())
 
 
 def get_patient(name: str, cohort: list[PatientParams] | None = None) -> PatientParams:

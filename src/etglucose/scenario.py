@@ -17,14 +17,14 @@ included slots one normal per rejection attempt (time) and one normal
 from __future__ import annotations
 
 import functools
-import importlib.resources
 import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
+
+from .seeding import named_stream
 
 log = logging.getLogger(__name__)
 
@@ -154,42 +154,22 @@ def generate_episode_scenario(
     return MealScenario(tuple(events))
 
 
-def load_scenario(path: str | Path) -> MealScenario:
-    """Read a scenario file ('#' comments and blank lines ignored)."""
-    events = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                t_str, m_str = line.split(",")
-                events.append((int(t_str), float(m_str)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad scenario line {line!r}") from exc
-    events.sort(key=lambda e: e[0])
-    return MealScenario(tuple(events))
-
-
 EVAL_SCENARIO_SEEDS = (1000, 1001, 1002, 1003, 1004)
 
 
 @functools.cache
-def _packaged_eval_scenarios() -> tuple[MealScenario, ...]:
-    scenarios = []
-    for seed in EVAL_SCENARIO_SEEDS:
-        ref = importlib.resources.files("etglucose").joinpath(
-            f"data/scenarios/eval_{seed}.txt"
-        )
-        with importlib.resources.as_file(ref) as path:
-            scenarios.append(load_scenario(path))
-    return tuple(scenarios)
+def _default_eval_scenarios() -> tuple[MealScenario, ...]:
+    return tuple(
+        generate_episode_scenario(DEFAULT_MEAL_SPECS, named_stream(seed, "scenario"), 2)
+        for seed in EVAL_SCENARIO_SEEDS
+    )
 
 
 def default_eval_scenarios() -> list[MealScenario]:
-    """The evaluation scenarios shipped with the package.
+    """The five fixed evaluation scenarios: one 2-day draw from the
+    "scenario" stream of each of EVAL_SCENARIO_SEEDS.
 
-    The files are parsed once per process; each call returns a fresh list
-    of the same frozen scenarios.
+    They are drawn once per process; each call returns a fresh list of
+    the same frozen scenarios.
     """
-    return list(_packaged_eval_scenarios())
+    return list(_default_eval_scenarios())

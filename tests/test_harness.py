@@ -1053,6 +1053,25 @@ class TestCli:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gains, message", [
+        ({"kp": 0.0012, "kd": 0.008, "target": 140.0}, "ki must be a number, got None"),
+        ([0.0012, 2.0e-5, 0.008, 140.0], "gains must be a mapping"),
+        ({"kp": "abc", "ki": 2.0e-5, "kd": 0.008, "target": 140.0},
+         "kp must be a number, got 'abc'"),
+    ], ids=["missing-ki", "list", "string-kp"])
+    def test_bad_gains_file_exit_two(self, tmp_path, capsys, gains, message):
+        # used to exit 2 with a bare KeyError or TypeError text, the last
+        # from inside evaluation scenario 0
+        cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict("pid"))
+        rd = tmp_path / "runs" / "pid" / "adult-001" / "seed_0"
+        rd.mkdir(parents=True)
+        path = write_yaml(rd / "gains.yaml", gains)
+        rc = cli.main(["eval", "--config", cfg_path,
+                       "--out-dir", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (rd / "metrics.csv").exists()
+
     @staticmethod
     def diverge_at(monkeypatch, call: int) -> None:
         """Make the plant step raise at its call-th call, as a diverged

@@ -444,10 +444,14 @@ class TestCohort:
         assert len(again) == 10 and again[0].name == "adult#001"
         assert again == COHORT and again is not COHORT
 
-    def test_packaged_cohort_is_the_generated_one(self):
-        # data/adults.ini is what generate_cohort() builds: dataclass
-        # equality compares every field, the basal state included
-        assert default_cohort() == generate_cohort()
+    def test_default_cohort_digest(self):
+        # One sha256 over the repr of every stored field of the 10 patients,
+        # the basal state included; recorded from the cohort file that the
+        # package used to ship, which was generate_cohort()'s output.
+        fields = [f.name for f in dataclasses.fields(PatientParams) if f.init]
+        text = repr([[getattr(p, f) for f in fields] for p in default_cohort()])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e370ddd1c45c92cf14cca0f1c2999fcc83f6e577338f05601729b9b6b1a65276")
 
     def test_generation_is_deterministic(self):
         a = generate_cohort(n=3)

@@ -1,4 +1,6 @@
 """Meal scenario generation and carbohydrate delivery tests."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,29 +12,10 @@ from etglucose.scenario import (
     RATE_MG_PER_MIN,
     default_eval_scenarios,
     generate_daily_scenario,
-    EVAL_SCENARIO_SEEDS,
     generate_episode_scenario,
-    load_scenario,
     meal_rate_at,
     sample_truncated_normal,
 )
-from etglucose.seeding import named_stream
-
-
-def save_scenario(scenario: MealScenario, path) -> None:
-    """Write a scenario as plain text, one 't_min,carb_g' line per meal."""
-    with open(path, "w") as fh:
-        fh.write("# meal scenario: t_min,carb_g\n")
-        for t, m in scenario.events:
-            fh.write(f"{int(t)},{float(m)!r}\n")
-
-
-def generate_eval_scenarios(n_days: int = 2) -> list[MealScenario]:
-    """Regenerate the five fixed evaluation scenarios from reserved seeds."""
-    return [
-        generate_episode_scenario(DEFAULT_MEAL_SPECS, named_stream(seed, "scenario"), n_days)
-        for seed in EVAL_SCENARIO_SEEDS
-    ]
 
 
 def _point_specs():
@@ -162,30 +145,18 @@ class TestDelivery:
             MealScenario(((10, -1.0),))
 
 
-class TestScenarioFiles:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(77)
-        scen = generate_episode_scenario(DEFAULT_MEAL_SPECS, rng)
-        path = tmp_path / "scen.txt"
-        save_scenario(scen, path)
-        back = load_scenario(path)
-        assert back.events == scen.events
+class TestEvalScenarios:
+    def test_default_eval_scenarios_digest(self):
+        # One sha256 over every (minute, grams) event of the five scenarios;
+        # recorded from the scenario files that the package used to ship,
+        # which were the generator's output from the reserved seeds.
+        scenarios = default_eval_scenarios()
+        assert len(scenarios) == 5
+        text = repr([sc.events for sc in scenarios])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d55204d9a0d6908f28e1f6ffdf06245d5a88ee5aa536ec789d1fb558d2942d3f")
 
-    def test_bad_line_reports_location(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("# header\n420,45.0\nnot-a-meal\n")
-        with pytest.raises(ValueError, match="bad scenario line"):
-            load_scenario(path)
-
-    def test_packaged_eval_scenarios_match_generator(self):
-        # The shipped files are the generator's output from the reserved seeds.
-        packaged = default_eval_scenarios()
-        generated = generate_eval_scenarios()
-        assert len(packaged) == len(generated) == 5
-        for got, want in zip(packaged, generated):
-            assert got.events == want.events
-
-    def test_packaged_eval_scenario_list_is_fresh_per_call(self):
+    def test_default_eval_scenario_list_is_fresh_per_call(self):
         first = default_eval_scenarios()
         want = [sc.events for sc in first]
         first.reverse()
