@@ -3,7 +3,7 @@
 A self-contained library + CLI: a 13-state virtual-patient plant with a
 CGM sensor and insulin pump, randomized meal scenarios, PPO trainers for
 periodic, event-augmented, and CGM-threshold-triggered (SMDP) control, a
-tuned PID baseline, and the evaluation metric/plotting pipeline.
+tuned PID baseline, and greedy evaluation that writes metrics and figure data.
 """
 
 __version__ = "0.1.0"

@@ -1,10 +1,9 @@
 """Command-line entry point.
 
-    etglucose train        --config c.yaml [--seed N] [--out-dir D]
-    etglucose eval         --config c.yaml [--seed N] [--out-dir D]
-    etglucose tune-pid     --config c.yaml [--out-dir D]
-    etglucose export-plots --config c.yaml [--seed N] [--out-dir D]
-    etglucose matrix       --config m.yaml [--out-dir D]
+    etglucose train    --config c.yaml [--seed N] [--out-dir D]
+    etglucose eval     --config c.yaml [--seed N] [--out-dir D]
+    etglucose tune-pid --config c.yaml [--out-dir D]
+    etglucose matrix   --config m.yaml [--out-dir D]
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -44,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("eval", "greedy evaluation of trained runs on the fixed scenarios")
     add("tune-pid", "grid-search PID gains for the configured patient",
         seed_flag=False)
-    add("export-plots", "bundle evaluation traces into plot-ready CSVs")
     add("matrix", "run the full method x patient sweep", seed_flag=False)
     return parser
 
@@ -80,9 +78,6 @@ def main(argv=None) -> int:
             gains, score = harness.tune_pid(cfg, args.out_dir)
             print(f"kp={gains.kp} ki={gains.ki} kd={gains.kd} "
                   f"target={gains.target} mean_tir={score:.2f}")
-        elif args.command == "export-plots":
-            for path in harness.export_plotdata(cfg, args.out_dir):
-                print(path)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Run orchestration: training, greedy evaluation, tuning, export, sweeps.
+"""Run orchestration: training, greedy evaluation, tuning, sweeps.
 
 Directory layout under the output base:
 
@@ -9,9 +9,9 @@ Directory layout under the output base:
         train_log.csv         per-episode training statistics
         updates.csv           per-update optimizer diagnostics
         metrics.csv           per-scenario evaluation metrics + mean row
-        eval_trace_scen<i>.csv  per-step evaluation traces
-        hist.csv              (interval-average CGM, threshold) counts
-        plotdata/             export-plots output
+        eval_trace_scen<i>.csv  per-step evaluation traces with meal rates
+        hist.csv              (interval-average CGM, threshold) counts at
+                              bin centers
 
 Every file above is written through write_atomic, so an interrupted run
 leaves either the previous file or the new one.
@@ -55,7 +55,7 @@ from .seeding import RngBundle, eval_noise_stream
 
 log = logging.getLogger(__name__)
 
-TRACE_HEADER = "step,t_min,y,u,event,eta"
+TRACE_HEADER = "step,t_min,y,u,event,eta,meal_mg_min"
 METRICS_HEADER = "patient,method,seed,scenario,ecf,tir,aurr"
 # Histogram bins for the (interval-average CGM, threshold) counts. An
 # interval averages CGM values that did not end the episode, all inside
@@ -158,16 +158,21 @@ def load_policy(path: Path) -> tuple[str, object, Mlp, bool]:
                          "(pin_events 1), which is per-step PPO; retrain "
                          "it with method: ppo")
     policy_cls = HetPolicy if method == "hetppo" else GaussianPolicy
-    policy = policy_cls(unpack_mlp("policy", data),
-                        np.array(data["policy_log_std"], dtype=float))
-    return method, policy, unpack_mlp("value", data), False
+    try:
+        policy = policy_cls(unpack_mlp("policy", data),
+                            np.array(data["policy_log_std"], dtype=float))
+        vnet = unpack_mlp("value", data)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    return method, policy, vnet, False
 
 
 # ---------------------------------------------------------------------------
 # Greedy evaluation rollouts, one entry point per controller over the one
 # loop env.rollout. Each returns (EpisodeRecord, trace rows); a trace row
-# is (step, t_min, y, u, event, eta_text) with y the CGM the step's command
-# was decided on and eta_text the threshold in force ("" untriggered).
+# is (step, t_min, y, u, event, eta_text, meal) with y the CGM the step's
+# command was decided on, eta_text the threshold in force ("" untriggered)
+# and meal the scenario's carbohydrate rate at t_min.
 
 
 def _roll(patient, scenario, noise_rng, cfg: ExperimentConfig, decide):
@@ -180,7 +185,8 @@ def _roll(patient, scenario, noise_rng, cfg: ExperimentConfig, decide):
         for k, eta in enumerate(rec.thresholds):
             etas[bounds[k]:bounds[k + 1]] = [f"{eta:.6f}"] * (bounds[k + 1] - bounds[k])
     return rec, [
-        (h, h * STEP_MINUTES, env.y_trace[h], env.u_trace[h], env.event_trace[h], etas[h])
+        (h, h * STEP_MINUTES, env.y_trace[h], env.u_trace[h], env.event_trace[h],
+         etas[h], meal_rate_at(h * STEP_MINUTES, scenario))
         for h in range(rec.T)
     ]
 
@@ -312,10 +318,8 @@ def eval_records(cfg: ExperimentConfig, patient, out_base: str | Path, seed: int
             raise FileNotFoundError(f"no checkpoint at {path}; train first")
         method, controller, _vnet, _pin = load_policy(path)
         if method != cfg.method:
-            raise ValueError(
-                f"checkpoint method {method!r} does not match config "
-                f"method {cfg.method!r}"
-            )
+            raise ValueError(f"{path}: checkpoint method {method!r} does not "
+                             f"match config method {cfg.method!r}")
         roll = (roll_hetppo if method == "hetppo" else
                 roll_ppo if method == "ppo" else roll_cgmetppo)
     rolled = []
@@ -335,8 +339,8 @@ def run_eval(cfg: ExperimentConfig, out_base: str | Path) -> list[Path]:
         rows = []
         for i, (rec, trace) in enumerate(rolled):
             lines = [TRACE_HEADER + "\n"] + [
-                f"{step},{t_min:.1f},{y:.6f},{u:.8f},{event},{eta}\n"
-                for step, t_min, y, u, event, eta in trace
+                f"{step},{t_min:.1f},{y:.6f},{u:.8f},{event},{eta},{meal:.1f}\n"
+                for step, t_min, y, u, event, eta, meal in trace
             ]
             write_atomic(rd / f"eval_trace_scen{i}.csv",
                          lambda fh: fh.writelines(lines))
@@ -357,10 +361,12 @@ def run_eval(cfg: ExperimentConfig, out_base: str | Path) -> list[Path]:
             counts = sum(np.histogram2d(*interval_averages(rec),
                                         bins=(CGM_HIST_EDGES, ETA_HIST_EDGES))[0]
                          for rec, _ in rolled)
-            hist = ["cgm_lo,eta_lo,count\n"] + [
-                f"{CGM_HIST_EDGES[a]:.1f},{ETA_HIST_EDGES[b]:.1f},"
-                f"{int(counts[a, b])}\n"
-                for a in range(counts.shape[0]) for b in range(counts.shape[1])
+            cgm_centers = (CGM_HIST_EDGES[:-1] + CGM_HIST_EDGES[1:]) / 2
+            eta_centers = (ETA_HIST_EDGES[:-1] + ETA_HIST_EDGES[1:]) / 2
+            hist = ["cgm_center,eta_center,count\n"] + [
+                f"{cgm:.1f},{eta:.1f},{int(counts[a, b])}\n"
+                for a, cgm in enumerate(cgm_centers)
+                for b, eta in enumerate(eta_centers)
             ]
             write_atomic(rd / "hist.csv", lambda fh: fh.writelines(hist))
         paths.append(path)
@@ -369,7 +375,7 @@ def run_eval(cfg: ExperimentConfig, out_base: str | Path) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
-# Plot-data export
+# Full sweep
 
 
 def _read_csv(path: Path, required: tuple[str, ...]) -> list[dict[str, str]]:
@@ -382,50 +388,6 @@ def _read_csv(path: Path, required: tuple[str, ...]) -> list[dict[str, str]]:
         if col not in header:
             raise ValueError(f"{path.name}: missing column: {col}")
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
-
-
-def export_plotdata(cfg: ExperimentConfig, out_base: str | Path) -> list[Path]:
-    """Bundle evaluation traces into plot-ready CSVs.
-
-    Time-response files align CGM, command, threshold, and the meal
-    delivery rate minute-grid values at each control step; the histogram
-    bundle re-emits hist.csv with bin centers.
-    """
-    scenarios = default_eval_scenarios()
-    out = []
-    for seed in cfg.seeds:
-        rd = run_dir(out_base, cfg, seed)
-        pd = rd / "plotdata"
-        pd.mkdir(parents=True, exist_ok=True)
-        for i, sc in enumerate(scenarios):
-            rows = _read_csv(rd / f"eval_trace_scen{i}.csv",
-                             ("step", "t_min", "y", "u", "event", "eta"))
-            dst = pd / f"timeresponse_scen{i}.csv"
-            lines = ["t_min,y,u,event,eta,meal_mg_min\n"] + [
-                f"{r['t_min']},{r['y']},{r['u']},{r['event']},{r['eta']},"
-                f"{meal_rate_at(float(r['t_min']), sc):.1f}\n"
-                for r in rows
-            ]
-            write_atomic(dst, lambda fh: fh.writelines(lines))
-            out.append(dst)
-        hist = rd / "hist.csv"
-        if hist.exists():
-            rows = _read_csv(hist, ("cgm_lo", "eta_lo", "count"))
-            c_w = CGM_HIST_EDGES[1] - CGM_HIST_EDGES[0]
-            e_w = ETA_HIST_EDGES[1] - ETA_HIST_EDGES[0]
-            dst = pd / "hist_points.csv"
-            lines = ["cgm_center,eta_center,count\n"] + [
-                f"{float(r['cgm_lo']) + c_w / 2:.1f},"
-                f"{float(r['eta_lo']) + e_w / 2:.1f},{r['count']}\n"
-                for r in rows
-            ]
-            write_atomic(dst, lambda fh: fh.writelines(lines))
-            out.append(dst)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Full sweep
 
 
 def run_matrix(matrix: MatrixConfig, out_base: str | Path) -> Path:

@@ -9,6 +9,7 @@ in the test suite.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,14 +333,22 @@ def save_checkpoint(path, method: str, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> tuple[str, dict]:
-    """Returns (method, arrays); refuses checkpoints of another version."""
-    with np.load(path, allow_pickle=False) as npz:
-        data = {k: npz[k] for k in npz.files}
-    version = int(data.pop("format_version", -1))
+    """Returns (method, arrays). Refuses a file that is not an .npz, one
+    without its version or method, and one of another version, each with
+    a ValueError naming path."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
+            raise ValueError
+        with npz:
+            data = {k: npz[k] for k in npz.files}
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise ValueError(f"{path}: not an .npz checkpoint") from None
+    for key in ("format_version", "method"):
+        if key not in data:
+            raise ValueError(f"{path}: missing key {key!r}")
+    version = int(data.pop("format_version"))
     if version != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"checkpoint version {version} not supported "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
-    method = str(data.pop("method"))
-    return method, data
+        raise ValueError(f"{path}: checkpoint version {version} not supported "
+                         f"(expected {CHECKPOINT_VERSION})")
+    return str(data.pop("method")), data

@@ -1,14 +1,16 @@
 """Golden output digests: every trainer variant, trained and evaluated.
 
-The CSV digests were recorded before the trainers were merged onto one
-SMDP core. Every digest hashes a file's raw bytes, so a checkpoint's
-array headers and memory order count as much as its values: any change
-to a training or evaluation path that alters a single byte of an output
-file fails here. Each learning variant trains 2 episodes of 240 steps
-with a buffer of 8, so every one runs at least two optimizer updates,
-then evaluates greedily on the five fixed scenarios. The pid variant
-grid-searches a small grid over the same 240-step episodes instead and
-evaluates the gains it found.
+The train_log, updates and metrics digests were recorded before the
+trainers were merged onto one SMDP core. The trace and histogram digests
+were re-recorded when the traces gained a meal-rate column and the
+histogram moved from bin edges to bin centers. Every digest hashes a
+file's raw bytes, so a checkpoint's array headers and memory order count
+as much as its values: any change to a training or evaluation path that
+alters a single byte of an output file fails here. Each learning variant
+trains 2 episodes of 240 steps with a buffer of 8, so every one runs at
+least two optimizer updates, then evaluates greedily on the five fixed
+scenarios. The pid variant grid-searches a small grid over the same
+240-step episodes instead and evaluates the gains it found.
 
 The bytes depend on the numeric kernels the process runs: the core type
 numpy's bundled OpenBLAS picks and whether numpy dispatches to its
@@ -67,11 +69,11 @@ SKYLAKEX_AVX512: dict[str, dict[str, str]] = {
         "train_log.csv": "1ba0ec5b54e36c8d6e7d3a046a40b8fb3e58185041c271d44efda29e427d8cf1",
         "updates.csv": "cc774310548c8e4726e7619a977116af36c357bf13a8b82f6e50792c4ea21f0f",
         "metrics.csv": "f115bcff369feb511965893169bc8dce5a3bb44cc793b3b7344052f84650f756",
-        "eval_trace_scen0.csv": "ed09c832885adac3d6f2be36b1b3c68ca13e8ec5822aac53a3ed7245cd6fc3b1",
-        "eval_trace_scen1.csv": "ac21afafea09ca1942b9ee7b8ede12b44db017fda0afcadf757a00fbcc1eab94",
-        "eval_trace_scen2.csv": "7fbddeb6b2808bc9f86d193edb5daf72e1f6c552d339bd518fecb78396df46ca",
-        "eval_trace_scen3.csv": "ca798822421ba6595aee89db380171d0fbfd9a9a9b729c8b579767f63a9db2e1",
-        "eval_trace_scen4.csv": "fe5ede66d11c129a7d15d60863fb12e5dd4a140369ff2390007fe64263746bba",
+        "eval_trace_scen0.csv": "13db48ec55e8b5ff30dc3097c6aab421de5eeca0614286f3115314454136f025",
+        "eval_trace_scen1.csv": "e263251394da330a1880e0d79193a5ceaf02159bcaf4bfd20f8d184891b38aa4",
+        "eval_trace_scen2.csv": "ba7cae9ca2a1107a375d05927fa0620e385931de71309bfcfb577be104e80e48",
+        "eval_trace_scen3.csv": "fd34978785a78f701c648719b27c161abe82ea736fddd4d547000587f641632e",
+        "eval_trace_scen4.csv": "f1688a419fae75e181275d3806a0f87c77060b79c6399775eaa1a96b52bb4bea",
         "checkpoint.npz": "6aab9a38bccf103cd0969abc529158b590f7c4b40a4c39c31d7aff0550d53ac2",
         "checkpoint_ep1.npz": "b92bb9a9a278e30c07388b0a68232e8a8169c97e61cd2cccdec9e860168410b5",
         "checkpoint_ep2.npz": "6aab9a38bccf103cd0969abc529158b590f7c4b40a4c39c31d7aff0550d53ac2",
@@ -80,11 +82,11 @@ SKYLAKEX_AVX512: dict[str, dict[str, str]] = {
         "train_log.csv": "bfe97db3b8aecf2c57b535dddd018b4ac5e2a5925a6e2036f10b95520dee6274",
         "updates.csv": "3d813b5fffa5ef44e3123f82152749ecb4b74a5ecfe3f152db1ad36fc4380dc4",
         "metrics.csv": "ca9dcde30be2dbd70bdb81e8bb2187c5b0955f0c40929eb1a78e5f57bbcbd86c",
-        "eval_trace_scen0.csv": "89e1dc442e566aca51762ecfa0d534e0bb142365f28306c6ed35cd815c6335fa",
-        "eval_trace_scen1.csv": "56afad2846568751b62b06ead9e13ddfbc5b4b1356ac10570edb5058f4a87896",
-        "eval_trace_scen2.csv": "9d869007e80a005d671dc6fa494e3e9be33abe5c886d69eec5cf9a5b980de289",
-        "eval_trace_scen3.csv": "57c7ef66ccac0004b1e2b3098a6c153d3d3dd907ea5a29d828e38d6e7fee1634",
-        "eval_trace_scen4.csv": "8ff9f290fc19ce0f6f1ca2432d4be245c03e88a7daf873ab48530a64de128dc2",
+        "eval_trace_scen0.csv": "41e7881f7bf260d058731bac358877dd77960cec68db208a46d52a0685c389b4",
+        "eval_trace_scen1.csv": "56b759c9d15bba27001d8633b24cc37f1b1d8231a187674a0a0b2ae42227badd",
+        "eval_trace_scen2.csv": "7cfdfaec9dc82a5125dc49ad64f97070c81d90e8cc50212acf9753ebb3b97326",
+        "eval_trace_scen3.csv": "57b975a9eb76989e32b1282d958520319d63d07309802980de894434bd46b1f1",
+        "eval_trace_scen4.csv": "bc8ce3b1b0707c72d9cb4d5d859cc81fc5816c02490ef41bfcd082d129e15809",
         "checkpoint.npz": "92cb4ee8951b3b8288c1b7a4363bcc26531107cee749fe28e8512f76efaac2d3",
         "checkpoint_ep1.npz": "3d3f1042abccebe93010250dc2bb4da8a6b567b28b44e8df99cf5939d08be0b2",
         "checkpoint_ep2.npz": "92cb4ee8951b3b8288c1b7a4363bcc26531107cee749fe28e8512f76efaac2d3",
@@ -93,11 +95,11 @@ SKYLAKEX_AVX512: dict[str, dict[str, str]] = {
         "train_log.csv": "393b121048c7a4df2f813d57f61476a5e966a4beaa7b742deef8e44c914f33e7",
         "updates.csv": "bfb3510625e762d0f6ddd23f2183df92261331988094f6c4d9753b501f5d7d67",
         "metrics.csv": "07ede92ad1089a3d2d163046f7a32000aaba8477e3f3d5b82c802ec304d7731a",
-        "eval_trace_scen0.csv": "2ce041d60684e464b0966cebe67b6601dda8d75353596332299f491e051c3452",
-        "eval_trace_scen1.csv": "e3f7ce8dc5dd42a5c3fd9270fc6922123a187bc707dc3f60c6662c2def0179b1",
-        "eval_trace_scen2.csv": "90361a37bb89615eb13aab2322c7810e2bc0eaeac41bf60b68de7b3acedc127e",
-        "eval_trace_scen3.csv": "d1e3cf1cf71ed5d4ae088d96f70bee34a6db03a604a32494d659f8a897d9331c",
-        "eval_trace_scen4.csv": "5d30d0d804ff061bc1fe2252a34ea3d9f0aa0773a283f1eeff88b18bef973f18",
+        "eval_trace_scen0.csv": "f49d2cbe76b1dfab8fe997f48a1210cc771a100b2baea2d63f8ce942fed6d921",
+        "eval_trace_scen1.csv": "e8260c5d633b15a935c201889adac66ec35dcd5a993bccf6ab5dd0218bbc4947",
+        "eval_trace_scen2.csv": "f40b52f89f6c164f3a5bbaf468c3560838a899cadf013be1893ca17141e627af",
+        "eval_trace_scen3.csv": "e43f0ebc1514396415e98b02cbe76f6e2cd1302445ee0058e9a19a5d01f97074",
+        "eval_trace_scen4.csv": "5b8392070994a3be8d0bb346825fd95020550dccfab804025647fd634545f29f",
         "checkpoint.npz": "eb79a62bc2c8729c2c5e45fc02a9927495e0d5f40bbf0d0bff2c72f9c560da7b",
         "checkpoint_ep1.npz": "3548059f299a3128fcce618ad8cee343e44e908da4c896a7ab3a51e1b4264d62",
         "checkpoint_ep2.npz": "eb79a62bc2c8729c2c5e45fc02a9927495e0d5f40bbf0d0bff2c72f9c560da7b",
@@ -106,11 +108,11 @@ SKYLAKEX_AVX512: dict[str, dict[str, str]] = {
         "train_log.csv": "efbd7d9918693f82f9bdc7615926112109c6582c01d8db00444ba047bba0074a",
         "updates.csv": "f7c88f1f56ea0a11f2e4dabbf5c33a95a86f360f4a93aad5a19cb59938b8d482",
         "metrics.csv": "07ede92ad1089a3d2d163046f7a32000aaba8477e3f3d5b82c802ec304d7731a",
-        "eval_trace_scen0.csv": "2ce041d60684e464b0966cebe67b6601dda8d75353596332299f491e051c3452",
-        "eval_trace_scen1.csv": "e3f7ce8dc5dd42a5c3fd9270fc6922123a187bc707dc3f60c6662c2def0179b1",
-        "eval_trace_scen2.csv": "90361a37bb89615eb13aab2322c7810e2bc0eaeac41bf60b68de7b3acedc127e",
-        "eval_trace_scen3.csv": "d1e3cf1cf71ed5d4ae088d96f70bee34a6db03a604a32494d659f8a897d9331c",
-        "eval_trace_scen4.csv": "5d30d0d804ff061bc1fe2252a34ea3d9f0aa0773a283f1eeff88b18bef973f18",
+        "eval_trace_scen0.csv": "f49d2cbe76b1dfab8fe997f48a1210cc771a100b2baea2d63f8ce942fed6d921",
+        "eval_trace_scen1.csv": "e8260c5d633b15a935c201889adac66ec35dcd5a993bccf6ab5dd0218bbc4947",
+        "eval_trace_scen2.csv": "f40b52f89f6c164f3a5bbaf468c3560838a899cadf013be1893ca17141e627af",
+        "eval_trace_scen3.csv": "e43f0ebc1514396415e98b02cbe76f6e2cd1302445ee0058e9a19a5d01f97074",
+        "eval_trace_scen4.csv": "5b8392070994a3be8d0bb346825fd95020550dccfab804025647fd634545f29f",
         "checkpoint.npz": "476bf772b5d36f844cfb405fe6378d296395b5d2fe52743dff08a8d949e83933",
         "checkpoint_ep1.npz": "3548059f299a3128fcce618ad8cee343e44e908da4c896a7ab3a51e1b4264d62",
         "checkpoint_ep2.npz": "476bf772b5d36f844cfb405fe6378d296395b5d2fe52743dff08a8d949e83933",
@@ -119,24 +121,24 @@ SKYLAKEX_AVX512: dict[str, dict[str, str]] = {
         "train_log.csv": "402edd7d01c2835a00519b51606a638ae46d9b3d59d03fa2571d47ff777d8d3f",
         "updates.csv": "b3dfc6e957147ea3dd2ac5361ee9e50af9f75ed4d82235c0d0118ada111fc523",
         "metrics.csv": "c1966d4230c856371cc09da2554e213c928c2c7fd77844f57ab0ff87abf2cbf0",
-        "eval_trace_scen0.csv": "a59013470d714e4a9a266b0b06a8beea8f4275a5ed329856bc3b51357e7f6a4c",
-        "eval_trace_scen1.csv": "9d58b57524d4836f2639c842f1685e013a4d28cf844fb362db40c1e02dccd9fc",
-        "eval_trace_scen2.csv": "fa363f85f2d1d503e6296c3065d4f23d90db0edede92ab99ab150970d2b2f445",
-        "eval_trace_scen3.csv": "1b33601d557a1fff1bc3aa53b4ddf809b20d1051c9ca0cec24e427d7b4ba5293",
-        "eval_trace_scen4.csv": "00d6cd7fea060f05b283cbfd24737ceb5983d9140d8306037838d050fcdcfd9e",
+        "eval_trace_scen0.csv": "ccbf408c1de91d831b1116b3fb6d328dbc6d0c9c8153b87d8039b792a76fc750",
+        "eval_trace_scen1.csv": "35702331a3a5b9c78ba3cf2426ded0b379ed59566c63a92adc00abf19593487b",
+        "eval_trace_scen2.csv": "1c56b3afa45fc17fc6eed29a5b28cb2a63db0de426bc3b372856df609bc00b13",
+        "eval_trace_scen3.csv": "56c1ede5c30740945dba2890afdb3e89d8a48909258001b2b7409347cd01c76f",
+        "eval_trace_scen4.csv": "1f331a80fee9eaac0f7c2ddb87369558cb074831dd2a695cbae6a278cdd86085",
         "checkpoint.npz": "94229e42c5457f66ee625fc5f4570f70e1ac6a5d3ccab9e2b5bed73d2bf59c6e",
         "checkpoint_ep1.npz": "5e91ca75b9a40084a3161262072c8828095001e64a8f1ac0fbf14c4b53bf76b6",
         "checkpoint_ep2.npz": "94229e42c5457f66ee625fc5f4570f70e1ac6a5d3ccab9e2b5bed73d2bf59c6e",
-        "hist.csv": "aad8a433c25a351061e4902f8052456f6f8c922f9cf5a330dc4c34fb22d4382d",
+        "hist.csv": "eeaee99084fa730691534a2d1897cf0c004008045be739214ef3c999f8229f8c",
     },
     "pid": {
         "gains.yaml": "13bcf992fe99493f8bd3301115cb1825027e1a81cde167e87d4a6e215cdd825f",
         "metrics.csv": "c674f35a4adef26d5c8072999e57315b23a10446ba127a48d3aae299b33bc131",
-        "eval_trace_scen0.csv": "974b7f3e59ffd70af8f792490af2e95bdfe6d0305062dd206dcc3d5fef9c5152",
-        "eval_trace_scen1.csv": "63eb1f0bd89487b63116398bfabd305e96d9c6b450619e29d5ff2c4add6759db",
-        "eval_trace_scen2.csv": "9187ab4e60401303c5764540a59d9cfc857ff4887fc33d0dbda7f822d9562f5f",
-        "eval_trace_scen3.csv": "90391af6a2d5a85d2c9f7d092a484d0756a98c66e9af6137a582a4dc36341ac4",
-        "eval_trace_scen4.csv": "06af3aba1b8fa0641f47e8c6d52a967da7060c4205f78d3be265c06daae46478",
+        "eval_trace_scen0.csv": "a1b3b55ba290288aa24f3a25da5edcc4eec22ef949cb6cb4da495cab18ee6799",
+        "eval_trace_scen1.csv": "82dc925aec27dfac0c0902783fdfa7b4429bcb290bc1c292ec3b5200fa900227",
+        "eval_trace_scen2.csv": "b2781e60b55a8d7d60c051388abcc7ba3dc427a943931ecf2f92815f1dc0fc5f",
+        "eval_trace_scen3.csv": "46176d4c834ce15de8d60a5b51d9d2c5adade34e2d34a0ed422e09e254d31d28",
+        "eval_trace_scen4.csv": "3ae4726c43d2bbb1a4acf69996f320f13f381bc14b7cb6919d94c0473c27f6ca",
     },
 }
 

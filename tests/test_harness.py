@@ -55,7 +55,7 @@ from etglucose.neural import (
 )
 from etglucose.patients import default_cohort
 from etglucose.plant import PlantDivergedError
-from etglucose.scenario import default_eval_scenarios
+from etglucose.scenario import default_eval_scenarios, meal_rate_at
 from etglucose.seeding import eval_noise_stream
 from reference_adam import PerArrayState, per_array_adam_step
 
@@ -647,11 +647,32 @@ class TestTrainEval:
             assert etas == {f"{cfg.trigger.fixed_eta:.6f}"}
 
     def test_eval_is_byte_deterministic(self, tmp_path):
-        cfg = tiny_cfg("cgmetppo-fixed")
+        cfg = tiny_cfg("cgmetppo-variable")
         run_train(cfg, tmp_path)
-        path = run_eval(cfg, tmp_path)[0]
-        first = path.read_bytes()
-        assert run_eval(cfg, tmp_path)[0].read_bytes() == first
+        run_eval(cfg, tmp_path)
+        rd = run_dir(tmp_path, cfg, 0)
+        names = ["metrics.csv", "hist.csv",
+                 *(f"eval_trace_scen{i}.csv" for i in range(5))]
+        first = {name: (rd / name).read_bytes() for name in names}
+        run_eval(cfg, tmp_path)
+        assert {name: (rd / name).read_bytes() for name in names} == first
+
+    @pytest.mark.parametrize("method", ["ppo", "cgmetppo-fixed"])
+    def test_trace_meal_rates(self, tmp_path, method):
+        # the meal column is the scenario's rate at the row's time, per-step
+        # and triggered alike
+        cfg = tiny_cfg(method, episodes=1)
+        run_train(cfg, tmp_path)
+        run_eval(cfg, tmp_path)
+        rd = run_dir(tmp_path, cfg, 0)
+        meals = []
+        for i, sc in enumerate(default_eval_scenarios()):
+            rows = _read_csv(rd / f"eval_trace_scen{i}.csv", ("t_min", "meal_mg_min"))
+            for r in rows:
+                want = meal_rate_at(float(r["t_min"]), sc)
+                assert float(r["meal_mg_min"]) == want, (i, r)
+                meals.append(want)
+        assert any(meals) and not all(meals)
 
     def test_retrain_reproduces_metrics(self, tmp_path):
         cfg = tiny_cfg("cgmetppo-fixed")
@@ -684,7 +705,9 @@ class TestTrainEval:
         run_train(cfg, tmp_path)
         run_eval(cfg, tmp_path)
         rd = run_dir(tmp_path, cfg, 0)
-        hist = _read_csv(rd / "hist.csv", ("cgm_lo", "eta_lo", "count"))
+        assert read_rows(rd / "hist.csv")[0] == "cgm_center,eta_center,count"
+        hist = _read_csv(rd / "hist.csv", ("cgm_center", "eta_center", "count"))
+        assert all(float(r["cgm_center"]) % 10 == 0 for r in hist)
         assert all(int(r["count"]) >= 0 for r in hist)
         total = sum(int(r["count"]) for r in hist)
         events = 0
@@ -858,7 +881,7 @@ class TestGreedyRollout:
             assert 0 < rec.K < rec.T  # both branches run
             assert rec.update_times == tuple(times)
             assert rec.y_trace == tuple(env.y_trace) and rec.thresholds is None
-            assert [r[2:] for r in rows] == [
+            assert [r[2:6] for r in rows] == [
                 (y, u, e, "") for y, u, e in
                 zip(env.y_trace, env.u_trace, env.event_trace)
             ]
@@ -905,59 +928,7 @@ class TestEpisodeEntryPoints:
         assert "run_episode" not in FixedCgmEtppoTrainer.__dict__
 
 
-class TestExportAndMatrix:
-    def test_export_plotdata(self, tmp_path):
-        cfg = tiny_cfg("cgmetppo-variable", episodes=1)
-        run_train(cfg, tmp_path)
-        run_eval(cfg, tmp_path)
-        from etglucose.harness import export_plotdata
-
-        out = export_plotdata(cfg, tmp_path)
-        rd = run_dir(tmp_path, cfg, 0)
-        names = {p.name for p in out}
-        assert names == {f"timeresponse_scen{i}.csv" for i in range(5)} | {
-            "hist_points.csv"
-        }
-        for i in range(5):
-            rows = read_rows(rd / "plotdata" / f"timeresponse_scen{i}.csv")
-            assert rows[0] == "t_min,y,u,event,eta,meal_mg_min"
-            trace = read_rows(rd / f"eval_trace_scen{i}.csv")
-            assert len(rows) == len(trace)
-            assert all(float(r.split(",")[5]) >= 0.0 for r in rows[1:])
-        pts = _read_csv(rd / "plotdata" / "hist_points.csv",
-                        ("cgm_center", "eta_center", "count"))
-        assert all(float(r["cgm_center"]) % 10 == 0 for r in pts)
-
-    @pytest.mark.parametrize("target", ["timeresponse_scen0.csv", "hist_points.csv"])
-    def test_failed_export_write_keeps_previous_file(self, tmp_path, monkeypatch,
-                                                     target):
-        from etglucose.harness import export_plotdata
-
-        cfg = tiny_cfg("cgmetppo-variable", episodes=1)
-        run_train(cfg, tmp_path)
-        run_eval(cfg, tmp_path)
-        export_plotdata(cfg, tmp_path)
-        path = run_dir(tmp_path, cfg, 0) / "plotdata" / target
-        before = path.read_bytes()
-
-        def open_(file, mode="r", *args, **kwargs):
-            fh = builtins.open(file, mode, *args, **kwargs)
-            return HalfWrite(fh) if str(file).endswith(target + ".tmp") else fh
-
-        monkeypatch.setattr(harness, "open", open_, raising=False)
-        with pytest.raises(OSError, match="disk full"):
-            export_plotdata(cfg, tmp_path)
-        assert path.read_bytes() == before
-        assert not list(tmp_path.rglob("*.tmp"))
-
-    def test_export_requires_eval(self, tmp_path):
-        cfg = tiny_cfg("ppo", episodes=1)
-        run_train(cfg, tmp_path)
-        from etglucose.harness import export_plotdata
-
-        with pytest.raises(FileNotFoundError, match="missing file"):
-            export_plotdata(cfg, tmp_path)
-
+class TestMatrix:
     def test_read_csv_missing_column(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("a,b\n1,2\n")
@@ -1072,6 +1043,32 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (rd / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"policy_log_std": None}, "missing key 'policy_log_std'"),
+        ({"method": None}, "missing key 'method'"),
+        ({"format_version": 2}, "checkpoint version 2 not supported (expected 1)"),
+        (None, "not an .npz checkpoint"),
+    ], ids=["missing-key", "missing-method", "version", "not-npz"])
+    def test_bad_checkpoint_exit_two(self, tmp_path, capsys, patient, edit,
+                                     message):
+        # used to exit 2 with a bare KeyError text, numpy's pickle advice,
+        # or a version message that named no file
+        cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict("ppo"))
+        rd = tmp_path / "runs" / "ppo" / "adult-001" / "seed_0"
+        rd.mkdir(parents=True)
+        path = rd / "checkpoint.npz"
+        if edit is None:
+            path.write_text("kp: 0.0012\n")
+        else:
+            keys = {"format_version": 1, "method": "ppo", **harness.trainer_arrays(
+                build_trainer(tiny_cfg("ppo"), patient, 0)), **edit}
+            np.savez(path, **{k: v for k, v in keys.items() if v is not None})
+        rc = cli.main(["eval", "--config", cfg_path,
+                       "--out-dir", str(tmp_path / "runs")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (rd / "metrics.csv").exists()
+
     @staticmethod
     def diverge_at(monkeypatch, call: int) -> None:
         """Make the plant step raise at its call-th call, as a diverged
@@ -1142,7 +1139,7 @@ class TestCli:
         assert "Traceback (most recent call last)" in err
         assert "FileNotFoundError" in err
 
-    @pytest.mark.parametrize("command", ["train", "eval", "export-plots"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
     def test_negative_seed_exit_one(self, tmp_path, capsys, command):
         # used to exit 2 from the seed streams after making seed_-1/
         cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict("ppo", episodes=1))
