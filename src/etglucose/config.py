@@ -35,13 +35,13 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3)
     r1_only: bool = False  # cgmetppo only: drop the SMDP reward's holding bonus
     checkpoint_every: int = 0  # 0 keeps only the final checkpoint
-    cohort_file: str | None = None  # None selects default_cohort()
     hyper: HyperParams = field(default_factory=HyperParams)
     trigger: TriggerConfig = field(default_factory=TriggerConfig)
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)
-    sensor: SensorConfig = field(default_factory=SensorConfig)
-    pump: PumpConfig = field(default_factory=PumpConfig)
     pid_grid: PidGrid = field(default_factory=PidGrid)
+    # One sensor and one pump: class constants, not config keys.
+    sensor = SensorConfig()
+    pump = PumpConfig()
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -55,8 +55,6 @@ class ExperimentConfig:
             raise ValueError(f"r1_only must be false for method {self.method!r}")
         if not isinstance(self.patient, str):
             raise ValueError("patient must be a patient name")
-        if not (self.cohort_file is None or isinstance(self.cohort_file, str)):
-            raise ValueError("cohort_file must be a file path or null")
         if not is_int(self.episodes):
             raise ValueError("episodes must be an integer")
         if self.episodes < 1:

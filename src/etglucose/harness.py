@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import os
 from contextlib import contextmanager
 from numbers import Real
@@ -47,7 +48,7 @@ from .neural import (
     save_checkpoint,
     unpack_mlp,
 )
-from .patients import default_cohort, get_patient, load_cohort
+from .patients import get_patient
 from .pid import PidGains, grid_search_pid, pid_decider
 from .ppo import PpoTrainer, greedy_decide
 from .scenario import default_eval_scenarios, meal_rate_at
@@ -96,17 +97,9 @@ def run_dir(out_base: str | Path, cfg: ExperimentConfig, seed: int) -> Path:
     return Path(out_base) / cfg.method / patient_slug(cfg.patient) / f"seed_{seed}"
 
 
-def get_cohort(cfg: ExperimentConfig):
-    if cfg.cohort_file is not None:
-        if not Path(cfg.cohort_file).exists():
-            raise ConfigError(f"cohort file not found: {cfg.cohort_file}")
-        return load_cohort(cfg.cohort_file)
-    return default_cohort()
-
-
 def resolve_patient(cfg: ExperimentConfig):
     try:
-        return get_patient(cfg.patient, get_cohort(cfg))
+        return get_patient(cfg.patient)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
 
@@ -146,6 +139,12 @@ def save_trainer(trainer, path: Path) -> None:
                  binary=True)
 
 
+# Each learning method's (policy outputs, log-std length). Every net reads
+# the 2-wide observation, and the value net has one output.
+POLICY_WIDTHS = {"ppo": (1, 1), "cgmetppo-fixed": (1, 1),
+                 "cgmetppo-variable": (2, 2), "hetppo": (2, 1)}
+
+
 def load_policy(path: Path) -> tuple[str, object, Mlp, bool]:
     """Rebuild (method, policy, value net, pin_events) from a checkpoint.
 
@@ -157,6 +156,9 @@ def load_policy(path: Path) -> tuple[str, object, Mlp, bool]:
         raise ValueError(f"{path}: checkpoint of a pinned hetppo run "
                          "(pin_events 1), which is per-step PPO; retrain "
                          "it with method: ppo")
+    if method not in POLICY_WIDTHS:
+        raise ValueError(f"{path}: unknown method {method!r}")
+    n_out, n_std = POLICY_WIDTHS[method]
     policy_cls = HetPolicy if method == "hetppo" else GaussianPolicy
     try:
         policy = policy_cls(unpack_mlp("policy", data),
@@ -164,6 +166,15 @@ def load_policy(path: Path) -> tuple[str, object, Mlp, bool]:
         vnet = unpack_mlp("value", data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for name, net, n in (("policy", policy.net, n_out), ("value", vnet, 1)):
+        if (net.sizes[0], net.sizes[-1]) != (2, n):
+            raise ValueError(f"{path}: {name} net maps {net.sizes[0]} inputs to "
+                             f"{net.sizes[-1]} outputs, expected 2 to {n} for {method}")
+    if policy.log_std.shape != (n_std,):
+        raise ValueError(f"{path}: policy_log_std has shape {policy.log_std.shape}, "
+                         f"expected ({n_std},) for {method}")
     return method, policy, vnet, False
 
 
@@ -254,6 +265,11 @@ def load_gains(path: Path) -> PidGains:
         value = raw.get(key)
         if not isinstance(value, Real) or isinstance(value, bool):
             raise ValueError(f"{path}: {key} must be a number, got {value!r}")
+        # the gains follow PidGrid's rule; the target need only be finite
+        gain = key != "target"
+        if not math.isfinite(value) or (gain and value < 0.0):
+            rule = "finite and non-negative" if gain else "finite"
+            raise ValueError(f"{path}: {key} must be {rule}, got {value!r}")
     return PidGains(kp=raw["kp"], ki=raw["ki"], kd=raw["kd"], target=raw["target"])
 
 

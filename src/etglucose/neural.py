@@ -267,11 +267,21 @@ def pack_mlp(prefix: str, mlp: Mlp) -> dict[str, np.ndarray]:
 
 
 def unpack_mlp(prefix: str, data: dict) -> Mlp:
+    """The Mlp pack_mlp wrote under prefix. Refuses, with a ValueError, sizes
+    without an input and an output, and a W<i> or b<i> whose shape is not
+    (sizes[i], sizes[i+1]) or (sizes[i+1],)."""
     sizes = tuple(int(s) for s in data[f"{prefix}_sizes"])
+    if len(sizes) < 2:
+        raise ValueError(f"{prefix}_sizes {list(sizes)} needs input and output sizes")
     weights, biases = [], []
-    for i in range(len(sizes) - 1):
-        weights.append(np.array(data[f"{prefix}_W{i}"], dtype=float))
-        biases.append(np.array(data[f"{prefix}_b{i}"], dtype=float))
+    for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        for key, want, arrays in (("W", (n_in, n_out), weights),
+                                  ("b", (n_out,), biases)):
+            arr = np.array(data[f"{prefix}_{key}{i}"], dtype=float)
+            if arr.shape != want:
+                raise ValueError(f"{prefix}_{key}{i} has shape {arr.shape}, "
+                                 f"expected {want}")
+            arrays.append(arr)
     return Mlp(sizes, weights, biases)
 
 

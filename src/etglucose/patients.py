@@ -1,4 +1,4 @@
-"""Synthetic patient cohort: nominal calibration, generation, cohort files.
+"""Synthetic patient cohort: nominal calibration and generation.
 
 Patients are generated by multiplicative +/-15% perturbation of a
 hand-calibrated nominal adult. For each draw the basal operating point is
@@ -12,9 +12,7 @@ redrawn, so every generated patient is controllable by construction.
 """
 from __future__ import annotations
 
-import configparser
 import functools
-from pathlib import Path
 
 from .env import HYPO_MGDL
 from .plant import (
@@ -61,8 +59,6 @@ STEADY_STATE_TOL = 1e-9  # max |rhs| at a stored basal point
 
 # Constants perturbed per patient, in fixed draw order.
 _PERTURBED_KEYS = tuple(sorted(NOMINAL_ADULT))
-
-_STATE_PREFIX = "basal_"
 
 
 def _insulin_denominator(c: dict[str, float]) -> float:
@@ -174,31 +170,6 @@ def generate_cohort(
                 break
         else:
             raise RuntimeError(f"no valid perturbation found for patient {idx}")
-    return cohort
-
-
-def load_cohort(path: str | Path) -> list[PatientParams]:
-    """Load a cohort file, verifying each stored basal point."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    with open(path) as fh:
-        cp.read_file(fh)
-    cohort = []
-    for sec in cp.sections():
-        try:
-            c = {k: float(cp.get(sec, k)) for k in NOMINAL_ADULT}
-            u_basal = float(cp.get(sec, "u_basal"))
-            basal = PatientState(*(
-                float(cp.get(sec, _STATE_PREFIX + f)) for f in PatientState._fields
-            ))
-        except (configparser.NoOptionError, ValueError) as exc:
-            raise ValueError(f"patient file {path}: bad section {sec}: {exc}") from exc
-        params = PatientParams(name=sec, u_basal=u_basal, basal=basal,
-                               **{k: c[k] for k in NOMINAL_ADULT})
-        check_steady_state(params)
-        cohort.append(params)
-    if not cohort:
-        raise ValueError(f"patient file {path} contains no patients")
     return cohort
 
 

@@ -18,7 +18,6 @@ AVX-512 (X86_V4) loops, both chosen from the CPU at load time. So the
 pins are kept per numeric platform, keyed by those two values, and a
 platform with no recorded set fails with a message naming its key.
 """
-import ctypes
 import hashlib
 import json
 import os
@@ -26,24 +25,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
 
 import etglucose
 from etglucose.config import config_from_dict
 from etglucose.harness import run_dir, run_eval, run_train
-
-
-def numeric_platform() -> tuple[str, bool]:
-    """(OpenBLAS core name, X86_V4 dispatch) of this process's numpy."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
-                  .glob("libscipy_openblas*"))
-    if not libs:
-        return "no bundled OpenBLAS", bool(__cpu_features__.get("X86_V4"))
-    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    return corename().decode(), bool(__cpu_features__.get("X86_V4"))
+from numeric_platform import numeric_platform
 
 
 VARIANTS = {

@@ -66,7 +66,7 @@ def patient():
 
 
 # The episode protocol, R2's constants, the event charge, the sampled-threshold
-# range, the learner's constants and the pump's floor are module constants, not
+# range, the learner's constants, the sensor and the pump are constants, not
 # config keys: a config that sets one is refused as unknown, even at the value
 # the constant holds (given here). So is a field the code derives from others:
 # the sensor's innovation. So is pin_events, which made hetppo per-step PPO
@@ -79,11 +79,12 @@ REMOVED_KEYS = {
     ("trigger", "eta_lo"): 15.0, ("trigger", "eta_hi"): 25.0,
     ("hyper", "gamma"): 0.99, ("hyper", "lam"): 0.95,
     ("hyper", "clip_eps"): 0.2, ("hyper", "c_ent"): 0.01, ("hyper", "lr"): 3e-4,
-    ("sensor", "innovation"): 1.0, ("pump", "u_min"): 0.0,
+    ("sensor", "phi"): 0.7, ("sensor", "sigma"): 5.0,
+    ("sensor", "innovation"): 1.0, ("pump", "u_max"): 0.15, ("pump", "u_min"): 0.0,
     (None, "pin_events"): True,
 }
 # Sections whose every key became a constant: the section itself is unknown.
-REMOVED_SECTIONS = ("reward",)
+REMOVED_SECTIONS = ("reward", "sensor", "pump")
 
 
 def refusal(section: str, key: str) -> str:
@@ -96,10 +97,9 @@ def refusal(section: str, key: str) -> str:
 # Every value a config may set, as (section, key); None is the top level.
 SETTABLE_KEYS = {
     (None, "method"), (None, "patient"), (None, "episodes"), (None, "seeds"),
-    (None, "r1_only"), (None, "checkpoint_every"), (None, "cohort_file"),
+    (None, "r1_only"), (None, "checkpoint_every"),
     ("hyper", "buffer_size"), ("hyper", "epochs"), ("hyper", "minibatch"),
     ("trigger", "fixed_eta"), ("episode", "horizon"),
-    ("sensor", "phi"), ("sensor", "sigma"), ("pump", "u_max"),
     ("pid_grid", "kp"), ("pid_grid", "ki"), ("pid_grid", "kd"),
 }
 
@@ -331,7 +331,7 @@ class TestConfig:
             config_from_dict(tiny_dict("ppo", hyper=[1, 2]))
 
     @pytest.mark.parametrize("section", [
-        "hyper", "trigger", "episode", "sensor", "pump", "pid_grid",
+        "hyper", "trigger", "episode", "pid_grid",
     ])
     def test_empty_section_rejected(self, section):
         # an empty YAML section loads as None, which used to stand in for
@@ -447,11 +447,6 @@ class TestConfig:
     def test_unknown_patient(self):
         cfg = tiny_cfg("ppo", patient="adult#999")
         with pytest.raises(ConfigError, match="adult#999"):
-            resolve_patient(cfg)
-
-    def test_missing_cohort_file(self):
-        cfg = tiny_cfg("ppo", cohort_file="/does/not/exist.ini")
-        with pytest.raises(ConfigError, match="cohort"):
             resolve_patient(cfg)
 
     @pytest.mark.parametrize(
@@ -1029,7 +1024,19 @@ class TestCli:
         ([0.0012, 2.0e-5, 0.008, 140.0], "gains must be a mapping"),
         ({"kp": "abc", "ki": 2.0e-5, "kd": 0.008, "target": 140.0},
          "kp must be a number, got 'abc'"),
-    ], ids=["missing-ki", "list", "string-kp"])
+        # a gain follows PidGrid's rule, and the target must be finite
+        ({"kp": math.nan, "ki": 2.0e-5, "kd": 0.008, "target": 140.0},
+         "kp must be finite and non-negative, got nan"),
+        ({"kp": -0.001, "ki": 2.0e-5, "kd": 0.008, "target": 140.0},
+         "kp must be finite and non-negative, got -0.001"),
+        ({"kp": 0.0012, "ki": math.inf, "kd": 0.008, "target": 140.0},
+         "ki must be finite and non-negative, got inf"),
+        ({"kp": 0.0012, "ki": 2.0e-5, "kd": -0.008, "target": 140.0},
+         "kd must be finite and non-negative, got -0.008"),
+        ({"kp": 0.0012, "ki": 2.0e-5, "kd": 0.008, "target": -math.inf},
+         "target must be finite, got -inf"),
+    ], ids=["missing-ki", "list", "string-kp", "nan-kp", "negative-kp",
+            "inf-ki", "negative-kd", "infinite-target"])
     def test_bad_gains_file_exit_two(self, tmp_path, capsys, gains, message):
         # used to exit 2 with a bare KeyError or TypeError text, the last
         # from inside evaluation scenario 0
@@ -1048,7 +1055,22 @@ class TestCli:
         ({"method": None}, "missing key 'method'"),
         ({"format_version": 2}, "checkpoint version 2 not supported (expected 1)"),
         (None, "not an .npz checkpoint"),
-    ], ids=["missing-key", "missing-method", "version", "not-npz"])
+        # every array must fit the stored sizes, and the nets the method
+        ({"policy_sizes": np.array([2])},
+         "policy_sizes [2] needs input and output sizes"),
+        ({"policy_W1": np.zeros((32, 64))},
+         "policy_W1 has shape (32, 64), expected (64, 64)"),
+        ({"value_b2": np.zeros(2)}, "value_b2 has shape (2,), expected (1,)"),
+        ({"policy_sizes": np.array([2, 64])},
+         "policy net maps 2 inputs to 64 outputs, expected 2 to 1 for ppo"),
+        ({"value_sizes": np.array([3, 64, 64, 1]), "value_W0": np.zeros((3, 64))},
+         "value net maps 3 inputs to 1 outputs, expected 2 to 1 for ppo"),
+        ({"policy_log_std": np.zeros(2)},
+         "policy_log_std has shape (2,), expected (1,) for ppo"),
+        ({"method": "pid"}, "unknown method 'pid'"),
+    ], ids=["missing-key", "missing-method", "version", "not-npz", "short-sizes",
+            "weight-shape", "bias-shape", "policy-width", "input-width",
+            "log-std-length", "unknown-method"])
     def test_bad_checkpoint_exit_two(self, tmp_path, capsys, patient, edit,
                                      message):
         # used to exit 2 with a bare KeyError text, numpy's pickle advice,
@@ -1190,16 +1212,21 @@ class TestCli:
         # the first run is valid; the sweep must not start it
         ("matrix", matrix_dict(["cgmetppo-fixed", "pid"], r1_only=True),
          "config: r1_only must be false for method 'pid'"),
+        # the sensor is fixed, so a config that sets it is refused
+        ("train", tiny_dict("ppo", sensor={"sigma": 0.0}),
+         "config: unknown keys ['sensor']"),
         # a top-level value of the wrong type is a config error, not a
-        # failure of the cohort loader or of the patient lookup
-        ("train", tiny_dict("ppo", cohort_file=5),
-         "config: cohort_file must be a file path or null"),
+        # failure of the patient lookup
         ("train", tiny_dict("ppo", patient=["adult#001"]),
          "config: patient must be a patient name"),
         # a scalar where a list is wanted names its key
         ("train", tiny_dict("ppo", seeds=5), "config: seeds must be a list"),
         ("train", tiny_dict("pid", pid_grid={"kp": 0.001}),
          "pid_grid: kp must be a list"),
+        # so is the pump, whose ceiling every patient's basal rate is
+        # generated to fit
+        ("train", tiny_dict("pid", pump={"u_max": 0.02}),
+         "config: unknown keys ['pump']"),
     ])
     def test_refused_config_exit_one(self, tmp_path, capsys, command, payload,
                                      message):

@@ -1,5 +1,4 @@
 """Plant dynamics, integrator, sensor, pump, and cohort tests."""
-import configparser
 import dataclasses
 import hashlib
 import inspect
@@ -19,7 +18,6 @@ from etglucose.patients import (
     build_patient,
     default_cohort,
     generate_cohort,
-    load_cohort,
 )
 from etglucose.plant import (
     PatientParams,
@@ -378,6 +376,18 @@ class TestCgm:
         cgm_read(nominal.basal, nominal, SensorConfig(sigma=5.0), 0.0, rng2)
         assert rng1.standard_normal() == rng2.standard_normal()
 
+    @pytest.mark.parametrize("phi,sigma,message", [
+        (1.5, 5.0, "phi must lie strictly between -1 and 1"),
+        (1.0, 5.0, "phi must lie strictly between -1 and 1"),
+        (-1.0, 5.0, "phi must lie strictly between -1 and 1"),
+        (math.nan, 5.0, "phi must lie strictly between -1 and 1"),
+        (0.7, -1.0, "sigma must be finite and non-negative"),
+        (0.7, math.inf, "sigma must be finite and non-negative"),
+    ])
+    def test_out_of_range_refused(self, phi, sigma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SensorConfig(phi=phi, sigma=sigma)
+
 
 class TestPump:
     def test_interior_passthrough(self):
@@ -395,25 +405,10 @@ class TestPump:
         with pytest.raises(ValueError, match="invalid-command"):
             pump_command(float("inf"), PumpConfig())
 
-
-def save_cohort(cohort, path):
-    """Write a cohort as an INI file, one section per patient: the format
-    load_cohort reads."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str  # keep key case
-    for p in cohort:
-        sec = p.name
-        cp.add_section(sec)
-        for key in NOMINAL_ADULT:
-            cp.set(sec, key, repr(float(getattr(p, key))))
-        cp.set(sec, "u_basal", repr(float(p.u_basal)))
-        for field, value in zip(PatientState._fields, p.basal):
-            cp.set(sec, "basal_" + field, repr(float(value)))
-    with open(path, "w") as fh:
-        fh.write("# Synthetic patient parameters. One section per patient.\n")
-        fh.write("# Keys match PatientParams; basal_* fields give the\n")
-        fh.write("# steady state under u_basal, verified at load time.\n")
-        cp.write(fh)
+    @pytest.mark.parametrize("u_max", [0.0, -0.1, math.nan])
+    def test_out_of_range_ceiling_refused(self, u_max):
+        with pytest.raises(ValueError, match="^u_max must be finite and positive$"):
+            PumpConfig(u_max=u_max)
 
 
 class TestCohort:
@@ -457,26 +452,3 @@ class TestCohort:
         a = generate_cohort(n=3)
         b = generate_cohort(n=3)
         assert a == b
-
-    def test_ini_round_trip(self, tmp_path, cohort):
-        path = tmp_path / "cohort.ini"
-        save_cohort(cohort, path)
-        back = load_cohort(path)
-        assert len(back) == len(cohort)
-        for a, b in zip(cohort, back):
-            assert a.name == b.name
-            assert float(a.u_basal) == float(b.u_basal)
-            for key in NOMINAL_ADULT:
-                assert float(getattr(a, key)) == float(getattr(b, key))
-            for va, vb in zip(a.basal, b.basal):
-                assert float(va) == float(vb)
-
-    def test_corrupted_file_refused(self, tmp_path, cohort):
-        path = tmp_path / "bad.ini"
-        save_cohort(cohort[:1], path)
-        text = path.read_text().replace(
-            f"u_basal = {float(cohort[0].u_basal)!r}", "u_basal = 0.09"
-        )
-        path.write_text(text)
-        with pytest.raises(ValueError):
-            load_cohort(path)
