@@ -1,9 +1,8 @@
 """Command-line entry point.
 
-    etglucose train    --config c.yaml [--seed N] [--out-dir D]
-    etglucose eval     --config c.yaml [--seed N] [--out-dir D]
-    etglucose tune-pid --config c.yaml [--out-dir D]
-    etglucose matrix   --config m.yaml [--out-dir D]
+    etglucose train  --config c.yaml [--seed N] [--out-dir D]
+    etglucose eval   --config c.yaml [--seed N] [--out-dir D]
+    etglucose matrix --config m.yaml [--out-dir D]
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
@@ -41,8 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("train", "train the configured method for each seed")
     add("eval", "greedy evaluation of trained runs on the fixed scenarios")
-    add("tune-pid", "grid-search PID gains for the configured patient",
-        seed_flag=False)
     add("matrix", "run the full method x patient sweep", seed_flag=False)
     return parser
 
@@ -67,17 +64,13 @@ def main(argv=None) -> int:
             path = harness.run_matrix(matrix, args.out_dir)
             print(path)
             return 0
-        cfg = _with_seed(load_config(args.config), getattr(args, "seed", None))
+        cfg = _with_seed(load_config(args.config), args.seed)
         if args.command == "train":
             for rd in harness.run_train(cfg, args.out_dir):
                 print(rd)
         elif args.command == "eval":
             for path in harness.run_eval(cfg, args.out_dir):
                 print(path)
-        elif args.command == "tune-pid":
-            gains, score = harness.tune_pid(cfg, args.out_dir)
-            print(f"kp={gains.kp} ki={gains.ki} kd={gains.kd} "
-                  f"target={gains.target} mean_tir={score:.2f}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

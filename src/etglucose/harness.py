@@ -22,7 +22,6 @@ so a (config, seed) pair maps to byte-identical metrics.csv content.
 """
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import os
@@ -239,14 +238,12 @@ def tune_pid(cfg: ExperimentConfig, out_base: str | Path,
     scenarios = default_eval_scenarios()
     gains, score = grid_search_pid(patient, scenarios, cfg.pid_grid,
                                    cfg.episode, cfg.sensor, cfg.pump)
-    # pid does not read r1_only, so a config that sets it still tunes.
-    pid_cfg = dataclasses.replace(cfg, method="pid", r1_only=False)
     payload = {
         "kp": gains.kp, "ki": gains.ki, "kd": gains.kd, "target": gains.target,
         "mean_tir": round(score, 6),
     }
     for seed in seeds if seeds is not None else cfg.seeds:
-        rd = run_dir(out_base, pid_cfg, seed)
+        rd = run_dir(out_base, cfg, seed)
         rd.mkdir(parents=True, exist_ok=True)
         write_atomic(rd / "gains.yaml",
                      lambda fh: yaml.safe_dump(payload, fh, sort_keys=True))
@@ -256,7 +253,7 @@ def tune_pid(cfg: ExperimentConfig, out_base: str | Path,
 
 def load_gains(path: Path) -> PidGains:
     if not path.exists():
-        raise FileNotFoundError(f"no tuned gains at {path}; run tune-pid or train")
+        raise FileNotFoundError(f"no tuned gains at {path}; run train on a pid config")
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):

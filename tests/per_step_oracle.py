@@ -5,10 +5,10 @@ with the in-range reward. This module keeps a separate, minimal per-step
 trainer with its own episode loop, rollout buffer and GAE recursion, so the
 reductions are checked against code the library does not share. Only the
 networks, the sampler and the minibatch engine (update_networks) come from
-the library. PpoTrainer, the triggered trainer at threshold 0 with r1_only,
-and the pinned-event trainer must all match it bit for bit; record_updates
-captures the library trainers' updates for that comparison, and
-record_episodes their training episodes' records.
+the library. PpoTrainer and the triggered trainer at threshold 0 with
+r1_only must both match it bit for bit; record_updates captures the library
+trainers' updates for that comparison, and record_episodes their training
+episodes' records.
 
 The reference loss formulas (clipped surrogate, value loss) live here too.
 """

@@ -166,7 +166,7 @@ class TestRewards:
                 assert reward_het(y, e) == reward_r1(y)
 
     def test_no_event_reward_is_r1_for_every_valid_charge(self, monkeypatch):
-        # the pinned-event trainer is trained with R1 on this equality
+        # only an event is charged: a step without one earns exactly R1
         for eta_e in (0.0, ETA_E, 1e300):
             monkeypatch.setattr(env_module, "ETA_E", eta_e)
             for y in (50.0, 100.0, 200.0):
