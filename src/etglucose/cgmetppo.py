@@ -56,7 +56,7 @@ class CgmEtppoTrainer(Trainer):
     """
 
     method = "cgmetppo-variable"
-    n_act = 2
+    widths = (2, 2)  # a mean and a log-std for the rate and the threshold
 
     def __init__(self, patient, rngs, trigger: TriggerConfig = TriggerConfig(),
                  *, r1_only: bool = False, **kwargs):
@@ -77,4 +77,4 @@ class FixedCgmEtppoTrainer(CgmEtppoTrainer):
     """The fixed-threshold trainer: a rate-only policy held to fixed_eta."""
 
     method = "cgmetppo-fixed"
-    n_act = 1
+    widths = (1, 1)

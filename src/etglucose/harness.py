@@ -39,13 +39,13 @@ from .hetppo import HetppoTrainer, event_decide
 from .metrics import METRICS, aggregate, aurr, ecf, interval_averages, tir
 from .neural import (
     GaussianPolicy,
-    HetPolicy,
     Mlp,
     load_checkpoint,
     pack_mlp,
     pack_opt,
     save_checkpoint,
     unpack_mlp,
+    whole,
 )
 from .patients import get_patient
 from .pid import PidGains, grid_search_pid, pid_decider
@@ -103,17 +103,19 @@ def resolve_patient(cfg: ExperimentConfig):
         raise ConfigError(exc.args[0]) from None
 
 
+# The learning methods' table: each trainer class, which also holds its
+# policy's widths, under its method name.
+TRAINERS = {cls.method: cls for cls in (PpoTrainer, HetppoTrainer,
+                                        FixedCgmEtppoTrainer, CgmEtppoTrainer)}
+
+
 def build_trainer(cfg: ExperimentConfig, patient, seed: int):
-    rngs = RngBundle.from_master(seed)
-    common = dict(
-        hyper=cfg.hyper, episode_cfg=cfg.episode, sensor=cfg.sensor, pump=cfg.pump,
-    )
-    if cfg.method == "ppo":
-        return PpoTrainer(patient, rngs, **common)
-    if cfg.method == "hetppo":
-        return HetppoTrainer(patient, rngs, **common)
-    cls = FixedCgmEtppoTrainer if cfg.method == "cgmetppo-fixed" else CgmEtppoTrainer
-    return cls(patient, rngs, trigger=cfg.trigger, r1_only=cfg.r1_only, **common)
+    cls = TRAINERS[cfg.method]
+    triggered = (dict(trigger=cfg.trigger, r1_only=cfg.r1_only)
+                 if issubclass(cls, CgmEtppoTrainer) else {})
+    return cls(patient, RngBundle.from_master(seed), hyper=cfg.hyper,
+               episode_cfg=cfg.episode, sensor=cfg.sensor, pump=cfg.pump,
+               **triggered)
 
 
 # ---------------------------------------------------------------------------
@@ -138,35 +140,29 @@ def save_trainer(trainer, path: Path) -> None:
                  binary=True)
 
 
-# Each learning method's (policy outputs, log-std length). Every net reads
-# the 2-wide observation, and the value net has one output.
-POLICY_WIDTHS = {"ppo": (1, 1), "cgmetppo-fixed": (1, 1),
-                 "cgmetppo-variable": (2, 2), "hetppo": (2, 1)}
-
-
-def load_policy(path: Path) -> tuple[str, object, Mlp, bool]:
+def load_policy(path: Path) -> tuple[str, GaussianPolicy, Mlp, bool]:
     """Rebuild (method, policy, value net, pin_events) from a checkpoint.
 
-    pin_events is always False: a checkpoint with pin_events 1 came from a
-    hetppo run without its event head, which is a ppo run, and is refused.
+    The policy's widths must be its trainer's; every net reads the 2-wide
+    observation, and the value net has one output. pin_events is always
+    False: a checkpoint with pin_events 1 came from a hetppo run without
+    its event head, which is a ppo run, and is refused.
     """
     method, data = load_checkpoint(path)
-    if int(data.get("pin_events", 0)):
-        raise ValueError(f"{path}: checkpoint of a pinned hetppo run "
-                         "(pin_events 1), which is per-step PPO; retrain "
-                         "it with method: ppo")
-    if method not in POLICY_WIDTHS:
-        raise ValueError(f"{path}: unknown method {method!r}")
-    n_out, n_std = POLICY_WIDTHS[method]
-    policy_cls = HetPolicy if method == "hetppo" else GaussianPolicy
     try:
-        policy = policy_cls(unpack_mlp("policy", data),
-                            np.array(data["policy_log_std"], dtype=float))
+        if "pin_events" in data and whole(data, "pin_events"):
+            raise ValueError("checkpoint of a pinned hetppo run (pin_events 1), "
+                             "which is per-step PPO; retrain it with method: ppo")
+        if method not in TRAINERS:
+            raise ValueError(f"unknown method {method!r}")
+        policy = GaussianPolicy(unpack_mlp("policy", data),
+                                np.array(data["policy_log_std"], dtype=float))
         vnet = unpack_mlp("value", data)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    n_out, n_std = TRAINERS[method].widths
     for name, net, n in (("policy", policy.net, n_out), ("value", vnet, 1)):
         if (net.sizes[0], net.sizes[-1]) != (2, n):
             raise ValueError(f"{path}: {name} net maps {net.sizes[0]} inputs to "
@@ -211,7 +207,7 @@ def roll_ppo(patient, policy: GaussianPolicy, scenario, noise_rng,
                  lambda obs: greedy_decide(policy, obs, cfg.pump))
 
 
-def roll_hetppo(patient, policy: HetPolicy, scenario, noise_rng,
+def roll_hetppo(patient, policy: GaussianPolicy, scenario, noise_rng,
                 cfg: ExperimentConfig):
     return _roll(patient, scenario, noise_rng, cfg,
                  lambda obs: event_decide(policy, obs, cfg.pump))

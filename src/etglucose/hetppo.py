@@ -22,7 +22,7 @@ import numpy as np
 
 from .env import Observation, obs_vec, reward_het
 from .neural import (
-    HetPolicy,
+    GaussianPolicy,
     bernoulli_logprob_entropy,
     gaussian_logprob_entropy,
     sigmoid,
@@ -39,18 +39,19 @@ from .ppo import (
 
 
 def factored_sample(
-    policy: HetPolicy, x: np.ndarray, rng: np.random.Generator
+    policy: GaussianPolicy, x: np.ndarray, rng: np.random.Generator
 ) -> tuple[int, float, float, float]:
     """Draw (e, u) for one observation; returns (e, u_raw, logp_e, logp_u).
 
+    The policy's two outputs are the insulin mean and the event logit.
     Consumes one uniform for the event flag and one normal only when the
     flag comes up 1. On e = 0 the insulin component is not sampled;
     u_raw and logp_u are returned as 0 and must be masked downstream.
     """
-    mean, logit = policy.heads(x[None, :])
+    mean, logit = policy.net.forward(x[None, :]).T
     p = float(sigmoid(logit[0]))
     e = 1 if rng.random() < p else 0
-    lp_e, _ = bernoulli_logprob_entropy(np.asarray([logit[0]]), np.asarray([float(e)]))
+    lp_e, _ = bernoulli_logprob_entropy(logit, np.asarray([float(e)]))
     if e == 0:
         return 0, 0.0, float(lp_e[0]), 0.0
     u_raw = float(mean[0] + np.exp(policy.log_std[0]) * rng.standard_normal())
@@ -60,16 +61,16 @@ def factored_sample(
     return 1, u_raw, float(lp_e[0]), float(lp_u[0])
 
 
-def event_decide(policy: HetPolicy, obs: Observation, pump: PumpConfig):
+def event_decide(policy: GaussianPolicy, obs: Observation, pump: PumpConfig):
     """One greedy decision, (rate or None, None): the squashed mean when the
     event probability is at least 1/2 (logit >= 0), else None, which holds
     the last command. Each decision lasts one step."""
-    mean, logit = policy.heads(obs_vec(obs, pump)[None, :])
-    return (squash_rate(mean[0], pump) if logit[0] >= 0.0 else None), None
+    mean, logit = policy.net.forward(obs_vec(obs, pump)[None, :])[0]
+    return (squash_rate(mean, pump) if logit >= 0.0 else None), None
 
 
 def het_policy_grads(
-    policy: HetPolicy,
+    policy: GaussianPolicy,
     obs: np.ndarray,
     act: np.ndarray,
     logp_old: np.ndarray,
@@ -140,9 +141,7 @@ class HetppoTrainer(Trainer):
     """
 
     method = "hetppo"
-
-    def new_policy(self, rng: np.random.Generator) -> HetPolicy:
-        return HetPolicy.create(2, rng)
+    widths = (2, 1)  # the insulin mean, then the event logit; one log-std
 
     def sample_decision(self, x: np.ndarray):
         """Factored draw: act [u_raw, e] and log-prob [logp_u, logp_e].

@@ -1,10 +1,10 @@
 """Minimal differentiable stack for the trainers.
 
-Two-hidden-layer tanh MLPs with exact reverse-mode gradients, a Gaussian
-policy head with a state-independent log-std parameter, a Bernoulli event
-head, and a bias-corrected Adam optimizer. Everything is float64 numpy;
-gradients are hand-derived and verified against central finite differences
-in the test suite.
+Two-hidden-layer tanh MLPs with exact reverse-mode gradients, one Gaussian
+policy type with a state-independent log-std parameter, Gaussian and
+Bernoulli log-probabilities, and a bias-corrected Adam optimizer.
+Everything is float64 numpy; gradients are hand-derived and verified
+against central finite differences in the test suite.
 """
 from __future__ import annotations
 
@@ -193,7 +193,11 @@ def adam_step(
 
 @dataclass
 class GaussianPolicy:
-    """MLP mean with a free per-dimension log-std."""
+    """MLP means with a free per-dimension log-std, for every method.
+
+    The net's first len(log_std) outputs are the Gaussian means; a further
+    output is its method's own (hetppo's second output is its event logit).
+    """
 
     net: Mlp
     log_std: np.ndarray
@@ -202,52 +206,24 @@ class GaussianPolicy:
     def create(
         cls,
         n_obs: int,
-        n_act: int,
+        n_out: int,
+        n_std: int,
         rng: np.random.Generator,
         hidden: tuple[int, ...] = DEFAULT_HIDDEN,
     ) -> "GaussianPolicy":
-        net = Mlp.create((n_obs, *hidden, n_act), rng, out_gain=POLICY_OUT_GAIN)
-        return cls(net, np.full(n_act, INIT_LOG_STD))
-
-    @property
-    def n_act(self) -> int:
-        return self.net.sizes[-1]
+        net = Mlp.create((n_obs, *hidden, n_out), rng, out_gain=POLICY_OUT_GAIN)
+        return cls(net, np.full(n_std, INIT_LOG_STD))
 
     def params(self) -> list[np.ndarray]:
         return self.net.params() + [self.log_std]
 
     def sample(self, x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """Sample one unsquashed action for a single observation vector."""
+        """Sample one unsquashed action for a single observation vector,
+        for a policy whose every output is a mean."""
         mean = self.net.forward(x[None, :])[0]
-        a = mean + np.exp(self.log_std) * rng.standard_normal(self.n_act)
+        a = mean + np.exp(self.log_std) * rng.standard_normal(self.log_std.size)
         logp, _ = gaussian_logprob_entropy(mean[None, :], self.log_std, a[None, :])
         return a, float(logp[0])
-
-
-@dataclass
-class HetPolicy:
-    """Factored policy: one trunk MLP emits [insulin mean, event logit]."""
-
-    net: Mlp
-    log_std: np.ndarray  # (1,) for the insulin dimension
-
-    @classmethod
-    def create(
-        cls,
-        n_obs: int,
-        rng: np.random.Generator,
-        hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-    ) -> "HetPolicy":
-        net = Mlp.create((n_obs, *hidden, 2), rng, out_gain=POLICY_OUT_GAIN)
-        return cls(net, np.full(1, INIT_LOG_STD))
-
-    def params(self) -> list[np.ndarray]:
-        return self.net.params() + [self.log_std]
-
-    def heads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(insulin mean, event logit) for a batch of observations."""
-        out = self.net.forward(x)
-        return out[:, 0], out[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +242,23 @@ def pack_mlp(prefix: str, mlp: Mlp) -> dict[str, np.ndarray]:
     return out
 
 
+def whole(data: dict, key: str, ndim: int = 0):
+    """data[key] as an int (ndim 0) or a list of ints (ndim 1). Refuses,
+    with a ValueError naming key, any other shape and any entry that is not
+    a finite whole number."""
+    arr = np.asarray(data[key])
+    if (arr.ndim != ndim or arr.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(arr) & (arr == np.trunc(arr)))):
+        kind = "an integer" if ndim == 0 else "a list of integers"
+        raise ValueError(f"{key} must be {kind}, got {arr.tolist()!r}")
+    return arr.astype(np.int64).tolist()
+
+
 def unpack_mlp(prefix: str, data: dict) -> Mlp:
     """The Mlp pack_mlp wrote under prefix. Refuses, with a ValueError, sizes
-    without an input and an output, and a W<i> or b<i> whose shape is not
-    (sizes[i], sizes[i+1]) or (sizes[i+1],)."""
-    sizes = tuple(int(s) for s in data[f"{prefix}_sizes"])
+    that are not whole numbers, sizes without an input and an output, and a
+    W<i> or b<i> whose shape is not (sizes[i], sizes[i+1]) or (sizes[i+1],)."""
+    sizes = tuple(whole(data, f"{prefix}_sizes", ndim=1))
     if len(sizes) < 2:
         raise ValueError(f"{prefix}_sizes {list(sizes)} needs input and output sizes")
     weights, biases = [], []
@@ -344,8 +332,8 @@ def save_checkpoint(path, method: str, arrays: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path) -> tuple[str, dict]:
     """Returns (method, arrays). Refuses a file that is not an .npz, one
-    without its version or method, and one of another version, each with
-    a ValueError naming path."""
+    without its version or method, one whose version is not an integer,
+    and one of another version, each with a ValueError naming path."""
     try:
         npz = np.load(path, allow_pickle=False)
         if not isinstance(npz, np.lib.npyio.NpzFile):  # a bare .npy array
@@ -357,8 +345,12 @@ def load_checkpoint(path) -> tuple[str, dict]:
     for key in ("format_version", "method"):
         if key not in data:
             raise ValueError(f"{path}: missing key {key!r}")
-    version = int(data.pop("format_version"))
+    try:
+        version = whole(data, "format_version")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {version} not supported "
                          f"(expected {CHECKPOINT_VERSION})")
+    del data["format_version"]
     return str(data.pop("method")), data

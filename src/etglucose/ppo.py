@@ -371,7 +371,7 @@ class Trainer:
     held interval is stored as one experience; a full buffer triggers an
     update. The defaults here, no trigger and the in-range reward R1, make
     every hold one step long and every decision an update: that is plain
-    per-step PPO. Subclasses override new_policy, trigger or
+    per-step PPO. Subclasses override widths, trigger or
     sample_decision, and step_reward. PpoTrainer, HetppoTrainer and
     CgmEtppoTrainer each define run_episode as one call to _smdp_episode,
     and their subclasses inherit it, so a wrapper on those three sees
@@ -379,7 +379,9 @@ class Trainer:
     """
 
     method = ""
-    n_act = 1  # Gaussian policy outputs: the rate, then any threshold
+    # The policy's (outputs, log-std length): its Gaussian means come first,
+    # the rate and then any threshold, and hetppo adds an event logit.
+    widths = (1, 1)
     trigger = None  # a TriggerConfig makes each decision hold to a threshold
 
     def __init__(
@@ -397,15 +399,12 @@ class Trainer:
         self.env = ApEnv(patient, episode_cfg, sensor, pump)
         # Net creation order (actor, then critic, both from the net-init
         # stream) is part of the seeding contract.
-        self.policy = self.new_policy(rngs.net_init)
+        self.policy = GaussianPolicy.create(2, *self.widths, rngs.net_init)
         self.vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rngs.net_init)
         self.opt = OptimizerState()  # one Adam state, actor then critic
         self.buffer = SmdpBuffer(hyper.buffer_size)
         self.updates: list[UpdateStats] = []
         self.n_days = max(1, math.ceil(episode_cfg.horizon * STEP_MINUTES / 1440.0))
-
-    def new_policy(self, rng: np.random.Generator):
-        return GaussianPolicy.create(2, self.n_act, rng)
 
     def sample_decision(self, x: np.ndarray):
         """(stored action, log-prob, pump rate or None, threshold or None) at x."""

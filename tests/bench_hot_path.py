@@ -62,7 +62,7 @@ def test_pid_episode(benchmark):
 
 
 def test_policy_sample(benchmark):
-    pol = GaussianPolicy.create(2, 2, np.random.default_rng(0))
+    pol = GaussianPolicy.create(2, 2, 2, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     a, logp = benchmark(pol.sample, np.array([0.25, 0.1]), rng)
     assert a.shape == (2,) and np.isfinite(logp)
@@ -85,7 +85,7 @@ def test_mlp_backward(benchmark):
 def test_adam_step(benchmark):
     # one step over a learner: actor parameters, then critic parameters
     rng = np.random.default_rng(0)
-    params = (GaussianPolicy.create(2, 1, rng).params()
+    params = (GaussianPolicy.create(2, 1, 1, rng).params()
               + Mlp.create((2, *DEFAULT_HIDDEN, 1), rng).params())
     grads = [np.full_like(p, 1e-3) for p in params]
     opt = OptimizerState()
@@ -105,7 +105,7 @@ def test_smdp_gae(benchmark):
 
 def test_update_networks(benchmark):
     rng = np.random.default_rng(0)
-    pol = GaussianPolicy.create(2, 2, rng)
+    pol = GaussianPolicy.create(2, 2, 2, rng)
     vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
     data = {
         "obs": rng.normal(size=(N_ROWS, 2)),

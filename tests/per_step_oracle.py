@@ -126,7 +126,7 @@ class PerStepPpo:
         self.hyper = hyper
         self.pump = pump
         self.env = ApEnv(patient, episode_cfg, sensor, pump)
-        self.policy = GaussianPolicy.create(2, 1, rngs.net_init)
+        self.policy = GaussianPolicy.create(2, 1, 1, rngs.net_init)
         self.vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rngs.net_init)
         self.opt = OptimizerState()
         self.rows = []  # (obs, act, reward, done, logp) per step

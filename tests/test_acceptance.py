@@ -22,7 +22,7 @@ from etglucose.env import Observation, hold_until_trigger, reward_r1
 from etglucose.harness import roll_cgmetppo, roll_pid, roll_ppo, run_eval, run_train
 from etglucose.hetppo import het_policy_grads
 from etglucose.metrics import EpisodeRecord, aurr, ecf, tir
-from etglucose.neural import GaussianPolicy, HetPolicy
+from etglucose.neural import GaussianPolicy
 from etglucose.patients import default_cohort
 from etglucose.pid import grid_search_pid
 from etglucose.plant import rk4_step
@@ -142,7 +142,7 @@ def test_03_gradients_match_finite_differences():
     rng = np.random.default_rng(99)
     total = 0
     for _ in range(32):  # per-step objective, scalar action
-        pol = GaussianPolicy.create(2, 1, rng, hidden=(4,))
+        pol = GaussianPolicy.create(2, 1, 1, rng, hidden=(4,))
         obs = rng.normal(size=(8, 2))
         act = rng.normal(scale=0.5, size=(8, 1))
         lp = rng.normal(scale=0.3, size=8)
@@ -152,7 +152,7 @@ def test_03_gradients_match_finite_differences():
             lambda: gaussian_policy_grads(pol, obs, act, lp, adv)[0],
             pol.params(), grads)
     for _ in range(32):  # held-action objective, (rate, threshold) action
-        pol = GaussianPolicy.create(2, 2, rng, hidden=(4,))
+        pol = GaussianPolicy.create(2, 2, 2, rng, hidden=(4,))
         obs = rng.normal(size=(8, 2))
         act = rng.normal(scale=0.5, size=(8, 2))
         lp = rng.normal(scale=0.3, size=8)
@@ -162,7 +162,7 @@ def test_03_gradients_match_finite_differences():
             lambda: gaussian_policy_grads(pol, obs, act, lp, adv)[0],
             pol.params(), grads)
     for _ in range(32):  # factored objective with non-event rows masked
-        pol = HetPolicy.create(2, rng, hidden=(4,))
+        pol = GaussianPolicy.create(2, 2, 1, rng, hidden=(4,))
         obs = rng.normal(size=(8, 2))
         e = np.zeros(8)
         e[rng.permutation(8)[:4]] = 1.0

@@ -1,6 +1,7 @@
 """Trigger-driven SMDP trainer tests: deltas, extended GAE, equivalences."""
 import math
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from etglucose.cgmetppo import (
     smdp_gae,
     smdp_update,
 )
+from etglucose.config import config_from_dict
 from etglucose.env import EpisodeConfig, Observation, obs_vec
+from etglucose.harness import run_train
 from etglucose.neural import DEFAULT_HIDDEN, GaussianPolicy, Mlp, OptimizerState
 from etglucose.patients import NOMINAL_ADULT, build_patient
 from etglucose.plant import PumpConfig, SensorConfig
@@ -159,7 +162,7 @@ class TestSmdpBuffer:
 
     def test_update_runs_from_buffer(self):
         rng = np.random.default_rng(12)
-        pol = GaussianPolicy.create(2, 1, rng)
+        pol = GaussianPolicy.create(2, 1, 1, rng)
         vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
         buf = SmdpBuffer(32)
         for i in range(32):
@@ -191,7 +194,7 @@ class TestTriggerConfig:
             assert eta == 20.0
             assert u == pytest.approx(min(max(a, 0.0), 1.0) * 0.15)
         assert tr.method == "cgmetppo-fixed"
-        assert tr.policy.n_act == 1
+        assert tr.policy.net.sizes[-1] == tr.policy.log_std.size == 1
 
     def test_action_mapping_variable(self, patient):
         tr = CgmEtppoTrainer(patient, RngBundle.from_master(0))
@@ -200,7 +203,7 @@ class TestTriggerConfig:
             pytest.approx(20.0)
         assert decision(np.array([0.5, 8.0]), tr.pump, tr.trigger)[1] == 25.0
         assert tr.method == "cgmetppo-variable"
-        assert tr.policy.n_act == 2
+        assert tr.policy.net.sizes[-1] == tr.policy.log_std.size == 2
 
 
 def as_bits(x: float) -> bytes:
@@ -232,9 +235,9 @@ class TestClamp:
         self.check(a)
 
 
-def constant_policy(n_act: int, outputs) -> GaussianPolicy:
+def constant_policy(width: int, outputs) -> GaussianPolicy:
     """Zero trunk, fixed bias outputs, near-deterministic sampling."""
-    pol = GaussianPolicy.create(2, n_act, np.random.default_rng(0))
+    pol = GaussianPolicy.create(2, width, width, np.random.default_rng(0))
     for w in pol.net.weights:
         w[:] = 0.0
     pol.net.biases[-1][:] = outputs
@@ -311,6 +314,31 @@ class TestTrainer:
             assert a.stats.value_loss == b.stats.value_loss
             for pa, pb in zip(a.params, b.params):
                 assert np.array_equal(pa, pb)
+
+    @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 60),
+           buffer=st.integers(1, 64), minibatch=st.integers(1, 64),
+           epochs=st.integers(1, 3), patient=st.integers(1, 10))
+    @settings(max_examples=10, deadline=None)
+    def test_zero_threshold_r1_run_writes_the_ppo_run(self, seed, horizon, buffer,
+                                                      minibatch, epochs, patient):
+        # the paper's reduction through the run entry point: every output
+        # byte of the run but the checkpoint's method tag is ppo's
+        shared = {"patient": f"adult#{patient:03d}", "episodes": 2, "seeds": [seed],
+                  "episode": {"horizon": horizon},
+                  "hyper": {"buffer_size": buffer, "minibatch": minibatch,
+                            "epochs": epochs}}
+        runs = []
+        with tempfile.TemporaryDirectory() as out:
+            for method in ({"method": "ppo"},
+                           {"method": "cgmetppo-fixed", "r1_only": True,
+                            "trigger": {"fixed_eta": 0}}):
+                (rd,) = run_train(config_from_dict({**method, **shared}), out)
+                with np.load(rd / "checkpoint.npz") as npz:
+                    arrays = {k: (npz[k].dtype, npz[k].shape, npz[k].tobytes())
+                              for k in npz.files if k != "method"}
+                runs.append(((rd / "train_log.csv").read_bytes(),
+                             (rd / "updates.csv").read_bytes(), arrays))
+        assert runs[0] == runs[1]
 
     def test_r1_only_drops_holding_bonus(self, patient):
         tr = CgmEtppoTrainer(patient, RngBundle.from_master(0), r1_only=True)

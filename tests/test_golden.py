@@ -161,14 +161,82 @@ HASWELL_CHECKPOINTS: dict[str, dict[str, str]] = {
     },
 }
 
-# The environment that makes an AVX-512 host run the Haswell set's kernels.
-HASWELL_ENV = {"OPENBLAS_CORETYPE": "Haswell",
-               "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+# The same runs on OpenBLAS's Haswell kernels with numpy's X86_V4 loops:
+# again only the checkpoints differ from the first set.
+HASWELL_AVX512_CHECKPOINTS: dict[str, dict[str, str]] = {
+    "ppo": {
+        "checkpoint.npz": "5669b91cae99a67ab91e254d7eb95111ef9d29de24da5aed979849908d0a369f",
+        "checkpoint_ep1.npz": "764e3df92196630876aa22d0065a694a5c56412ea783ef54cc530b91d739368e",
+        "checkpoint_ep2.npz": "5669b91cae99a67ab91e254d7eb95111ef9d29de24da5aed979849908d0a369f",
+    },
+    "hetppo": {
+        "checkpoint.npz": "e23d066c209f5bf859e9521801d8d7b81813cd904a685337e29fa16a0113606d",
+        "checkpoint_ep1.npz": "3384052d50c860c6561fe97cb7592ce0dee6ac6e938d6292019a003f489b889f",
+        "checkpoint_ep2.npz": "e23d066c209f5bf859e9521801d8d7b81813cd904a685337e29fa16a0113606d",
+    },
+    "cgmetppo-fixed": {
+        "checkpoint.npz": "08864079c77a40ee35b3cd31281e08566d027ac9b8f44d02262da34df072ce29",
+        "checkpoint_ep1.npz": "e434cfcbbca57c2540ca1f7f96a53a00517f9a8dcda2cedb028c9afd208af599",
+        "checkpoint_ep2.npz": "08864079c77a40ee35b3cd31281e08566d027ac9b8f44d02262da34df072ce29",
+    },
+    "cgmetppo-fixed-r1": {
+        "checkpoint.npz": "48e9e05a8630852986b0540d535811fb99e141a608f429d22eb947f4c375bea5",
+        "checkpoint_ep1.npz": "e434cfcbbca57c2540ca1f7f96a53a00517f9a8dcda2cedb028c9afd208af599",
+        "checkpoint_ep2.npz": "48e9e05a8630852986b0540d535811fb99e141a608f429d22eb947f4c375bea5",
+    },
+    "cgmetppo-variable": {
+        "checkpoint.npz": "631153b5e09c94aed9629a0dfe08e281a9dadceec809a79a6a9620aaa4dcd020",
+        "checkpoint_ep1.npz": "ee9ec7862b8e625c0010fd9f947c33cdb0856084981bb13a4fdb83b9c5a2ef8b",
+        "checkpoint_ep2.npz": "631153b5e09c94aed9629a0dfe08e281a9dadceec809a79a6a9620aaa4dcd020",
+    },
+}
+
+# The same runs on OpenBLAS's SkylakeX kernels without numpy's X86_V4 loops:
+# again only the checkpoints differ from the first set.
+SKYLAKEX_CHECKPOINTS: dict[str, dict[str, str]] = {
+    "ppo": {
+        "checkpoint.npz": "52656e762020cb7f92f40c0f66f99409d6e4933baa70e5e43ce43a81c3d63cfa",
+        "checkpoint_ep1.npz": "c5ec12035012f9b11e9eafe4960330537150911f0848ffd11bf86c02e19c9ee0",
+        "checkpoint_ep2.npz": "52656e762020cb7f92f40c0f66f99409d6e4933baa70e5e43ce43a81c3d63cfa",
+    },
+    "hetppo": {
+        "checkpoint.npz": "ab45198882aa265f0284253ec4ace40e78a82d408c60c06ba49a19ab642650f0",
+        "checkpoint_ep1.npz": "a27abfd336e29b814e53e92c3fd76ff2317cfef1a0cded65cf9ae705612b599e",
+        "checkpoint_ep2.npz": "ab45198882aa265f0284253ec4ace40e78a82d408c60c06ba49a19ab642650f0",
+    },
+    "cgmetppo-fixed": {
+        "checkpoint.npz": "67483656b5c047462ed581ad6fa6af0b9c39e82e8d5df446f2afdc479be1af7b",
+        "checkpoint_ep1.npz": "3548059f299a3128fcce618ad8cee343e44e908da4c896a7ab3a51e1b4264d62",
+        "checkpoint_ep2.npz": "67483656b5c047462ed581ad6fa6af0b9c39e82e8d5df446f2afdc479be1af7b",
+    },
+    "cgmetppo-fixed-r1": {
+        "checkpoint.npz": "86b144557e76d628c8d076b9253e5082b4abc1818ca53b7f678cd649d0984e8a",
+        "checkpoint_ep1.npz": "3548059f299a3128fcce618ad8cee343e44e908da4c896a7ab3a51e1b4264d62",
+        "checkpoint_ep2.npz": "86b144557e76d628c8d076b9253e5082b4abc1818ca53b7f678cd649d0984e8a",
+    },
+    "cgmetppo-variable": {
+        "checkpoint.npz": "3b7ae6b68bf98145dae28570b2f6819b4331d053e57e7854f4a0361353b946bf",
+        "checkpoint_ep1.npz": "54115538883bc564f056bd8e83df747a4c337a3a3fdd2fe4c63ab6c67ffdd2a1",
+        "checkpoint_ep2.npz": "3b7ae6b68bf98145dae28570b2f6819b4331d053e57e7854f4a0361353b946bf",
+    },
+}
+
+# Each non-native set's checkpoint overlay, and the environment that makes an
+# AVX-512 host run that set's kernels. An override reaches the key, but a
+# real CPU that reports the key may still run other kernels.
+NO_X86_V4 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+OVERLAYS = {
+    ("Haswell", False): (HASWELL_CHECKPOINTS,
+                         {"OPENBLAS_CORETYPE": "Haswell", **NO_X86_V4}),
+    ("Haswell", True): (HASWELL_AVX512_CHECKPOINTS, {"OPENBLAS_CORETYPE": "Haswell"}),
+    ("SkylakeX", False): (SKYLAKEX_CHECKPOINTS, NO_X86_V4),
+}
 
 GOLDEN_SETS = {
     ("SkylakeX", True): SKYLAKEX_AVX512,
-    ("Haswell", False): {variant: {**pins, **HASWELL_CHECKPOINTS.get(variant, {})}
-                         for variant, pins in SKYLAKEX_AVX512.items()},
+    **{key: {variant: {**pins, **overlay.get(variant, {})}
+             for variant, pins in SKYLAKEX_AVX512.items()}
+       for key, (overlay, _env) in OVERLAYS.items()},
 }
 
 
@@ -209,18 +277,24 @@ def test_outputs_match_golden_digests(tmp_path, variant):
     assert file_digests(cfg, rd) == golden[variant]
 
 
-def test_haswell_set_holds_in_a_child_process(tmp_path):
-    # Whatever this host's own platform, a child process under HASWELL_ENV
-    # reruns one learning variant, so the Haswell set is checked here too.
+@pytest.mark.parametrize("key", list(OVERLAYS), ids=lambda key: "-".join(map(str, key)))
+def test_platform_set_holds_in_a_child_process(tmp_path, key):
+    # A child process under the key's environment reruns one learning
+    # variant, so each non-native set is checked on one host. An environment
+    # only takes kernels away: any host reaches the Haswell core, but the
+    # SkylakeX core and the X86_V4 loops only where the host has them.
+    native = numeric_platform()
+    if (key[0] != "Haswell" and key[0] != native[0]) or (key[1] and not native[1]):
+        pytest.skip(f"this host's platform {native} cannot reach {key}")
     child = ("import json, sys; import test_golden as g; "
              "cfg, rd = g.train_and_eval(sys.argv[1], 'hetppo'); "
              "print(json.dumps([g.numeric_platform(), g.file_digests(cfg, rd)]))")
     path = os.pathsep.join([str(Path(etglucose.__file__).parents[1]),
                             str(Path(__file__).parent)])
     done = subprocess.run([sys.executable, "-c", child, str(tmp_path)],
-                          env={**os.environ, **HASWELL_ENV, "PYTHONPATH": path},
+                          env={**os.environ, **OVERLAYS[key][1], "PYTHONPATH": path},
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     platform, digests = json.loads(done.stdout)
-    assert tuple(platform) == ("Haswell", False)
-    assert digests == GOLDEN_SETS["Haswell", False]["hetppo"]
+    assert tuple(platform) == key
+    assert digests == GOLDEN_SETS[key]["hetppo"]

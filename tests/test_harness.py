@@ -48,7 +48,6 @@ from etglucose.harness import (
 from etglucose.neural import (
     DivergedUpdateError,
     GaussianPolicy,
-    HetPolicy,
     load_checkpoint,
     save_checkpoint,
     unpack_opt,
@@ -547,8 +546,13 @@ class TestCheckpoints:
         save_trainer(trainer, path)
         method, policy, _, pin = load_policy(path)
         assert method == "hetppo"
-        assert isinstance(policy, HetPolicy)
+        assert isinstance(policy, GaussianPolicy)
+        assert (policy.net.sizes[-1], policy.log_std.size) == (2, 1)
         assert not pin
+
+    def test_one_method_table(self):
+        # the trainer table names every learning method, and only those
+        assert set(METHODS) == {"pid", *harness.TRAINERS}
 
     def test_pinned_hetppo_checkpoint_refused(self, tmp_path, patient):
         # a hetppo run without its event head, as an older version wrote it:
@@ -835,9 +839,9 @@ class TestTrainEval:
 
 class TestGreedyRollout:
     @staticmethod
-    def cgm_gated_policy() -> HetPolicy:
+    def cgm_gated_policy() -> GaussianPolicy:
         """Insulin mean 0.4; the event logit has the sign of y - 150."""
-        pol = HetPolicy.create(2, np.random.default_rng(0))
+        pol = GaussianPolicy.create(2, 2, 1, np.random.default_rng(0))
         for a in pol.net.weights + pol.net.biases:
             a[:] = 0.0
         pol.net.weights[0][0, 0] = 6.0  # input y / 600 -> 0.01 * y
@@ -857,7 +861,7 @@ class TestGreedyRollout:
             obs = env.reset(sc, eval_noise_stream(i))
             held, times = 0.0, []
             while not env.done:
-                mean, logit = pol.heads(obs_vec(obs, cfg.pump)[None, :])
+                mean, logit = pol.net.forward(obs_vec(obs, cfg.pump)[None, :]).T
                 if logit[0] >= 0.0:
                     held = float(np.clip(mean[0], 0.0, 1.0)) * cfg.pump.u_max
                     times.append(env.steps)
@@ -889,9 +893,14 @@ class TestEpisodeEntryPoints:
     def test_eval_runs_one_roll_per_scenario(self, tmp_path, monkeypatch, patient,
                                              method, over, trainer_cls, roll):
         cfg = tiny_cfg(method, episodes=1, episode={"horizon": 20}, **over)
+        assert harness.TRAINERS.get(method) is trainer_cls
         if trainer_cls is not None:
             assert type(build_trainer(cfg, patient, 0)) is trainer_cls
         run_train(cfg, tmp_path)
+        if trainer_cls is not None:
+            # the saved policy has the widths its trainer class declares
+            _, policy, _, _ = load_policy(run_dir(tmp_path, cfg, 0) / "checkpoint.npz")
+            assert (policy.net.sizes[-1], policy.log_std.size) == trainer_cls.widths
         calls = {}
 
         def spy(name, real):
@@ -1067,13 +1076,30 @@ class TestCli:
         ({"policy_log_std": np.zeros(2)},
          "policy_log_std has shape (2,), expected (1,) for ppo"),
         ({"method": "pid"}, "unknown method 'pid'"),
+        # a ppo checkpoint relabelled to a method of other widths
+        ({"method": "cgmetppo-variable"}, "policy net maps 2 inputs to 1 outputs, "
+         "expected 2 to 2 for cgmetppo-variable"),
+        ({"method": "hetppo"},
+         "policy net maps 2 inputs to 1 outputs, expected 2 to 2 for hetppo"),
+        # integer keys of another shape or with fractions
+        ({"policy_sizes": np.array(64)},
+         "policy_sizes must be a list of integers, got 64"),
+        ({"policy_sizes": np.array([2.5, 64, 64, 1])},
+         "policy_sizes must be a list of integers, got [2.5, 64.0, 64.0, 1.0]"),
+        ({"format_version": np.array([1, 1])},
+         "format_version must be an integer, got [1, 1]"),
+        ({"pin_events": np.array([0, 0])},
+         "pin_events must be an integer, got [0, 0]"),
     ], ids=["missing-key", "missing-method", "version", "not-npz", "short-sizes",
             "weight-shape", "bias-shape", "policy-width", "input-width",
-            "log-std-length", "unknown-method"])
+            "log-std-length", "unknown-method", "relabelled-variable",
+            "relabelled-hetppo", "scalar-sizes", "fractional-sizes",
+            "vector-version", "vector-pin-events"])
     def test_bad_checkpoint_exit_two(self, tmp_path, capsys, patient, edit,
                                      message):
-        # used to exit 2 with a bare KeyError text, numpy's pickle advice,
-        # or a version message that named no file
+        # used to exit 2 with a bare KeyError or TypeError text, numpy's
+        # pickle advice, or a version message that named no file, and to
+        # load fractional sizes truncated
         cfg_path = write_yaml(tmp_path / "c.yaml", tiny_dict("ppo"))
         rd = tmp_path / "runs" / "ppo" / "adult-001" / "seed_0"
         rd.mkdir(parents=True)

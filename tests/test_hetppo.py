@@ -14,7 +14,7 @@ from etglucose.hetppo import (
 )
 from etglucose.neural import (
     DEFAULT_HIDDEN,
-    HetPolicy,
+    GaussianPolicy,
     Mlp,
     OptimizerState,
     bernoulli_logprob_entropy,
@@ -48,9 +48,9 @@ def patient():
     return build_patient("nominal", NOMINAL_ADULT)
 
 
-def doctored_policy(mean_bias: float, logit_bias: float) -> HetPolicy:
+def doctored_policy(mean_bias: float, logit_bias: float) -> GaussianPolicy:
     """Zero trunk, fixed head outputs: mean and logit are constants."""
-    pol = HetPolicy.create(2, np.random.default_rng(0))
+    pol = GaussianPolicy.create(2, 2, 1, np.random.default_rng(0))
     for w in pol.net.weights:
         w[:] = 0.0
     pol.net.biases[-1][:] = [mean_bias, logit_bias]
@@ -97,7 +97,7 @@ class TestHetObjective:
     @staticmethod
     def _instance(n=10, n_events=5, seed=3):
         rng = np.random.default_rng(seed)
-        pol = HetPolicy.create(2, rng, hidden=(4,))
+        pol = GaussianPolicy.create(2, 2, 1, rng, hidden=(4,))
         obs = rng.normal(size=(n, 2))
         e = np.zeros(n)
         e[rng.permutation(n)[:n_events]] = 1.0
@@ -149,7 +149,7 @@ class TestHetObjective:
         assert grads[-1][0] == pytest.approx(-C_ENT, abs=1e-15)
         # and the objective has no insulin surrogate term
         lp_e_new, ent_e = bernoulli_logprob_entropy(
-            pol.heads(obs)[1], act[:, 1]
+            pol.net.forward(obs)[:, 1], act[:, 1]
         )
         j_bern = clipped_surrogate(lp_e_new, logp_old[:, 1], adv, CLIP_EPS)
         ent_u = 0.5 * (math.log(2 * math.pi) + 1.0) + float(pol.log_std[0])
@@ -159,7 +159,7 @@ class TestHetObjective:
     def test_all_events_decomposes_into_both_factors(self):
         pol, obs, act, logp_old, adv = self._instance(n=8, n_events=8)
         obj, _, _ = het_policy_grads(pol, obs, act, logp_old, adv)
-        u_mean, logit = pol.heads(obs)
+        u_mean, logit = pol.net.forward(obs).T
         lp_u_new, _ = gaussian_logprob_entropy(
             u_mean[:, None], pol.log_std, act[:, :1]
         )
@@ -172,7 +172,7 @@ class TestHetObjective:
 
     def test_update_runs_from_buffer(self):
         rng = np.random.default_rng(21)
-        pol = HetPolicy.create(2, rng)
+        pol = GaussianPolicy.create(2, 2, 1, rng)
         vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
         buf = SmdpBuffer(64)
         for i in range(64):

@@ -10,7 +10,6 @@ from etglucose.neural import (
     DEFAULT_HIDDEN,
     DivergedUpdateError,
     GaussianPolicy,
-    HetPolicy,
     Mlp,
     OptimizerState,
     adam_step,
@@ -223,8 +222,8 @@ class TestAdam:
         # one state over actor then critic against the old per-network,
         # per-array states, from the lazy first step on
         rng = np.random.default_rng(seed)
-        actor = (HetPolicy.create(2, rng) if seed else
-                 GaussianPolicy.create(2, 2, rng)).params()
+        actor = (GaussianPolicy.create(2, 2, 1, rng) if seed else
+                 GaussianPolicy.create(2, 2, 2, rng)).params()
         critic = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng).params()
         ref_actor = [p.copy() for p in actor]
         ref_critic = [p.copy() for p in critic]
@@ -246,7 +245,7 @@ class TestAdam:
     @pytest.mark.parametrize("warm", [0, 3])
     def test_non_finite_critic_grad_moves_nothing(self, warm):
         rng = np.random.default_rng(7)
-        params = (GaussianPolicy.create(2, 1, rng).params()
+        params = (GaussianPolicy.create(2, 1, 1, rng).params()
                   + Mlp.create((2, 8, 1), rng).params())
         opt = OptimizerState()
         for _ in range(warm):
@@ -281,7 +280,7 @@ class TestInit:
         assert np.allclose(w.T @ w, np.eye(2), atol=1e-10)
 
     def test_policy_output_layer_small(self):
-        pol = GaussianPolicy.create(2, 1, np.random.default_rng(9))
+        pol = GaussianPolicy.create(2, 1, 1, np.random.default_rng(9))
         assert np.abs(pol.net.weights[-1]).max() <= 0.01 + 1e-12
         assert np.all(pol.log_std == math.log(0.5))
 
@@ -293,7 +292,7 @@ class TestInit:
 
 class TestPolicySampling:
     def test_sample_statistics(self):
-        pol = GaussianPolicy.create(2, 1, np.random.default_rng(21))
+        pol = GaussianPolicy.create(2, 1, 1, np.random.default_rng(21))
         x = np.array([0.2, 0.5])
         mean = pol.net.forward(x[None, :])[0, 0]
         rng = np.random.default_rng(100)
@@ -306,7 +305,7 @@ class TestPolicySampling:
         assert abs(draws.std(ddof=1) - sd) < 3 * se_sd
 
     def test_reported_logp_matches_recompute(self):
-        pol = GaussianPolicy.create(2, 1, np.random.default_rng(22))
+        pol = GaussianPolicy.create(2, 1, 1, np.random.default_rng(22))
         x = np.array([0.1, -0.3])
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -316,12 +315,14 @@ class TestPolicySampling:
             assert logp == pytest.approx(float(want[0]), abs=1e-12)
 
     def test_het_policy_heads_split_columns(self):
-        pol = HetPolicy.create(2, np.random.default_rng(30))
-        x = np.random.default_rng(1).normal(size=(6, 2))
-        mean, logit = pol.heads(x)
-        out = pol.net.forward(x)
-        assert np.array_equal(mean, out[:, 0])
-        assert np.array_equal(logit, out[:, 1])
+        # hetppo's policy: a two-output net (the insulin mean, then the
+        # event logit that hetppo reads) with one log-std
+        pol = GaussianPolicy.create(2, 2, 1, np.random.default_rng(30))
+        net = Mlp.create((2, *DEFAULT_HIDDEN, 2), np.random.default_rng(30),
+                         out_gain=0.01)
+        for got, want in zip(pol.net.params(), net.params()):
+            assert got.tobytes() == want.tobytes()
+        assert pol.log_std.tolist() == [math.log(0.5)]
 
     def test_value_net_scalar_output(self):
         # the critic is a plain Mlp with one linear output

@@ -166,7 +166,7 @@ class TestPolicyGrads:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(77)
         for _ in range(32):
-            pol = GaussianPolicy.create(2, 1, rng, hidden=(4,))
+            pol = GaussianPolicy.create(2, 1, 1, rng, hidden=(4,))
             obs = rng.normal(size=(8, 2))
             act = rng.normal(scale=0.5, size=(8, 1))
             logp_old = rng.normal(scale=0.3, size=8)
@@ -191,7 +191,7 @@ class TestPolicyGrads:
 
     def test_zero_advantage_moves_only_log_std(self):
         rng = np.random.default_rng(13)
-        pol = GaussianPolicy.create(2, 1, rng)
+        pol = GaussianPolicy.create(2, 1, 1, rng)
         vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
         net_before = [p.copy() for p in pol.net.params()]
         log_std_before = pol.log_std.copy()
@@ -212,7 +212,7 @@ class TestPolicyGrads:
 
     def test_objective_reported_consistently(self):
         rng = np.random.default_rng(5)
-        pol = GaussianPolicy.create(2, 1, rng, hidden=(4,))
+        pol = GaussianPolicy.create(2, 1, 1, rng, hidden=(4,))
         obs = rng.normal(size=(16, 2))
         act = rng.normal(size=(16, 1))
         logp_old = rng.normal(scale=0.2, size=16)
@@ -288,7 +288,7 @@ class TestUpdateEngine:
 
     def test_minibatch_count(self):
         rng = np.random.default_rng(2)
-        pol = GaussianPolicy.create(2, 1, rng)
+        pol = GaussianPolicy.create(2, 1, 1, rng)
         vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
         data = {
             "obs": rng.normal(size=(64, 2)),
@@ -306,7 +306,7 @@ class TestUpdateEngine:
     def test_bandit_converges_and_value_fits(self):
         # one-state problem: reward -(a - 0.5)^2, best constant action 0.5
         rng = np.random.default_rng(1234)
-        pol = GaussianPolicy.create(1, 1, rng)
+        pol = GaussianPolicy.create(1, 1, 1, rng)
         vnet = Mlp.create((1, *DEFAULT_HIDDEN, 1), rng)
         opt = OptimizerState(lr=3e-3)
         hyper = HyperParams(epochs=10, minibatch=128)
@@ -337,7 +337,7 @@ class TestUpdateEngine:
         # finite actor gradients and a finite loss, one NaN critic gradient:
         # the minibatch must not step the actor before the critic is checked
         rng = np.random.default_rng(3)
-        pol = GaussianPolicy.create(2, 1, rng)
+        pol = GaussianPolicy.create(2, 1, 1, rng)
         vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
         data = {
             "obs": rng.normal(size=(32, 2)),
@@ -446,7 +446,7 @@ class TestTrainer:
 
     def test_ppo_update_returns_advantages(self, patient):
         rng = np.random.default_rng(0)
-        pol = GaussianPolicy.create(2, 1, rng)
+        pol = GaussianPolicy.create(2, 1, 1, rng)
         vnet = Mlp.create((2, *DEFAULT_HIDDEN, 1), rng)
         buf = SmdpBuffer(32)
         for i in range(32):

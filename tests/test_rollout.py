@@ -18,7 +18,7 @@ from etglucose.cgmetppo import CgmEtppoTrainer, FixedCgmEtppoTrainer
 from etglucose.config import ExperimentConfig
 from etglucose.env import ApEnv, EpisodeConfig, rollout
 from etglucose.hetppo import HetppoTrainer
-from etglucose.neural import GaussianPolicy, HetPolicy
+from etglucose.neural import GaussianPolicy
 from etglucose.patients import default_cohort
 from etglucose.pid import PidGains, run_pid_episode
 from etglucose.ppo import HyperParams, PpoTrainer
@@ -139,10 +139,10 @@ def test_every_plant_step_comes_from_the_hold(monkeypatch):
         "pid": lambda: run_pid_episode(PATIENT, PidGains(kp=0.0009), scenario,
                                        eval_noise_stream(0), episode),
         "greedy cgmetppo": lambda: harness.roll_cgmetppo(
-            PATIENT, GaussianPolicy.create(2, 2, rng), scenario,
+            PATIENT, GaussianPolicy.create(2, 2, 2, rng), scenario,
             eval_noise_stream(0), cfg),
         "greedy hetppo": lambda: harness.roll_hetppo(
-            PATIENT, HetPolicy.create(2, rng), scenario, eval_noise_stream(0),
+            PATIENT, GaussianPolicy.create(2, 2, 1, rng), scenario, eval_noise_stream(0),
             cfg),
     }
     for cls in (PpoTrainer, HetppoTrainer, CgmEtppoTrainer,
